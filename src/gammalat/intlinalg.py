@@ -30,6 +30,7 @@ __all__ = [
     "scaled_inverse",
     "unimodular_inverse",
     "block_diagonal",
+    "bareiss_det",
 ]
 
 
@@ -145,31 +146,50 @@ class IntMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square():
             raise ValueError("determinant requires a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = pivot
-        return sign * m[n - 1][n - 1]
+        return bareiss_det(self.entries)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
+
+
+def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square list of rows by fraction-free (Bareiss)
+    elimination; the rows are read, never modified.
+
+    Each step eliminates the leading column and keeps only the remaining
+    columns, so the working rows shrink by one entry per step.  A row whose
+    leading entry is already zero only needs rescaling, if that.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    work = list(rows)
+    sign = 1
+    prev = 1
+    for _ in range(n - 1):
+        if work[0][0] == 0:
+            for i in range(1, len(work)):
+                if work[i][0] != 0:
+                    work[0], work[i] = work[i], work[0]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        top = work[0]
+        pivot = top[0]
+        rest = top[1:]
+        reduced = []
+        for row in work[1:]:
+            c = row[0]
+            if c:
+                reduced.append([(a * pivot - c * b) // prev for a, b in zip(row[1:], rest)])
+            elif pivot == prev:
+                reduced.append(row[1:])
+            else:
+                reduced.append([a * pivot // prev for a in row[1:]])
+        work = reduced
+        prev = pivot
+    return sign * work[0][0]
 
 
 def block_diagonal(blocks: Iterable[IntMatrix]) -> IntMatrix:

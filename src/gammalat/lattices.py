@@ -6,10 +6,22 @@ generator matrices, as induced/permutation lattices, by direct sum,
 restriction, twisting, dualizing), computes their rational characters,
 solves for equivariant maps, and recognizes permutation lattices.
 
-All searches are deterministic: fixed candidate orderings, fixed tie-breaks,
-and a fixed-seed pseudorandom fallback for the one search whose exhaustive
-form is too large.  The module-level RANDOM_FALLBACK_COUNT counts how often
-that fallback fired, so callers can assert it was never needed.
+Equivariant maps out of a permutation lattice come from Frobenius
+reciprocity: such a lattice is a sum of coset lattices Z[G/Stab(x)], one
+per orbit of its basis vectors, and Hom_G(Z[G/H], N) is the fixed
+sublattice N^H.  So the intertwiner basis is assembled orbit by orbit from
+small fixed-vector kernels, instead of from one constraint system over all
+rank(M) * rank(N) unknowns, which remains the path for any other source.
+The finite-index embedding then picks, among small integer combinations of
+that basis, the invertible one minimizing a fixed total order; the
+coefficient boxes are walked in reflected Gray-code order, so each
+candidate differs from the last by one basis matrix.
+
+All searches are deterministic: fixed candidate sets, a total order on
+candidates, and a fixed-seed pseudorandom fallback for the one search whose
+exhaustive form is too large.  The module-level RANDOM_FALLBACK_COUNT
+counts how often that fallback fired, so callers can assert it was never
+needed.
 """
 
 from __future__ import annotations
@@ -46,11 +58,11 @@ from .groups import (
 from .intlinalg import (
     FiniteAbelianGroup,
     IntMatrix,
+    bareiss_det,
     block_diagonal,
     cokernel_structure,
     hermite_normal_form,
     kernel_basis,
-    matrix_rank,
 )
 
 __all__ = [
@@ -338,7 +350,11 @@ def lattice_embedding(
     source: GammaLattice, target: GammaLattice, matrix: IntMatrix
 ) -> LatticeEmbedding:
     """Validated constructor: checks shape, equivariance on all elements,
-    and injectivity, then computes the cokernel."""
+    and injectivity, then computes the cokernel.
+
+    One Smith form gives both: the map is injective exactly when its rank,
+    ``target.rank - free_rank``, is ``source.rank``.
+    """
     if not same_group(source.group, target.group):
         raise GroupMismatch("embedding endpoints must share the group")
     if matrix.rows != target.rank or matrix.cols != source.rank:
@@ -346,24 +362,56 @@ def lattice_embedding(
     for g in range(source.group.order):
         if matrix.mul(source.matrices[g]) != target.matrices[g].mul(matrix):
             raise InternalContradiction(f"embedding is not equivariant at element {g}")
-    if matrix_rank(matrix) != source.rank:
-        raise InternalContradiction("embedding matrix is not injective")
     torsion, free_rank = cokernel_structure(matrix)
+    if target.rank - free_rank != source.rank:
+        raise InternalContradiction("embedding matrix is not injective")
     return LatticeEmbedding(source, target, matrix, torsion, free_rank)
 
 
 def intertwiner_basis(m: GammaLattice, n: GammaLattice) -> tuple[IntMatrix, ...]:
-    """Z-basis of all integer E with E * act_m(g) = act_n(g) * E.
+    """Z-basis of Hom_G(m, n): all integer E with E * act_m(g) = act_n(g) * E.
 
-    The solution lattice is computed from the generator constraints (which
-    imply the constraint for every element) and canonicalized by the Hermite
-    form of the flattened solutions, so the basis is unique.
+    When every generator of ``m`` acts by a permutation matrix, ``m`` is the
+    sum over the orbits of its basis vectors of the coset lattices
+    Z[G/Stab(x)], x the smallest point of the orbit.  Frobenius reciprocity
+    gives Hom_G(Z[G/Stab(x)], n) = n^Stab(x), so each Z-basis vector v of
+    the fixed sublattice (the integer kernel of the stacked n(s) - I over
+    s in Stab(x)) yields one intertwiner, whose column g*x is n(g) * v and
+    whose other columns are zero.  Any other ``m`` takes the integer kernel
+    of the linear constraints on the generators (which imply the constraint
+    for every element).
+
+    Both describe the same saturated Z-lattice, and the flattened solutions
+    are canonicalized by their Hermite form, so the basis is unique and
+    independent of the path taken.
     """
     if not same_group(m.group, n.group):
         raise GroupMismatch("intertwiners need a common group")
     nvars = n.rank * m.rank
     if nvars == 0:
         return ()
+    if all(m.matrices[g].is_permutation_matrix() for g in m.group.generator_ids):
+        solutions = _permutation_intertwiners(m, n)
+    else:
+        solutions = kernel_basis(_intertwiner_constraints(m, n))
+    if not solutions:
+        return ()
+    h, _ = hermite_normal_form(IntMatrix.from_rows(solutions, cols=nvars))
+    out = []
+    for row in h.entries:
+        if any(row):
+            out.append(
+                IntMatrix.from_rows(
+                    [list(row[i * m.rank : (i + 1) * m.rank]) for i in range(n.rank)],
+                    cols=m.rank,
+                )
+            )
+    return tuple(out)
+
+
+def _intertwiner_constraints(m: GammaLattice, n: GammaLattice) -> IntMatrix:
+    """E * act_m(g) = act_n(g) * E on the generators, over E flattened row-major."""
+    nvars = n.rank * m.rank
     rows = []
     for gid in m.group.generator_ids:
         a = m.matrices[gid].entries
@@ -377,69 +425,113 @@ def intertwiner_basis(m: GammaLattice, n: GammaLattice) -> tuple[IntMatrix, ...]
                 for p in range(n.rank):
                     row[p * m.rank + j] -= b[i][p]
                 rows.append(row)
-    constraint = IntMatrix.from_rows(rows, cols=nvars)
-    kern = kernel_basis(constraint)
-    if not kern:
-        return ()
-    h, _ = hermite_normal_form(IntMatrix.from_rows(kern, cols=nvars))
+    return IntMatrix.from_rows(rows, cols=nvars)
+
+
+def _permutation_intertwiners(m: GammaLattice, n: GammaLattice) -> list[list[int]]:
+    """Flattened Z-basis of Hom_G(m, n) for m acting by permutation matrices,
+    one block per orbit of m's basis vectors (Frobenius reciprocity)."""
+    # images[g][j] = g*j: column j of a permutation matrix has its 1 in row g*j.
+    images = []
+    for a in m.matrices:
+        img = [0] * m.rank
+        for i, row in enumerate(a.entries):
+            img[row.index(1)] = i
+        images.append(img)
+    fixed_by_stabilizer: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    placed = [False] * m.rank
     out = []
-    for row in h.entries:
-        if any(row):
-            out.append(
-                IntMatrix.from_rows(
-                    [list(row[i * m.rank : (i + 1) * m.rank]) for i in range(n.rank)],
-                    cols=m.rank,
-                )
-            )
-    return tuple(out)
-
-
-def _det_rows(rows: list[list[int]]) -> int:
-    """Bareiss determinant on a plain list-of-lists (search hot path)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            mi = m[i]
-            mk = m[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
-            mi[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def _combine(basis_rows: list[list[list[int]]], coeffs: Sequence[int], nr: int, nc: int) -> list[list[int]]:
-    out = [[0] * nc for _ in range(nr)]
-    for c, mat in zip(coeffs, basis_rows):
-        if c:
-            for i in range(nr):
-                row = mat[i]
-                oi = out[i]
-                for j in range(nc):
-                    oi[j] += c * row[j]
+    for x in range(m.rank):
+        if placed[x]:
+            continue
+        # The first element (in id order) carrying x to each point of its orbit.
+        carry: dict[int, int] = {}
+        for g, img in enumerate(images):
+            carry.setdefault(img[x], g)
+        for y in carry:
+            placed[y] = True
+        stab = tuple(g for g, img in enumerate(images) if g and img[x] == x)
+        if stab not in fixed_by_stabilizer:
+            fixed_by_stabilizer[stab] = _fixed_sublattice(n, stab)
+        for v in fixed_by_stabilizer[stab]:
+            flat = [0] * (n.rank * m.rank)
+            for y, g in carry.items():
+                for i, c in enumerate(n.matrices[g].times_vector(v)):
+                    flat[i * m.rank + y] = c
+            out.append(flat)
     return out
 
 
-def _candidate_key(rows: list[list[int]], det: int) -> tuple:
-    trace = sum(rows[i][i] for i in range(len(rows)))
-    total = sum(abs(x) for row in rows for x in row)
-    flat = tuple(x for row in rows for x in row)
-    return (abs(det), total, -trace, flat)
+def _fixed_sublattice(n: GammaLattice, elements: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Z-basis of the vectors of n fixed by every listed element."""
+    if not elements:
+        return tuple(tuple(1 if i == j else 0 for j in range(n.rank)) for i in range(n.rank))
+    rows = []
+    for s in elements:
+        for i, row in enumerate(n.matrices[s].entries):
+            rows.append([x - (1 if i == j else 0) for j, x in enumerate(row)])
+    return kernel_basis(IntMatrix.from_rows(rows, cols=n.rank))
+
+
+def _smaller_key(flat: list[int], n: int, best: Optional[tuple], paired: bool) -> Optional[tuple]:
+    """The smaller of ``best`` and the key of the n x n candidate ``flat``.
+
+    The key is (|det|, sum of absolute entries, -trace, flattened entries);
+    singular candidates have none.  It is only built when |det| does not
+    exceed the best |det| so far.  With ``paired`` the candidate stands for
+    both E and -E, which share |det| and the entry sum, and the key is that
+    of whichever is smaller: the positive trace, or on a zero trace the
+    negative first nonzero entry.
+    """
+    det = bareiss_det([flat[i * n : (i + 1) * n] for i in range(n)])
+    if det == 0 or (best is not None and abs(det) > best[0]):
+        return best
+    trace = sum(flat[i * (n + 1)] for i in range(n))
+    sign = 1
+    if paired and (trace or -next(x for x in flat if x)) < 0:
+        sign = -1
+    key = (abs(det), sum(map(abs, flat)), -sign * trace, tuple(sign * x for x in flat))
+    return key if best is None or key < best else best
+
+
+def _shell_minimum(
+    nonzeros: list[list[tuple[int, int]]], n: int, bound: int, inner: int, best: Optional[tuple]
+) -> Optional[tuple]:
+    """Fold into ``best`` the keys of the combinations sum c_j * basis_j with
+    c in [-bound, bound]^k and max |c_j| > inner.
+
+    The box is walked in reflected Gray-code order (coefficient 0 moving
+    fastest), so each step adds or subtracts one basis matrix's nonzero
+    entries.  Of each pair c, -c only the one whose first nonzero
+    coefficient is positive is evaluated, standing for both.
+    """
+    k = len(nonzeros)
+    coeffs = [-bound] * k
+    steps = [1] * k
+    flat = [0] * (n * n)
+    for nz in nonzeros:
+        for idx, val in nz:
+            flat[idx] -= bound * val
+    outside = k if bound > inner else 0  # coefficients with |c_j| > inner
+    while True:
+        if outside:
+            for lead in coeffs:
+                if lead:
+                    break
+            if lead > 0:
+                best = _smaller_key(flat, n, best, paired=True)
+        j = 0
+        while j < k and not -bound <= coeffs[j] + steps[j] <= bound:
+            steps[j] = -steps[j]
+            j += 1
+        if j == k:
+            return best
+        old = coeffs[j]
+        step = steps[j]
+        coeffs[j] = old + step
+        outside += (abs(old + step) > inner) - (abs(old) > inner)
+        for idx, val in nonzeros[j]:
+            flat[idx] += step * val
 
 
 def equivariant_finite_index_embedding(
@@ -447,13 +539,19 @@ def equivariant_finite_index_embedding(
 ) -> LatticeEmbedding:
     """An invertible integer intertwiner m1 -> m2, canonically chosen.
 
-    Preconditions: equal characters (hence equal ranks).  The search runs
-    over integer combinations of the intertwiner basis in growing coefficient
-    boxes, keeping the candidate that minimizes (|det|, sum of absolute
-    entries, -trace, flattened entries).  Boxes whose size exceeds the
-    enumeration budget are skipped; if no box fits, a fixed-seed pseudorandom
-    phase takes over (disabled by ``allow_random=False``, in which case
-    exhaustion raises NoInvertibleIntertwiner).
+    Preconditions: equal characters (hence equal ranks).  The candidates are
+    the nonzero integer combinations of the intertwiner basis whose
+    coefficients lie in the largest box [-b, b]^k, b from _SHELL_BOUNDS, of
+    at most _SHELL_BUDGET points; the search keeps the invertible candidate
+    that minimizes (|det|, sum of absolute entries, -trace, flattened
+    entries).  That is a total order, so the choice does not depend on the
+    order of enumeration.  Each shell (the box of one bound minus the box of
+    the previous one) is walked in reflected Gray-code order, one basis
+    matrix added per step, evaluating one of each pair +-E.  If even the
+    smallest box exceeds the budget, or no candidate is invertible, a
+    fixed-seed pseudorandom phase takes over (disabled by
+    ``allow_random=False``, in which case exhaustion raises
+    NoInvertibleIntertwiner).
     """
     global RANDOM_FALLBACK_COUNT
     if not same_group(m1.group, m2.group):
@@ -466,30 +564,20 @@ def equivariant_finite_index_embedding(
     k = len(basis)
     if k == 0:
         raise NoInvertibleIntertwiner("intertwiner space is zero")
-    basis_rows = [b.to_lists() for b in basis]
-    nr, nc = m2.rank, m1.rank
+    n = m1.rank
+    nonzeros = [
+        [(i * n + j, x) for i, row in enumerate(b.entries) for j, x in enumerate(row) if x]
+        for b in basis
+    ]
 
     best = None
-    best_rows = None
     prev_bound = 0
     searched = False
     for bound in _SHELL_BOUNDS:
         if (2 * bound + 1) ** k > _SHELL_BUDGET:
             break
         searched = True
-        for coeffs in iter_product(range(-bound, bound + 1), repeat=k):
-            if prev_bound and max(abs(c) for c in coeffs) <= prev_bound:
-                continue
-            if not any(coeffs):
-                continue
-            rows = _combine(basis_rows, coeffs, nr, nc)
-            det = _det_rows(rows)
-            if det == 0:
-                continue
-            key = _candidate_key(rows, det)
-            if best is None or key < best:
-                best = key
-                best_rows = rows
+        best = _shell_minimum(nonzeros, n, bound, prev_bound, best)
         prev_bound = bound
     if best is None:
         if searched and not allow_random:
@@ -503,18 +591,17 @@ def equivariant_finite_index_embedding(
         rng = random.Random(0)
         for _ in range(_RANDOM_ATTEMPTS):
             coeffs = [rng.randint(-_RANDOM_COEFF_BOUND, _RANDOM_COEFF_BOUND) for _ in range(k)]
-            rows = _combine(basis_rows, coeffs, nr, nc)
-            det = _det_rows(rows)
-            if det == 0:
-                continue
-            key = _candidate_key(rows, det)
-            if best is None or key < best:
-                best = key
-                best_rows = rows
+            flat = [0] * (n * n)
+            for c, nz in zip(coeffs, nonzeros):
+                if c:
+                    for idx, val in nz:
+                        flat[idx] += c * val
+            best = _smaller_key(flat, n, best, paired=False)
         if best is None:
             raise NoInvertibleIntertwiner("pseudorandom search found no invertible intertwiner")
-    assert best_rows is not None
-    return lattice_embedding(m1, m2, IntMatrix.from_rows(best_rows, cols=nc))
+    flat = best[3]
+    matrix = IntMatrix.from_rows([flat[i * n : (i + 1) * n] for i in range(n)], cols=n)
+    return lattice_embedding(m1, m2, matrix)
 
 
 @dataclass(frozen=True)
@@ -639,7 +726,7 @@ def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> Permutation
         if size == rank:
             vectors = tuple(v for orb in chosen for v in orb)
             cols = [list(col) for col in zip(*vectors)]
-            if abs(_det_rows(cols)) == 1:
+            if abs(bareiss_det(cols)) == 1:
                 return vectors
             return None
         for i in range(idx, len(orbits)):

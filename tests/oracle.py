@@ -153,3 +153,126 @@ def brute_minimal_multiplier(
 
 def permutation_fixed_points(perm_matrix_entries: Sequence[Sequence[int]]) -> int:
     return sum(row[i] for i, row in enumerate(perm_matrix_entries))
+
+
+# -- Reference intertwiner basis and embedding search -------------------------
+#
+# The constraint-system intertwiner basis and the product-order shell search
+# as they stood before the library switched to Frobenius reciprocity and
+# Gray-code shells.  They call the library's normal forms, so they pin the
+# library's canonical choices rather than re-derive them.
+
+_SHELL_BOUNDS = (1, 2, 3, 6, 12, 24)
+_SHELL_BUDGET = 20000
+_RANDOM_ATTEMPTS = 512
+_RANDOM_COEFF_BOUND = 3
+
+
+def reference_intertwiner_basis(m, n):
+    """HNF-canonical Z-basis of Hom_G(m, n), from the integer kernel of the
+    full constraint system E * m(g) = n(g) * E over the generators."""
+    from gammalat.intlinalg import IntMatrix, hermite_normal_form, kernel_basis
+
+    nvars = n.rank * m.rank
+    if nvars == 0:
+        return ()
+    rows = []
+    for gid in m.group.generator_ids:
+        a = m.matrices[gid].entries
+        b = n.matrices[gid].entries
+        for i in range(n.rank):
+            for j in range(m.rank):
+                row = [0] * nvars
+                for q in range(m.rank):
+                    row[i * m.rank + q] += a[q][j]
+                for p in range(n.rank):
+                    row[p * m.rank + j] -= b[i][p]
+                rows.append(row)
+    kern = kernel_basis(IntMatrix.from_rows(rows, cols=nvars))
+    if not kern:
+        return ()
+    h, _ = hermite_normal_form(IntMatrix.from_rows(kern, cols=nvars))
+    return tuple(
+        IntMatrix.from_rows(
+            [list(row[i * m.rank : (i + 1) * m.rank]) for i in range(n.rank)], cols=m.rank
+        )
+        for row in h.entries
+        if any(row)
+    )
+
+
+def _reference_det(rows: list[list[int]]) -> int:
+    """Bareiss determinant on a copy of the rows (rational elimination in
+    det_fraction is too slow for whole shells)."""
+    n = len(rows)
+    m = [row[:] for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def _reference_key(rows: list[list[int]]) -> Optional[tuple]:
+    det = _reference_det(rows)
+    if det == 0:
+        return None
+    trace = sum(rows[i][i] for i in range(len(rows)))
+    total = sum(abs(x) for row in rows for x in row)
+    return (abs(det), total, -trace, tuple(x for row in rows for x in row))
+
+
+def reference_embedding_matrix(basis, n: int) -> Optional[list[list[int]]]:
+    """The n x n combination of ``basis`` that minimizes (|det|, sum of
+    absolute entries, -trace, flattened entries), found by visiting every
+    coefficient vector of each shell in product order, then the seeded
+    pseudorandom draws if no shell fits the budget or yields an invertible
+    matrix.  None if nothing invertible turns up."""
+    import random
+
+    rows_of = [b.to_lists() for b in basis]
+    k = len(rows_of)
+
+    def combine(coeffs):
+        out = [[0] * n for _ in range(n)]
+        for c, mat in zip(coeffs, rows_of):
+            for i in range(n):
+                for j in range(n):
+                    out[i][j] += c * mat[i][j]
+        return out
+
+    best = None
+    prev_bound = 0
+    for bound in _SHELL_BOUNDS:
+        if (2 * bound + 1) ** k > _SHELL_BUDGET:
+            break
+        for coeffs in iter_product(range(-bound, bound + 1), repeat=k):
+            if max(abs(c) for c in coeffs) <= prev_bound:
+                continue
+            key = _reference_key(combine(coeffs))
+            if key is not None and (best is None or key < best):
+                best = key
+        prev_bound = bound
+    if best is None:
+        rng = random.Random(0)
+        for _ in range(_RANDOM_ATTEMPTS):
+            coeffs = [rng.randint(-_RANDOM_COEFF_BOUND, _RANDOM_COEFF_BOUND) for _ in range(k)]
+            key = _reference_key(combine(coeffs))
+            if key is not None and (best is None or key < best):
+                best = key
+    if best is None:
+        return None
+    return [list(best[3][i * n : (i + 1) * n]) for i in range(n)]

@@ -10,6 +10,7 @@ from gammalat.errors import InvalidCocycle, UnknownName, WorkspaceError
 from gammalat.workspace import empty_workspace, load_workspace, resolve_lattice
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demo", "workspace.json")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def run(capsys, *args):
@@ -159,6 +160,19 @@ def test_workspace_loads_and_resolves():
     assert resolve_lattice(ws, "c2_sign").rank == 1
     with pytest.raises(UnknownName):
         resolve_lattice(ws, "nope")
+
+
+def test_readme_workspace_example_loads(tmp_path):
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Workspace files") :]
+    start = section.index("```json\n") + len("```json\n")
+    block = section[start : section.index("```\n", start)]
+    path = tmp_path / "readme.json"
+    path.write_text(block, encoding="utf-8")
+    ws = load_workspace(str(path))
+    assert set(ws.lattices) == {"std", "sign", "zero"}
+    assert set(ws.cocycles) == {"x"} and set(ws.reductions) == {"r"}
 
 
 def test_workspace_error_paths(tmp_path, capsys):

@@ -16,8 +16,10 @@ from gammalat.groups import (
     GroupHom,
     all_actions,
     enumerate_cocycles,
+    group_from_generators,
     semidirect_product,
 )
+from gammalat.induction import artin_decompose, build_multiplicity_lattice
 from gammalat.intlinalg import IntMatrix
 from gammalat.lattices import (
     GammaLattice,
@@ -37,7 +39,12 @@ from gammalat.lattices import (
     twist,
     zero_lattice,
 )
-from oracle import det_fraction, permutation_fixed_points
+from oracle import (
+    det_fraction,
+    permutation_fixed_points,
+    reference_embedding_matrix,
+    reference_intertwiner_basis,
+)
 
 
 def test_corpus_lattices_validate():
@@ -136,6 +143,43 @@ def test_intertwiner_basis_dimensions():
             assert e.mul(reg.matrices[g]) == target.matrices[g].mul(e)
     # no intertwiners in either direction between sign and trivial
     assert intertwiner_basis(builtin_lattice("c2_sign"), builtin_lattice("c2_trivial")) == ()
+
+
+def _s4_standard():
+    """S4 on the sum-zero sublattice of Z^4, basis e_i - e_(i+1)."""
+    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    mats = []
+    for p in gens:
+        # p sends e_j to e_p[j]; coordinates in the basis are prefix sums.
+        images = [[(p[j] == i) - (p[j + 1] == i) for j in range(3)] for i in range(4)]
+        mats.append(
+            IntMatrix.from_rows(
+                [[sum(images[r][j] for r in range(i + 1)) for j in range(3)] for i in range(3)]
+            )
+        )
+    return lattice_from_action(group_from_generators(gens), 3, mats, "s4_standard")
+
+
+def _ono_pair(lat):
+    """The (M1, M^r + M0) pair whose embedding ``ono`` searches for."""
+    sol = artin_decompose(lat)
+    m1 = build_multiplicity_lattice(lat.group, sol.reps, sol.m)
+    m0 = build_multiplicity_lattice(lat.group, sol.reps, sol.n)
+    return m1, direct_sum(power(lat, sol.r), m0)
+
+
+def test_intertwiners_and_embedding_match_reference():
+    """The orbit-by-orbit basis and the Gray-code shell search give exactly
+    what the full constraint system and the product-order search give."""
+    pairs = [_ono_pair(lat) for lat in [*builtin_lattices(), _s4_standard()]]
+    pairs.append((builtin_lattice("c3_augmentation"), builtin_lattice("c3_augmentation")))
+    for m1, m2 in pairs:
+        basis = intertwiner_basis(m1, m2)
+        assert basis == reference_intertwiner_basis(m1, m2)
+        chosen = equivariant_finite_index_embedding(m1, m2).matrix.to_lists()
+        assert chosen == reference_embedding_matrix(basis, m1.rank)
+    sign, trivial = builtin_lattice("c2_sign"), builtin_lattice("c2_trivial")
+    assert intertwiner_basis(sign, trivial) == reference_intertwiner_basis(sign, trivial) == ()
 
 
 def test_canonical_embedding_sign_case():
