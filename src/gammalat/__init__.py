@@ -72,6 +72,7 @@ from .intlinalg import (
     hermite_normal_form,
     kernel_basis,
     minimal_multiplier,
+    multiplier_is_minimal,
     smith_normal_form,
     solve_integer_linear,
 )
@@ -96,12 +97,10 @@ from .lattices import (
 )
 from .reduction import (
     FiniteAbelianWithAction,
-    OnoTorusData,
     ReductionInput,
     ReductionReport,
     existence_m,
     isogeny_kernel,
-    ono_f_torus,
     reduce_stabilizer,
     reduction_input,
     reverse_isogeny,

@@ -41,6 +41,7 @@ from .intlinalg import (
     cokernel_structure,
     hermite_normal_form,
     minimal_multiplier,
+    multiplier_is_minimal,
     smith_normal_form,
     solve_integer_linear,
 )
@@ -462,12 +463,9 @@ def _prop_minimal_multiplier(ctx: _Context) -> PropertyResult:
         if combo != [r * x for x in v]:
             failures.append(f"certificate fails: v={v} basis={basis}")
             break
-        if r > 1 and r <= 30:
-            bmat = IntMatrix.from_rows([[w[i] for w in basis] for i in range(n)], cols=k)
-            for smaller in range(1, r):
-                if solve_integer_linear(bmat, [smaller * x for x in v]) is not None:
-                    failures.append(f"r={r} is not minimal: v={v} basis={basis}")
-                    break
+        bmat = IntMatrix.from_rows([[w[i] for w in basis] for i in range(n)], cols=k)
+        if not multiplier_is_minimal(bmat, v, r):
+            failures.append(f"r={r} is not minimal: v={v} basis={basis}")
     return _result("minimal-multiplier", cases, failures)
 
 

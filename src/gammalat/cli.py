@@ -4,7 +4,8 @@ Subcommands: group-info, artin, ono, twist, reduce, check.  Global flags
 come before the subcommand: --workspace loads a JSON workspace file,
 --json/--table pick the output form (JSON is the default and is always
 byte-stable).  Errors print a machine-readable JSON object to stdout and
-exit with 2 for input problems, 1 for computation failures.
+exit with 2 for input problems, 1 for computation failures; argparse usage
+errors (such as ``--coord-bound 0``) go to stderr, also with exit 2.
 """
 
 from __future__ import annotations
@@ -268,6 +269,14 @@ def cmd_check(
     return payload, _blocks(parts), 0 if passed else 1
 
 
+def positive_int(text: str) -> int:
+    """argparse type for integers >= 1; argparse exits 2 on anything else."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gammalat",
@@ -308,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("cocycle", help="cocycle name (workspace)")
     p.add_argument(
         "--coord-bound",
-        type=int,
+        type=positive_int,
         default=2,
         metavar="K",
         help="coordinate bound for the permutation-basis search (default 2)",
@@ -326,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the full property suite over corpus plus workspace")
     p.add_argument(
         "--coord-bound",
-        type=int,
+        type=positive_int,
         default=2,
         metavar="K",
         help="coordinate bound for permutation-basis searches (default 2)",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     ClosureTooLarge,
@@ -91,21 +91,8 @@ class FiniteGroup:
                 raise ValueError(f"inverse table wrong at element {g}")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels must cover every element")
-        reached = self._generated_set()
-        if len(reached) != n:
+        if len(subgroup_closure(self, self.generator_ids)) != n:
             raise ValueError("generator_ids do not generate the group")
-
-    def _generated_set(self) -> set[int]:
-        seen = {0}
-        queue = [0]
-        while queue:
-            g = queue.pop()
-            for s in self.generator_ids:
-                h = self.mul_table[g][s]
-                if h not in seen:
-                    seen.add(h)
-                    queue.append(h)
-        return seen
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -237,26 +224,24 @@ def trivial_group() -> FiniteGroup:
 
 
 @lru_cache(maxsize=None)
-def bfs_words(group: FiniteGroup) -> tuple[Optional[tuple[int, int]], ...]:
+def bfs_words(group: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
     """Breadth-first construction words over ``generator_ids``.
 
-    Entry g is ``(parent, k)`` meaning ``g = parent * generator_ids[k]``,
-    or None for the identity.  Used to extend generator data (matrices,
-    automorphisms) to the whole group.
+    One ``(g, parent, k)`` triple per non-identity element, meaning
+    ``g = parent * generator_ids[k]``, in queue order, so every parent comes
+    before its children.  Used to extend generator data (matrices,
+    automorphisms) to the whole group in one pass.
     """
-    out: list[Optional[tuple[int, int]]] = [None] * group.order
+    out: list[tuple[int, int, int]] = []
     seen = [False] * group.order
     seen[0] = True
     queue = [0]
-    cursor = 0
-    while cursor < len(queue):
-        g = queue[cursor]
-        cursor += 1
+    for g in queue:
         for k, s in enumerate(group.generator_ids):
             h = group.mul(g, s)
             if not seen[h]:
                 seen[h] = True
-                out[h] = (g, k)
+                out.append((h, g, k))
                 queue.append(h)
     return tuple(out)
 
@@ -325,19 +310,7 @@ def cyclic_subgroup_class_reps(group: FiniteGroup) -> tuple[tuple[int, ...], ...
     class (as a sorted id tuple); the list is ordered by (subgroup order,
     element tuple), so the trivial subgroup comes first.
     """
-    cyclic: set[frozenset[int]] = set()
-    for g in range(group.order):
-        cyclic.add(subgroup_closure(group, [g]))
-    assigned: set[frozenset[int]] = set()
-    reps = []
-    for sub in sorted(cyclic, key=lambda s: (len(s), tuple(sorted(s)))):
-        if sub in assigned:
-            continue
-        orbit = {_conjugate_subgroup(group, sub, h) for h in range(group.order)}
-        assigned |= orbit
-        reps.append(min(tuple(sorted(s)) for s in orbit))
-    reps.sort(key=lambda r: (len(r), r))
-    return tuple(reps)
+    return _class_reps(group, {subgroup_closure(group, [g]) for g in range(group.order)})
 
 
 @lru_cache(maxsize=None)
@@ -361,10 +334,16 @@ def all_subgroups(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def subgroup_conjugacy_reps(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """One subgroup per conjugacy class, ordered by (order, element tuple)."""
+    return _class_reps(group, (frozenset(sub) for sub in all_subgroups(group)))
+
+
+def _class_reps(group: FiniteGroup, subgroups: Iterable[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
+    """The smallest member (as a sorted id tuple) of each conjugacy class
+    met in ``subgroups``, ordered by (order, element tuple).  The result
+    does not depend on the order of ``subgroups``."""
     assigned: set[frozenset[int]] = set()
     reps = []
-    for sub_tuple in all_subgroups(group):
-        sub = frozenset(sub_tuple)
+    for sub in subgroups:
         if sub in assigned:
             continue
         orbit = {_conjugate_subgroup(group, sub, h) for h in range(group.order)}
@@ -487,19 +466,10 @@ class GroupAction:
         if len(images) != len(actor.generator_ids):
             raise NotAHomomorphism("need one automorphism per actor generator")
         perms = [_check_permutation(p, target.order, i) for i, p in enumerate(images)]
-        table: list[Optional[tuple[int, ...]]] = [None] * actor.order
-        table[0] = tuple(range(target.order))
-        words = bfs_words(actor)
-        for g in sorted(
-            (g for g in range(actor.order) if words[g] is not None),
-            key=lambda g: _bfs_depth(words, g),
-        ):
-            parent, k = words[g]  # type: ignore[misc]
-            base = table[parent]
-            assert base is not None
-            gen = perms[k]
-            table[g] = tuple(base[gen[i]] for i in range(target.order))
-        action = GroupAction(actor, target, tuple(t for t in table if t is not None))
+        table = [tuple(range(target.order))] * actor.order
+        for g, parent, k in bfs_words(actor):
+            table[g] = tuple(table[parent][i] for i in perms[k])
+        action = GroupAction(actor, target, tuple(table))
         action.validate()
         for k, gid in enumerate(actor.generator_ids):
             if action.table[gid] != perms[k]:
@@ -524,14 +494,6 @@ class GroupAction:
                 for f in range(n):
                     if self.table[gh][f] != self.table[g][self.table[h][f]]:
                         raise NotAHomomorphism(f"action is not a homomorphism at ({g}, {h})")
-
-
-def _bfs_depth(words: tuple[Optional[tuple[int, int]], ...], g: int) -> int:
-    depth = 0
-    while words[g] is not None:
-        g = words[g][0]  # type: ignore[index]
-        depth += 1
-    return depth
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import InternalContradiction, NotInRationalSpan
 from .groups import FiniteGroup, cyclic_subgroup_class_reps, fixed_coset_counts
-from .intlinalg import minimal_multiplier, solve_integer_linear, IntMatrix
+from .intlinalg import IntMatrix, minimal_multiplier, multiplier_is_minimal
 from .lattices import (
     GammaLattice,
     LatticeEmbedding,
@@ -97,18 +97,14 @@ def artin_decompose(m: GammaLattice) -> ArtinSolution:
 
 
 def certify_minimality(m: GammaLattice, solution: ArtinSolution) -> bool:
-    """Check that no multiplier r' < solution.r admits an integer solution."""
+    """Check that no multiplier r' < solution.r admits an integer solution
+    (by testing r/p for each prime p dividing r)."""
     chi = character(m).integer_values()
     basis = [induced_trivial_character(m.group, rep).integer_values() for rep in solution.reps]
-    if not basis:
-        return solution.r == 1
     bmat = IntMatrix.from_rows(
         [[w[i] for w in basis] for i in range(len(chi))], cols=len(basis)
     )
-    for smaller in range(1, solution.r):
-        if solve_integer_linear(bmat, [smaller * x for x in chi]) is not None:
-            return False
-    return True
+    return multiplier_is_minimal(bmat, chi, solution.r)
 
 
 def build_multiplicity_lattice(
@@ -128,15 +124,23 @@ class OnoResult:
 
     ``embedding`` maps m1 into power(M, r) + m0 with finite cokernel of
     order ``index``; ``solution`` carries the character decomposition that
-    produced the multiplicities.
+    produced the multiplicities.  In the reduction pipeline m1 is the
+    quasi-split source Q_hat and the embedding's target is the ambient sum
+    S_hat.
     """
 
     solution: ArtinSolution
-    r: int
     m0: GammaLattice
     m1: GammaLattice
     embedding: LatticeEmbedding
-    index: int
+
+    @property
+    def r(self) -> int:
+        return self.solution.r
+
+    @property
+    def index(self) -> int:
+        return self.embedding.index
 
 
 def ono_construct(m: GammaLattice, *, allow_random: bool = True) -> OnoResult:
@@ -153,11 +157,4 @@ def ono_construct(m: GammaLattice, *, allow_random: bool = True) -> OnoResult:
     if character(m1) != character(target):
         raise InternalContradiction("character identity failed after multiplicity split")
     embedding = equivariant_finite_index_embedding(m1, target, allow_random=allow_random)
-    return OnoResult(
-        solution=solution,
-        r=solution.r,
-        m0=m0,
-        m1=m1,
-        embedding=embedding,
-        index=embedding.index,
-    )
+    return OnoResult(solution=solution, m0=m0, m1=m1, embedding=embedding)

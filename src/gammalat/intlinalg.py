@@ -24,6 +24,7 @@ __all__ = [
     "smith_normal_form",
     "cokernel_structure",
     "minimal_multiplier",
+    "multiplier_is_minimal",
     "solve_integer_linear",
     "kernel_basis",
     "matrix_rank",
@@ -461,12 +462,12 @@ def _reduce_mod_hnf_rows(x: list[int], h: IntMatrix) -> list[int]:
     return x
 
 
-def _canonicalize_solution(x: Sequence[int], a: IntMatrix) -> tuple[int, ...]:
-    """Reduce a solution modulo the integer kernel of ``a`` to a canonical one."""
-    kern = kernel_basis(a)
+def _canonicalize_solution(x: Sequence[int], snf: SnfDecomposition) -> tuple[int, ...]:
+    """Reduce a solution modulo the integer kernel read off ``snf`` to a canonical one."""
+    kern = [snf.v.column(j) for j in range(len(snf.elementary_divisors), snf.v.cols)]
     if not kern:
         return tuple(x)
-    h, _ = hermite_normal_form(IntMatrix.from_rows(kern, cols=a.cols))
+    h, _ = hermite_normal_form(IntMatrix.from_rows(kern, cols=snf.v.cols))
     return tuple(_reduce_mod_hnf_rows(list(x), h))
 
 
@@ -492,7 +493,7 @@ def solve_integer_linear(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, 
         elif w[i] != 0:
             return None
     x = snf.v.times_vector(y)
-    out = _canonicalize_solution(x, a)
+    out = _canonicalize_solution(x, snf)
     if a.times_vector(out) != tuple(int(val) for val in b):
         raise AssertionError("integer solve verification failed")
     return out
@@ -535,10 +536,31 @@ def minimal_multiplier(
     for i in range(k):
         y[i] = r * w[i] // snf.d.entries[i][i]
     x = snf.v.times_vector(y)
-    coeffs = _canonicalize_solution(x, bmat)
+    coeffs = _canonicalize_solution(x, snf)
     if bmat.times_vector(coeffs) != tuple(r * x for x in target):
         raise AssertionError("minimal multiplier verification failed")
     return r, coeffs
+
+
+def multiplier_is_minimal(a: IntMatrix, v: Sequence[int], r: int) -> bool:
+    """True when ``(r/p)*v`` is outside the column span of ``a`` for every
+    prime ``p`` dividing ``r``.
+
+    For a valid multiplier ``r`` this certifies that no smaller one exists:
+    the valid multipliers form an ideal, so a valid ``r' < r`` would make
+    the proper divisor ``gcd(r, r')`` valid, and with it some ``r/p``.
+    """
+    if r < 1:
+        raise ValueError("multiplier must be positive")
+    rest, p = r, 2
+    while rest > 1:
+        if rest % p == 0:
+            if solve_integer_linear(a, [r // p * x for x in v]) is not None:
+                return False
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return True
 
 
 def scaled_inverse(a: IntMatrix, e: int) -> IntMatrix:

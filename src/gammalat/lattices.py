@@ -198,32 +198,15 @@ def lattice_from_action(
         if abs(m.det()) != 1:
             raise NotUnimodular(f"generator matrix {k} has determinant {m.det()}")
 
-    words = bfs_words(group)
-    mats: list[Optional[IntMatrix]] = [None] * group.order
-    mats[0] = IntMatrix.identity(rank)
-    order = sorted(
-        (g for g in range(group.order) if words[g] is not None),
-        key=lambda g: _word_depth(words, g),
-    )
-    for g in order:
-        parent, k = words[g]  # type: ignore[misc]
-        base = mats[parent]
-        assert base is not None
-        mats[g] = base.mul(gens[k])
-    lattice = GammaLattice(group, rank, tuple(m for m in mats if m is not None), name)
+    mats = [IntMatrix.identity(rank)] * group.order
+    for g, parent, k in bfs_words(group):
+        mats[g] = mats[parent].mul(gens[k])
+    lattice = GammaLattice(group, rank, tuple(mats), name)
     lattice.validate()
     for k, gid in enumerate(group.generator_ids):
         if lattice.matrices[gid] != gens[k]:
             raise NotAHomomorphism(f"generator matrix {k} conflicts with the extension")
     return lattice
-
-
-def _word_depth(words, g: int) -> int:
-    depth = 0
-    while words[g] is not None:
-        g = words[g][0]
-        depth += 1
-    return depth
 
 
 @lru_cache(maxsize=None)

@@ -21,13 +21,7 @@ from typing import Optional
 from .errors import GroupMismatch, InternalContradiction, NotFiniteIndex
 from .groups import FiniteGroup, GroupAction, SemidirectProduct, same_group, semidirect_product
 from .induction import OnoResult, ono_construct
-from .intlinalg import (
-    FiniteAbelianGroup,
-    IntMatrix,
-    scaled_inverse,
-    smith_normal_form,
-    unimodular_inverse,
-)
+from .intlinalg import FiniteAbelianGroup, IntMatrix, scaled_inverse, smith_normal_form
 from .lattices import GammaLattice, LatticeEmbedding, lattice_embedding
 
 __all__ = [
@@ -35,10 +29,8 @@ __all__ = [
     "FiniteAbelianWithAction",
     "NarrativeEntry",
     "ReductionReport",
-    "OnoTorusData",
     "reduction_input",
     "existence_m",
-    "ono_f_torus",
     "isogeny_kernel",
     "reverse_isogeny",
     "reduce_stabilizer",
@@ -172,7 +164,11 @@ def isogeny_kernel(iso: LatticeEmbedding, m: int) -> FiniteAbelianWithAction:
     structure = FiniteAbelianGroup(factors)
     group = iso.target.group
     u = snf.u
-    u_inv = unimodular_inverse(u)
+    # From u * scaled * v = d with d square and nonsingular:
+    # u^-1 = scaled * v * d^-1, and column j divides exactly by d_j.
+    u_inv = IntMatrix.from_rows(
+        [[x // divisors[j] for j, x in enumerate(row)] for row in scaled.mul(snf.v).entries]
+    )
     mats = []
     for g in range(group.order):
         conj = u.mul(iso.target.matrices[g]).mul(u_inv)
@@ -213,24 +209,6 @@ def reverse_isogeny(iso: LatticeEmbedding) -> LatticeEmbedding:
 
 
 @dataclass(frozen=True)
-class OnoTorusData:
-    """Induction data for a torus lattice: the quasi-split source Q_hat,
-    the ambient sum S_hat = power(T_hat, r) + M0, and the embedding between
-    them."""
-
-    ono: OnoResult
-    s_hat: GammaLattice
-    q_hat: GammaLattice
-    iso: LatticeEmbedding
-
-
-def ono_f_torus(t_hat: GammaLattice, *, allow_random: bool = True) -> OnoTorusData:
-    """Run the embedding construction and name its pieces for the pipeline."""
-    ono = ono_construct(t_hat, allow_random=allow_random)
-    return OnoTorusData(ono=ono, s_hat=ono.embedding.target, q_hat=ono.m1, iso=ono.embedding)
-
-
-@dataclass(frozen=True)
 class NarrativeEntry:
     step: int
     title: str
@@ -247,7 +225,6 @@ class ReductionReport:
     """
 
     input: ReductionInput
-    torus: OnoTorusData
     ono: OnoResult
     m: int
     a: FiniteAbelianWithAction
@@ -266,15 +243,16 @@ def _format_factors(structure: FiniteAbelianGroup) -> str:
 
 def reduce_stabilizer(inp: ReductionInput, *, allow_random: bool = True) -> ReductionReport:
     """Run the full pipeline and assemble the report."""
-    torus = ono_f_torus(inp.t_hat, allow_random=allow_random)
+    ono = ono_construct(inp.t_hat, allow_random=allow_random)
+    iso = ono.embedding
     m = existence_m(inp.hf.order, inp.d)
-    a = isogeny_kernel(torus.iso, m)
+    a = isogeny_kernel(iso, m)
     ambient = ono_construct(inp.gtor_hat, allow_random=allow_random)
     reversed_emb = reverse_isogeny(ambient.embedding)
     a_prime = isogeny_kernel(reversed_emb, 1)
     kernel_order = a.order * a_prime.order
 
-    if a.order != (m ** torus.s_hat.rank) * torus.iso.index:
+    if a.order != (m ** iso.target.rank) * iso.index:
         raise InternalContradiction("kernel order of A violates the determinant factorization")
 
     narrative = (
@@ -306,9 +284,9 @@ def reduce_stabilizer(inp: ReductionInput, *, allow_random: bool = True) -> Redu
             detail=(
                 f"Induction decomposition of the torus character lattice (rank "
                 f"{inp.t_hat.rank}) over the combined component-and-Galois group of order "
-                f"{inp.product.group.order}: r = {torus.ono.r}, quasi-split source of rank "
-                f"{torus.q_hat.rank}, ambient sum of rank {torus.s_hat.rank}, embedding "
-                f"index {torus.iso.index}."
+                f"{inp.product.group.order}: r = {ono.r}, quasi-split source of rank "
+                f"{ono.m1.rank}, ambient sum of rank {iso.target.rank}, embedding "
+                f"index {iso.index}."
             ),
         ),
         NarrativeEntry(
@@ -342,8 +320,7 @@ def reduce_stabilizer(inp: ReductionInput, *, allow_random: bool = True) -> Redu
     )
     return ReductionReport(
         input=inp,
-        torus=torus,
-        ono=torus.ono,
+        ono=ono,
         m=m,
         a=a,
         ambient_ono=ambient,

@@ -15,11 +15,11 @@ Schema (all sections optional, all names must be unique per section)::
       "actions":  {name: {"actor": group, "target": group,
                           "generator_images": [[int, ...], ...]}},
       "lattices": {name: {"group": group-or-"semidirect:<action>",
-                          "rank": int, "generator_matrices": [matrix, ...]}},
+                          "rank": int >= 0, "generator_matrices": [matrix, ...]}},
       "cocycles": {name: {"action": action, "values": [int, ...]}},
       "reductions": {name: {"hf": group, "gamma": group, "action": action,
                             "t_hat": lattice, "gtor_hat": lattice,
-                            "d": int?}}
+                            "d": int >= 1?}}
     }
 
 A matrix is ``{"rows": int, "cols": int, "entries": [[int-or-string]]}``;
@@ -185,6 +185,7 @@ def _load_lattices(section: dict, ws: Workspace) -> None:
         else:
             group = resolve_group(ws, group_name)
         rank = _as_int(entry["rank"], f"{where}/rank")
+        _require(rank >= 0, f"{where}: rank must be >= 0")
         mats_obj = entry["generator_matrices"]
         _require(isinstance(mats_obj, list), f"{where}/generator_matrices: expected a list")
         mats = [_parse_matrix(mat, f"{where}/generator_matrices") for mat in mats_obj]
@@ -219,6 +220,7 @@ def _load_reductions(section: dict, ws: Workspace) -> None:
         t_hat = resolve_lattice(ws, str(entry["t_hat"]))
         gtor_hat = resolve_lattice(ws, str(entry["gtor_hat"]))
         d = _as_int(entry["d"], f"{where}/d") if "d" in entry else None
+        _require(d is None or d >= 1, f"{where}: d must be >= 1")
         ws.reductions[name] = reduction_input(hf, gamma, action, t_hat, gtor_hat, d)
 
 

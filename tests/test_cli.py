@@ -230,6 +230,53 @@ def test_workspace_error_paths(tmp_path, capsys):
     assert doc["error"]["code"] == "WorkspaceError"
 
 
+def _load_demo_with(tmp_path, capsys, section, name, key, value):
+    with open(DEMO, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[section][name][key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(WorkspaceError, match=f"{key} must be"):
+        load_workspace(str(path))
+    return run_json(capsys, "--workspace", str(path), "group-info", "s3")
+
+
+def test_workspace_rejects_splitting_degree_below_one(tmp_path, capsys):
+    rc, doc = _load_demo_with(tmp_path, capsys, "reductions", "demo_component", "d", 0)
+    assert rc == 2
+    assert doc["error"]["code"] == "WorkspaceError"
+
+
+def test_workspace_rejects_negative_rank(tmp_path, capsys):
+    rc, doc = _load_demo_with(tmp_path, capsys, "lattices", "zero_demo", "rank", -1)
+    assert rc == 2
+    assert doc["error"]["code"] == "WorkspaceError"
+
+
+def _usage_error(capsys, *args):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exc.value.code, captured.err
+
+
+def test_twist_coord_bound_below_one_is_a_usage_error(capsys):
+    for bad in ("0", "-3"):
+        code, err = _usage_error(capsys, "twist", "c3_augmentation", "x", "--coord-bound", bad)
+        assert code == 2
+        assert "--coord-bound: must be >= 1" in err
+    code, err = _usage_error(capsys, "twist", "c3_augmentation", "x", "--coord-bound", "abc")
+    assert code == 2
+    assert "invalid positive_int value: 'abc'" in err
+
+
+def test_check_coord_bound_below_one_is_a_usage_error(capsys):
+    code, err = _usage_error(capsys, "check", "--coord-bound", "0")
+    assert code == 2
+    assert "--coord-bound: must be >= 1" in err
+
+
 def test_workspace_big_integer_entries(tmp_path):
     big = 10 ** 40
     doc = {

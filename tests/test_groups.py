@@ -18,6 +18,7 @@ from gammalat.groups import (
     all_actions,
     all_subgroups,
     automorphisms,
+    bfs_words,
     conjugacy_classes,
     cyclic_subgroup_class_reps,
     enumerate_cocycles,
@@ -182,3 +183,16 @@ def test_action_from_generator_images_rejects_non_action():
     action = GroupAction.from_generator_images(c2, c4, [[0, 3, 2, 1]])
     action.validate()
     assert action.act(1, 1) == 3
+
+
+def test_bfs_words_list_each_element_once_after_its_parent():
+    c2, c3 = builtin_group("c2"), builtin_group("c3")
+    inversion = next(a for a in all_actions(c2, c3) if not a.is_trivial())
+    for group in (s3(), semidirect_product(inversion).group):
+        words = bfs_words(group)
+        assert sorted(g for g, _, _ in words) == list(range(1, group.order))
+        position = {0: -1}
+        for i, (g, parent, k) in enumerate(words):
+            assert position[parent] < i
+            assert group.mul(parent, group.generator_ids[k]) == g
+            position[g] = i

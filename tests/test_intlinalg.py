@@ -4,6 +4,10 @@ import random
 
 import pytest
 
+from gammalat.corpus import builtin_lattices
+from gammalat.errors import NotInRationalSpan
+from gammalat.groups import cyclic_subgroup_class_reps
+from gammalat.induction import induced_trivial_character
 from gammalat.intlinalg import (
     FiniteAbelianGroup,
     IntMatrix,
@@ -13,12 +17,14 @@ from gammalat.intlinalg import (
     kernel_basis,
     matrix_rank,
     minimal_multiplier,
+    multiplier_is_minimal,
     scaled_inverse,
     smith_normal_form,
     solve_integer_linear,
     unimodular_inverse,
 )
-from oracle import coset_count, det_fraction, in_column_span, matrix_columns
+from gammalat.lattices import character
+from oracle import brute_minimal_multiplier, coset_count, det_fraction, in_column_span, matrix_columns
 
 
 def rand_matrix(rng, rows, cols, bound=9):
@@ -223,3 +229,52 @@ def test_scaled_inverse_and_unimodular_inverse():
     assert u.mul(unimodular_inverse(u)).is_identity()
     with pytest.raises(ValueError):
         scaled_inverse(IntMatrix.from_rows([[2, 0], [0, 2]]), 1)
+
+
+def _assert_only_minimal_multiplier_passes(v, basis, r):
+    """``r`` is the minimal multiplier of ``v``; every valid multiplier is a
+    multiple of it, and only ``r`` itself may pass ``multiplier_is_minimal``."""
+    n = len(v)
+    a = IntMatrix.from_rows([[w[i] for w in basis] for i in range(n)], cols=len(basis))
+    assert multiplier_is_minimal(a, v, r)
+    for k in range(2, 8):
+        assert not multiplier_is_minimal(a, v, k * r)
+
+
+def test_multiplier_is_minimal_on_corpus_characters_against_brute_force():
+    for lat in builtin_lattices():
+        chi = character(lat).integer_values()
+        induced = [
+            induced_trivial_character(lat.group, rep).integer_values()
+            for rep in cyclic_subgroup_class_reps(lat.group)
+        ]
+        brute = brute_minimal_multiplier(chi, induced)
+        assert brute is not None
+        _assert_only_minimal_multiplier_passes(chi, induced, brute[0])
+
+
+def test_multiplier_is_minimal_on_random_systems():
+    """Random systems, with the minimal multiplier confirmed by direct
+    membership tests; the second family has multipliers well past 30."""
+    rng = random.Random(4242)
+    large = 0
+    for bound, cases in ((4, 60), (25, 40)):
+        done = 0
+        while done < cases:
+            n = rng.randint(1, 3)
+            k = rng.randint(1, n)
+            basis = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+            v = [rng.randint(-bound, bound) for _ in range(n)]
+            try:
+                r, _ = minimal_multiplier(v, basis)
+            except NotInRationalSpan:
+                continue
+            done += 1
+            large += r > 30
+            # the first multiple of v in the span, by direct membership tests
+            assert next(s for s in range(1, r + 1) if in_column_span([s * x for x in v], basis, n)) == r
+            if bound == 4 and k <= 2 and r <= 8:
+                # no smaller multiplier with coefficients in [-6, 6] either
+                assert brute_minimal_multiplier(v, basis, bound=6, r_max=r - 1) is None
+            _assert_only_minimal_multiplier_passes(v, basis, r)
+    assert large >= 10

@@ -11,7 +11,6 @@ from gammalat.lattices import direct_sum, lattice_embedding, trivial_lattice, ze
 from gammalat.reduction import (
     existence_m,
     isogeny_kernel,
-    ono_f_torus,
     reduce_stabilizer,
     reduction_input,
     reverse_isogeny,
@@ -137,12 +136,12 @@ def test_kernel_action_is_transported_group_action():
     assert nontrivial != identity
 
 
-def test_ono_f_torus_packages_the_embedding():
+def test_reduction_ono_packages_the_embedding():
     inp = builtin_reduction("sign_component")
-    torus = ono_f_torus(inp.t_hat)
-    assert torus.iso.index == 2
-    assert torus.s_hat.rank == 2
-    assert torus.q_hat.rank == 2
+    ono = reduce_stabilizer(inp).ono
+    assert ono.embedding.index == 2
+    assert ono.embedding.target.rank == 2
+    assert ono.m1.rank == 2
 
 
 def test_all_builtin_reductions_run():
