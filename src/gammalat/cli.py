@@ -81,10 +81,7 @@ _COMPUTATION_ERRORS = (
 
 
 def _abelian_text(structure) -> str:
-    if not structure.invariant_factors:
-        return "trivial (order 1)"
-    parts = " x ".join(f"Z/{d}" for d in structure.invariant_factors)
-    return f"{parts} (order {structure.order})"
+    return f"{structure.describe()} (order {structure.order})"
 
 
 def _blocks(parts: Sequence[str]) -> str:

@@ -278,13 +278,14 @@ def class_index_map(group: FiniteGroup) -> tuple[int, ...]:
 
 def subgroup_closure(group: FiniteGroup, seed: Sequence[int]) -> frozenset[int]:
     """Subgroup generated by ``seed``."""
+    mt = group.mul_table
     seen = {0}
     queue = [0]
     gens = [int(g) for g in seed]
-    while queue:
-        g = queue.pop()
+    for g in queue:
+        row = mt[g]
         for s in gens:
-            h = group.mul(g, s)
+            h = row[s]
             if h not in seen:
                 seen.add(h)
                 queue.append(h)
@@ -299,7 +300,9 @@ def is_subgroup(group: FiniteGroup, ids: Sequence[int]) -> bool:
 
 
 def _conjugate_subgroup(group: FiniteGroup, sub: frozenset[int], by: int) -> frozenset[int]:
-    return frozenset(group.conjugate(g, by) for g in sub)
+    mt = group.mul_table
+    row, inv = mt[by], group.inv_table[by]
+    return frozenset(mt[row[g]][inv] for g in sub)
 
 
 @lru_cache(maxsize=None)
@@ -315,15 +318,40 @@ def cyclic_subgroup_class_reps(group: FiniteGroup) -> tuple[tuple[int, ...], ...
 
 @lru_cache(maxsize=None)
 def all_subgroups(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Every subgroup, as sorted id tuples ordered by (order, tuple)."""
+    """Every subgroup, as sorted id tuples ordered by (order, tuple).
+
+    Every subgroup is reached from the trivial one by adding one element at
+    a time, so the search extends each subgroup H found by one element g
+    outside it.  Since <H, g> = <H, gh> for every h in H, one representative
+    g per left coset gH is enough.  Each extension starts from H and adds
+    whole left cosets yH until the set is closed under right multiplication
+    by g; a union of left cosets of H is closed under right multiplication
+    by H already, so the result is <H, g>.
+    """
+    mt = group.mul_table
     found: set[frozenset[int]] = {frozenset({0})}
     work = [frozenset({0})]
     while work:
         sub = work.pop()
+        members = list(sub)
+        covered = [False] * group.order
+        for x in members:
+            covered[x] = True
         for g in range(1, group.order):
-            if g in sub:
+            if covered[g]:
                 continue
-            bigger = subgroup_closure(group, list(sub) + [g])
+            row_g = mt[g]
+            for h in members:
+                covered[row_g[h]] = True
+            seen = set(sub)
+            queue = list(members)
+            for x in queue:
+                y = mt[x][g]
+                if y not in seen:
+                    coset = [mt[y][h] for h in members]
+                    seen.update(coset)
+                    queue.extend(coset)
+            bigger = frozenset(seen)
             if bigger not in found:
                 found.add(bigger)
                 work.append(bigger)

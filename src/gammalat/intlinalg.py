@@ -242,6 +242,12 @@ class FiniteAbelianGroup:
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
+    def describe(self) -> str:
+        """``Z/a x Z/b ...`` over the invariant factors, or ``trivial``."""
+        if self.is_trivial():
+            return "trivial"
+        return " x ".join(f"Z/{d}" for d in self.invariant_factors)
+
 
 @dataclass(frozen=True)
 class SnfDecomposition:

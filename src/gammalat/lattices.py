@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .errors import (
@@ -637,6 +638,50 @@ def _nonnegative_decomposition_exists(target: tuple[int, ...], chars: Sequence[t
     return walk(target, 0)
 
 
+def _partial_column_sums(
+    columns: Sequence[Sequence[int]], coords: range, rank: int
+) -> list[tuple[int, ...]]:
+    """sum_j c_j * columns[j] for every c in coords^len(columns), in the
+    order of itertools.product (last coordinate fastest)."""
+    sums = [(0,) * rank]
+    for col in columns:
+        steps = [tuple(c * x for x in col) for c in coords]
+        sums = [tuple(map(add, s, step)) for s in sums for step in steps]
+    return sums
+
+
+def _extend_primitive(
+    transform: list[list[int]], size: int, vectors: Sequence[Sequence[int]]
+) -> Optional[list[list[int]]]:
+    """Extend a primitive set of ``size`` vectors by ``vectors``, if the
+    union is still primitive, that is, extends to a Z-basis.
+
+    ``transform`` holds the columns of a unimodular T with chosen * T =
+    [L | 0], L lower triangular with diagonal +-1.  Each new vector's
+    entries past the diagonal are reduced by Euclid's algorithm on columns
+    of T to their gcd; the union is primitive exactly when every such gcd
+    is 1 (the product of the Smith invariants is |det L|).  Returns the
+    transform of the union, or None.
+    """
+    cols = list(transform)
+    n = len(cols)
+    for pivot, v in enumerate(vectors, start=size):
+        vals = {j: sum(map(mul, v, cols[j])) for j in range(pivot, n)}
+        live = [j for j in vals if vals[j]]
+        while len(live) > 1:
+            low = min(live, key=lambda j: abs(vals[j]))
+            for j in live:
+                if j != low:
+                    q = vals[j] // vals[low]
+                    vals[j] -= q * vals[low]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[low])]
+            live = [j for j in live if vals[j]]
+        if not live or abs(vals[live[0]]) != 1:
+            return None
+        cols[pivot], cols[live[0]] = cols[live[0]], cols[pivot]
+    return cols
+
+
 def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> PermutationCertificate:
     """Decide whether the lattice has a Z-basis permuted by the action.
 
@@ -647,6 +692,18 @@ def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> Permutation
     basis vectors with coordinates in [-coord_bound, coord_bound] and looks
     for a unimodular orbit union.  Search exhaustion is never treated as a
     NO: the bound can simply be too small, so the answer is UNKNOWN.
+
+    The box is walked in product order, each image g*v being the sum of two
+    precomputed partial column sums of g's matrix (one over the first half
+    of v's coordinates, one over the rest).  Orbits that stay in the box are
+    combined depth first, in order, and the first unimodular union wins.  A
+    choice is descended into only while it can still be completed, which
+    two exact tests decide: the chosen vectors must be primitive (rank equal
+    to their count, every Smith invariant 1), since a set that is not lies
+    in no Z-basis; and the orbits' permutation characters must not exceed
+    the character anywhere, since those of a permuted basis add up to it.
+    Pruning only choices that have no completion leaves the first basis
+    met, and hence the answer, unchanged.
     """
     if coord_bound < 1:
         raise ValueError("coord_bound must be positive")
@@ -679,51 +736,64 @@ def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> Permutation
             None,
             f"candidate box (2*{coord_bound}+1)^{m.rank} exceeds the enumeration budget",
         )
+    rank = m.rank
+    lo, hi = -coord_bound, coord_bound
+    coords = range(lo, hi + 1)
+    # Two tables of about (2K+1)^(rank/2) partial sums per element keep
+    # memory far below one entry per box point.
+    split = rank // 2
+    columns = [mm.transpose().entries for mm in m.matrices]
+    head_sums = [_partial_column_sums(cols[:split], coords, rank) for cols in columns]
+    tail_sums = [_partial_column_sums(cols[split:], coords, rank) for cols in columns]
+    tails = list(iter_product(coords, repeat=rank - split))
     any_left_box = False
     orbits: list[tuple[tuple[int, ...], ...]] = []
     seen: set[tuple[int, ...]] = set()
-    action_rows = [mm.entries for mm in m.matrices]
-    lo, hi = -coord_bound, coord_bound
-    for vec in iter_product(range(lo, hi + 1), repeat=m.rank):
-        if vec in seen or not any(vec):
-            continue
-        orbit = set()
-        stays = True
-        for g in range(m.group.order):
-            rows = action_rows[g]
-            img = tuple(sum(rows[i][j] * vec[j] for j in range(m.rank)) for i in range(m.rank))
-            if any(x < lo or x > hi for x in img):
-                stays = False
-                any_left_box = True
-            else:
-                orbit.add(img)
-        seen |= orbit
-        seen.add(vec)
-        if stays:
-            orbits.append(tuple(sorted(orbit)))
-
-    rank = m.rank
-    chosen: list[tuple[tuple[int, ...], ...]] = []
-
-    def search(idx: int, size: int) -> Optional[tuple[tuple[int, ...], ...]]:
-        if size == rank:
-            vectors = tuple(v for orb in chosen for v in orb)
-            cols = [list(col) for col in zip(*vectors)]
-            if abs(bareiss_det(cols)) == 1:
-                return vectors
-            return None
-        for i in range(idx, len(orbits)):
-            orb = orbits[i]
-            if size + len(orb) > rank:
+    for h, head in enumerate(iter_product(coords, repeat=split)):
+        parts = [(hs[h], ts) for hs, ts in zip(head_sums, tail_sums)]
+        for t, tail in enumerate(tails):
+            vec = head + tail
+            if vec in seen or not any(vec):
                 continue
-            chosen.append(orb)
-            found = search(i + 1, size + len(orb))
-            if found is not None:
-                return found
-            chosen.pop()
+            orbit = set()
+            stays = True
+            for head_part, ts in parts:
+                img = tuple(map(add, head_part, ts[t]))
+                if min(img) < lo or max(img) > hi:
+                    stays = False
+                    any_left_box = True
+                else:
+                    orbit.add(img)
+            seen |= orbit
+            seen.add(vec)
+            if stays:
+                orbits.append(tuple(sorted(orbit)))
+
+    class_reps = [m.matrices[cls[0]] for cls in conjugacy_classes(m.group)]
+    orbit_chars = [
+        tuple(sum(a.times_vector(v) == v for v in orb) for a in class_reps) for orb in orbits
+    ]
+    chosen: list[tuple[int, ...]] = []
+
+    def search(
+        idx: int, rest: tuple[int, ...], transform: list[list[int]]
+    ) -> Optional[tuple[tuple[int, ...], ...]]:
+        if len(chosen) == rank:
+            return tuple(chosen)
+        for i in range(idx, len(orbits)):
+            left = tuple(map(sub, rest, orbit_chars[i]))
+            if min(left) < 0:
+                continue
+            extended = _extend_primitive(transform, len(chosen), orbits[i])
+            if extended is not None:
+                chosen.extend(orbits[i])
+                found = search(i + 1, left, extended)
+                if found is not None:
+                    return found
+                del chosen[-len(orbits[i]):]
         return None
 
-    found = search(0, 0)
+    found = search(0, chi, [list(row) for row in _standard_basis(rank)])
     if found is not None:
         return PermutationCertificate("YES", found, "basis found by bounded orbit search")
     detail = "no permuted basis with coordinates within the bound"

@@ -235,12 +235,6 @@ class ReductionReport:
     narrative: tuple[NarrativeEntry, ...]
 
 
-def _format_factors(structure: FiniteAbelianGroup) -> str:
-    if structure.is_trivial():
-        return "trivial"
-    return " x ".join(f"Z/{d}" for d in structure.invariant_factors)
-
-
 def reduce_stabilizer(inp: ReductionInput, *, allow_random: bool = True) -> ReductionReport:
     """Run the full pipeline and assemble the report."""
     ono = ono_construct(inp.t_hat, allow_random=allow_random)
@@ -297,7 +291,7 @@ def reduce_stabilizer(inp: ReductionInput, *, allow_random: bool = True) -> Redu
                 f"m = n*d = {inp.hf.order}*{inp.d} = {m}. A is the kernel of "
                 "(multiplication by m) followed by the isogeny, recorded as the "
                 "cokernel of m times the character-lattice embedding with the "
-                f"transported action: {_format_factors(a.structure)} of order {a.order}. "
+                f"transported action: {a.structure.describe()} of order {a.order}. "
                 "Assumes the external existence statement supplies a finite subgroup "
                 "meeting every component; that it generates, together with A, the "
                 "claimed finite extension is not verified here."
@@ -312,7 +306,7 @@ def reduce_stabilizer(inp: ReductionInput, *, allow_random: bool = True) -> Redu
                 f"{inp.gtor_hat.rank}) over the Galois quotient of order {inp.gamma.order}; "
                 f"the embedding (index {ambient.embedding.index}) is reversed with cokernel "
                 f"exponent {ambient.embedding.cokernel.exponent}, giving A' = "
-                f"{_format_factors(a_prime.structure)} of order {a_prime.order}. The "
+                f"{a_prime.structure.describe()} of order {a_prime.order}. The "
                 "multiplier symbol m is shared with step 3 by convention of the "
                 f"construction. Combined kernel order |A|*|A'| = {kernel_order}."
             ),

@@ -276,3 +276,93 @@ def reference_embedding_matrix(basis, n: int) -> Optional[list[list[int]]]:
     if best is None:
         return None
     return [list(best[3][i * n : (i + 1) * n]) for i in range(n)]
+
+
+# -- Reference subgroup lattice and permutation-basis search ------------------
+#
+# The subgroup enumeration and the orbit search of permutation-lattice
+# recognition as they stood before the library extended subgroups by coset
+# representatives, pruned imprimitive orbit choices and built box images
+# from partial column sums.
+
+
+def reference_all_subgroups(group) -> tuple[tuple[int, ...], ...]:
+    """Every subgroup, as sorted id tuples ordered by (order, tuple), by
+    closing each subgroup found together with every element outside it."""
+
+    def closure(seed):
+        seen = {0}
+        queue = [0]
+        gens = [int(g) for g in seed]
+        while queue:
+            g = queue.pop()
+            for s in gens:
+                h = group.mul(g, s)
+                if h not in seen:
+                    seen.add(h)
+                    queue.append(h)
+        return frozenset(seen)
+
+    found = {frozenset({0})}
+    work = [frozenset({0})]
+    while work:
+        sub = work.pop()
+        for g in range(1, group.order):
+            if g in sub:
+                continue
+            bigger = closure(list(sub) + [g])
+            if bigger not in found:
+                found.add(bigger)
+                work.append(bigger)
+    return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s)))
+
+
+def reference_permutation_search(m, coord_bound: int):
+    """The first unimodular union of orbits met by the unpruned search.
+
+    Enumerates the candidate box in product order with one full mat-vec per
+    image, keeps the orbits that stay in the box, and walks orbit subsets
+    depth first until their sizes add up to the rank; returns the basis
+    vectors, or None when no subset is unimodular."""
+    from gammalat.intlinalg import bareiss_det
+
+    rank = m.rank
+    lo, hi = -coord_bound, coord_bound
+    action_rows = [mm.entries for mm in m.matrices]
+    orbits = []
+    seen = set()
+    for vec in iter_product(range(lo, hi + 1), repeat=rank):
+        if vec in seen or not any(vec):
+            continue
+        orbit = set()
+        stays = True
+        for rows in action_rows:
+            img = tuple(sum(rows[i][j] * vec[j] for j in range(rank)) for i in range(rank))
+            if any(x < lo or x > hi for x in img):
+                stays = False
+            else:
+                orbit.add(img)
+        seen |= orbit
+        seen.add(vec)
+        if stays:
+            orbits.append(tuple(sorted(orbit)))
+
+    chosen = []
+
+    def search(idx, size):
+        if size == rank:
+            vectors = tuple(v for orb in chosen for v in orb)
+            if abs(bareiss_det([list(col) for col in zip(*vectors)])) == 1:
+                return vectors
+            return None
+        for i in range(idx, len(orbits)):
+            if size + len(orbits[i]) > rank:
+                continue
+            chosen.append(orbits[i])
+            found = search(i + 1, size + len(orbits[i]))
+            if found is not None:
+                return found
+            chosen.pop()
+        return None
+
+    return search(0, 0)

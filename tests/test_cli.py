@@ -130,9 +130,11 @@ def test_table_mode(capsys):
     rc, out = run(capsys, "--table", "ono", "c2_sign")
     assert rc == 0
     assert "embedding index 2" in out
+    assert "cokernel: Z/2 (order 2)" in out
     rc, out = run(capsys, "--table", "reduce", "sign_component")
     assert rc == 0
     assert "kernel order of F" in out
+    assert "A  = Z/2 x Z/4 (order 8)\nA' = trivial (order 1)\n" in out
     # errors are JSON even in table mode
     rc, out = run(capsys, "--table", "artin", "nope")
     assert rc == 2

@@ -31,6 +31,7 @@ from gammalat.groups import (
     twisted_section,
     validate_cocycle,
 )
+from oracle import reference_all_subgroups
 
 
 def s3():
@@ -196,3 +197,24 @@ def test_bfs_words_list_each_element_once_after_its_parent():
             assert position[parent] < i
             assert group.mul(parent, group.generator_ids[k]) == g
             position[g] = i
+
+
+def test_all_subgroups_match_reference():
+    """Extending each subgroup by one representative per coset finds exactly
+    the subgroups found by closing it with every element outside it."""
+    c4 = builtin_group("c4")
+    inversion = next(a for a in all_actions(c4, c4) if not a.is_trivial())
+    groups = {
+        "s3": s3(),
+        "d4": group_from_generators([[1, 2, 3, 0], [3, 2, 1, 0]]),
+        "a4": group_from_generators([[1, 2, 0, 3], [0, 2, 3, 1]]),
+        "s4": group_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]]),
+        "a5": group_from_generators([[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]),
+        "s5": group_from_generators([[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]),
+        "c4 x| c4": semidirect_product(inversion).group,
+    }
+    for name, group in groups.items():
+        assert all_subgroups(group) == reference_all_subgroups(group), name
+    for name, classes, cyclic in (("a5", 9, 4), ("s5", 19, 7)):
+        assert len(subgroup_conjugacy_reps(groups[name])) == classes
+        assert len(cyclic_subgroup_class_reps(groups[name])) == cyclic

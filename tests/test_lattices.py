@@ -15,6 +15,7 @@ from gammalat.groups import (
     GroupAction,
     GroupHom,
     all_actions,
+    all_subgroups,
     enumerate_cocycles,
     group_from_generators,
     semidirect_product,
@@ -44,6 +45,7 @@ from oracle import (
     permutation_fixed_points,
     reference_embedding_matrix,
     reference_intertwiner_basis,
+    reference_permutation_search,
 )
 
 
@@ -247,6 +249,59 @@ def test_permutation_recognition_finds_non_obvious_basis():
     # the action must permute the certified basis
     imgs = {lat.matrices[1].times_vector(v) for v in cert.basis}
     assert imgs == set(cert.basis)
+
+
+def _sheared(lat):
+    """The same lattice in the basis of the upper unitriangular all-ones
+    matrix S: g acts by S^-1 * lat(g) * S."""
+    n = lat.rank
+    s = IntMatrix.from_rows([[int(j >= i) for j in range(n)] for i in range(n)])
+    s_inv = IntMatrix.from_rows([[(j == i) - (j == i + 1) for j in range(n)] for i in range(n)])
+    mats = [s_inv.mul(lat.matrices[g]).mul(s) for g in lat.group.generator_ids]
+    return lattice_from_action(lat.group, n, mats)
+
+
+def test_pruned_permutation_search_matches_reference():
+    """The pruned orbit search returns the certificate of the unpruned one:
+    every coset lattice Z[G/H] of rank 2 to 4 over S3, D4, A4 and C2 x C4,
+    sheared so that no generator acts by a permutation matrix, at bounds 2
+    and 3; and the non-permutation lattice c2_sign_plus_trivial."""
+    groups = [
+        group_from_generators([[1, 0, 2], [1, 2, 0]]),
+        group_from_generators([[1, 2, 3, 0], [3, 2, 1, 0]]),
+        group_from_generators([[1, 2, 0, 3], [0, 2, 3, 1]]),
+        group_from_generators([[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]]),
+    ]
+    lattices = [builtin_lattice("c2_sign_plus_trivial")]
+    for group in groups:
+        for sub in all_subgroups(group):
+            if 2 <= group.order // len(sub) <= 4:
+                lattices.append(_sheared(induced_lattice(group, sub)))
+    assert len(lattices) == 24
+    for lat in lattices:
+        assert not all(lat.matrices[g].is_permutation_matrix() for g in lat.group.generator_ids)
+        for bound in (2, 3):
+            expected = reference_permutation_search(lat, bound)
+            cert = is_permutation_lattice(lat, bound)
+            assert cert.status == ("UNKNOWN" if expected is None else "YES")
+            assert cert.basis == expected
+
+
+def test_sheared_regular_s3_twisted_to_c2_is_recognized():
+    """Z[S3] in a sheared basis, restricted along a twisted section of
+    C3 x| C2 -> C2: a rank-6 permutation lattice whose unpruned orbit search
+    does not finish in a minute at bound 2."""
+    c2, c3 = builtin_group("c2"), builtin_group("c3")
+    inversion = next(a for a in all_actions(c2, c3) if not a.is_trivial())
+    prod = semidirect_product(inversion)
+    lat = twist(_sheared(induced_lattice(prod.group, (0,))), enumerate_cocycles(inversion)[1], prod)
+    assert lat.rank == 6
+    cert = is_permutation_lattice(lat, 2)
+    assert cert.status == "YES"
+    assert abs(det_fraction(cert.basis)) == 1
+    for g in lat.group.generator_ids:
+        assert not lat.matrices[g].is_permutation_matrix()
+        assert {lat.matrices[g].times_vector(v) for v in cert.basis} == set(cert.basis)
 
 
 def test_twist_demo_cocycle():
