@@ -14,7 +14,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .checks import PropertyResult, run_property_suite
 from .errors import (
     CharacterMismatch,
     ClosureTooLarge,
@@ -34,7 +33,6 @@ from .errors import (
 from .groups import conjugacy_classes, cyclic_subgroup_class_reps, subgroup_conjugacy_reps
 from .induction import artin_decompose, certify_minimality, ono_construct
 from .lattices import GammaLattice, is_permutation_lattice, twist
-from .reduction import ReductionReport, reduce_stabilizer
 from .serialize import (
     FORMAT_VERSION,
     canonical_json,
@@ -215,6 +213,8 @@ def cmd_reduce(
     allow_random: bool = True,
     narrative_only: bool = False,
 ) -> tuple[dict, str, int]:
+    from .reduction import reduce_stabilizer
+
     inp = resolve_reduction(workspace, input_name)
     report = reduce_stabilizer(inp, allow_random=allow_random)
     narrative = encode_narrative(report.narrative)
@@ -241,6 +241,8 @@ def cmd_reduce(
 def cmd_check(
     workspace: Workspace, coord_bound: int = 2, allow_random: bool = True
 ) -> tuple[dict, str, int]:
+    from .checks import run_property_suite
+
     results = run_property_suite(
         workspace, coord_bound=coord_bound, allow_random=allow_random
     )

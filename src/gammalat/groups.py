@@ -171,8 +171,11 @@ def group_from_generators(
 
     Elements are numbered breadth-first from the identity, multiplying known
     elements on the right by the generators in input order.  Composition is
-    ``(a*b)[i] = a[b[i]]`` (apply b, then a).  Raises NotAPermutation on
-    malformed input and ClosureTooLarge past ``max_order`` elements.
+    ``(a*b)[i] = a[b[i]]`` (apply b, then a).  The multiplication table is
+    read off the closure's steps: each element b was found as p * s, so
+    a * b = (a * p) * s, one lookup per entry and no further composition.
+    Raises NotAPermutation on malformed input and ClosureTooLarge past
+    ``max_order`` elements.
     """
     if not perms:
         raise NotAPermutation("empty generator list")
@@ -191,23 +194,37 @@ def group_from_generators(
     index: dict[tuple[int, ...], int] = {identity: 0}
     elems: list[tuple[int, ...]] = [identity]
     words: list[str] = ["e"]
+    # right[k][a] is the id of a * gens[k]; element b > 0 is parent[b] * gens[via[b]].
+    right: list[list[int]] = [[] for _ in gens]
+    parent = [0]
+    via = [0]
     cursor = 0
     while cursor < len(elems):
         current = elems[cursor]
         for gi, g in enumerate(gens):
             nxt = tuple(current[g[i]] for i in range(npoints))
-            if nxt not in index:
-                index[nxt] = len(elems)
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(elems)
                 elems.append(nxt)
                 words.append(letters[gi] if cursor == 0 else words[cursor] + letters[gi])
+                parent.append(cursor)
+                via.append(gi)
                 if len(elems) > max_order:
                     raise ClosureTooLarge(f"closure exceeded {max_order} elements")
+            right[gi].append(j)
         cursor += 1
 
+    # parent[b] < b, so row[parent[b]] is filled before row[b].
     n = len(elems)
-    mul_table = tuple(
-        tuple(index[tuple(ea[eb[i]] for i in range(npoints))] for eb in elems) for ea in elems
-    )
+    steps = [(b, parent[b], right[via[b]]) for b in range(1, n)]
+    rows = []
+    for a in range(n):
+        row = [a] * n
+        for b, p, r in steps:
+            row[b] = r[row[p]]
+        rows.append(tuple(row))
+    mul_table = tuple(rows)
     inv_table = []
     for e in elems:
         inv = [0] * npoints

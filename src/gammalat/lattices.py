@@ -13,9 +13,17 @@ sublattice N^H.  So the intertwiner basis is assembled orbit by orbit from
 small fixed-vector kernels, instead of from one constraint system over all
 rank(M) * rank(N) unknowns, which remains the path for any other source.
 The finite-index embedding then picks, among small integer combinations of
-that basis, the invertible one minimizing a fixed total order; the
-coefficient boxes are walked in reflected Gray-code order, so each
-candidate differs from the last by one basis matrix.
+that basis, the invertible one minimizing a fixed total order.  Its target
+is a direct sum, so the basis splits into blocks supported on disjoint
+rows, and the determinant of a combination is a Laplace expansion along
+those row blocks: the signed minors of the blocks fixed so far, on every
+column subset, are shared by all settings of the later blocks, and the
+last block costs one dot product per candidate.  With a single block, or
+where an operation count favours it, the coefficient boxes are instead
+walked in reflected Gray-code order, so each candidate differs from the
+last by one basis matrix, with a Bareiss determinant per candidate.
+Either way the same candidates meet the same total order, so the answer
+is the same.
 
 All searches are deterministic: fixed candidate sets, a total order on
 candidates, and a fixed-seed pseudorandom fallback for the one search whose
@@ -30,7 +38,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from itertools import product as iter_product
+from math import comb
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
@@ -106,7 +116,7 @@ class GammaLattice:
 
     ``matrices[g]`` is the action of element id g; the identity must act as
     the identity matrix.  Constructors in this module guarantee the
-    homomorphism property; ``validate`` rechecks it exhaustively.
+    homomorphism property; ``validate`` rechecks it.
     """
 
     group: FiniteGroup
@@ -129,10 +139,23 @@ class GammaLattice:
         return self.matrices[g]
 
     def validate(self) -> None:
-        """Exhaustive action-is-a-homomorphism check over all pairs."""
-        for g in range(self.group.order):
-            for h in range(self.group.order):
-                if self.matrices[self.group.mul(g, h)] != self.matrices[g].mul(self.matrices[h]):
+        """Check that the action is a homomorphism: M(gh) = M(g)M(h).
+
+        The identity acts as the identity and the generators generate, so
+        M(g * s) = M(g)M(s) for every element g and generator s implies it
+        for all pairs (by induction on the word length of h).  Only on a
+        failure are all pairs scanned, to name the first failing pair.
+        """
+        group, mats = self.group, self.matrices
+        if all(
+            mats[group.mul(g, s)] == mats[g].mul(mats[s])
+            for s in group.generator_ids
+            for g in range(group.order)
+        ):
+            return
+        for g in range(group.order):
+            for h in range(group.order):
+                if mats[group.mul(g, h)] != mats[g].mul(mats[h]):
                     raise NotAHomomorphism(f"action fails to multiply at pair ({g}, {h})")
 
     def with_name(self, name: str) -> "GammaLattice":
@@ -187,8 +210,9 @@ def lattice_from_action(
 
     One rank x rank matrix per ``group.generator_ids`` entry, in order.
     The extension follows the breadth-first words of the group; the result
-    is checked exhaustively (NotAHomomorphism with a witness pair) and every
-    generator matrix must be unimodular (NotUnimodular).
+    must be a homomorphism (``GammaLattice.validate``; NotAHomomorphism with
+    a witness pair) and every generator matrix must be unimodular
+    (NotUnimodular).
     """
     gens = list(generator_matrices)
     if len(gens) != len(group.generator_ids):
@@ -457,7 +481,9 @@ def _fixed_sublattice(n: GammaLattice, elements: Sequence[int]) -> tuple[tuple[i
     return kernel_basis(IntMatrix.from_rows(rows, cols=n.rank))
 
 
-def _smaller_key(flat: list[int], n: int, best: Optional[tuple], paired: bool) -> Optional[tuple]:
+def _smaller_key(
+    flat: list[int], n: int, best: Optional[tuple], paired: bool, det: Optional[int] = None
+) -> Optional[tuple]:
     """The smaller of ``best`` and the key of the n x n candidate ``flat``.
 
     The key is (|det|, sum of absolute entries, -trace, flattened entries);
@@ -465,9 +491,10 @@ def _smaller_key(flat: list[int], n: int, best: Optional[tuple], paired: bool) -
     exceed the best |det| so far.  With ``paired`` the candidate stands for
     both E and -E, which share |det| and the entry sum, and the key is that
     of whichever is smaller: the positive trace, or on a zero trace the
-    negative first nonzero entry.
+    negative first nonzero entry.  A known ``det`` saves the elimination.
     """
-    det = bareiss_det([flat[i * n : (i + 1) * n] for i in range(n)])
+    if det is None:
+        det = bareiss_det([flat[i * n : (i + 1) * n] for i in range(n)])
     if det == 0 or (best is not None and abs(det) > best[0]):
         return best
     trace = sum(flat[i * (n + 1)] for i in range(n))
@@ -518,6 +545,202 @@ def _shell_minimum(
             flat[idx] += step * val
 
 
+# -- Row-block Laplace expansion ----------------------------------------------
+#
+# A column subset is a bitmask; the subsets of one size are listed in
+# itertools.combinations order (for size 1 that is column order), so a row
+# of a matrix is already the list of its 1 x 1 minors.
+
+
+@lru_cache(maxsize=None)
+def _subsets(n: int, size: int) -> tuple[int, ...]:
+    return tuple(sum(1 << c for c in cols) for cols in combinations(range(n), size))
+
+
+@lru_cache(maxsize=None)
+def _laplace_moves(n: int, size: int, width: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each T in _subsets(n, size), the moves (s, u, sign) that append a
+    disjoint S = _subsets(n, width)[s], giving T | S = _subsets(n, size +
+    width)[u]; sign is -1 to the number of pairs a in T, b in S with a > b."""
+    grown = {mask: u for u, mask in enumerate(_subsets(n, size + width))}
+    out = []
+    for t in _subsets(n, size):
+        moves = []
+        for s, mask in enumerate(_subsets(n, width)):
+            if not t & mask:
+                inversions = sum((t >> (b + 1)).bit_count() for b in range(n) if mask >> b & 1)
+                moves.append((s, grown[t | mask], -1 if inversions & 1 else 1))
+        out.append(tuple(moves))
+    return tuple(out)
+
+
+def _laplace_step(
+    prefix: list[int],
+    moves: tuple[tuple[tuple[int, int, int], ...], ...],
+    minors: Sequence[int],
+    size: int,
+) -> list[int]:
+    """The signed minors of the stacked rows on every column subset of
+    ``size``, from those of the rows so far (``prefix``) and the ``minors``
+    of the rows appended below them."""
+    out = [0] * size
+    for v, row in zip(prefix, moves):
+        if v:
+            for s, u, sign in row:
+                x = minors[s]
+                if x:
+                    out[u] += sign * v * x
+    return out
+
+
+def _maximal_minors(rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The r x r minors of an r x n matrix, aligned with _subsets(n, r)."""
+    minors = [1]
+    for p, row in enumerate(rows):
+        minors = _laplace_step(minors, _laplace_moves(n, p, 1), row, comb(n, p + 1))
+    return minors
+
+
+def _order_sign(seq: Sequence[int]) -> int:
+    """The sign of the permutation listed by ``seq``."""
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
+    return -1 if inversions & 1 else 1
+
+
+def _row_block_det(rows: Sequence[Sequence[int]], row_blocks: Sequence[Sequence[int]]) -> int:
+    """det of a square matrix whose rows are split into ``row_blocks`` (each
+    ascending, together a permutation of the rows), by Laplace expansion
+    along the blocks: a sum over ordered partitions of the columns of the
+    products of the blocks' maximal minors, signed.  This is the identity
+    _block_minimum evaluates, one candidate at a time."""
+    n = len(rows)
+    value = [_order_sign([i for block in row_blocks for i in block])]
+    size = 0
+    for block in row_blocks:
+        minors = _maximal_minors([rows[i] for i in block], n)
+        width = len(block)
+        value = _laplace_step(value, _laplace_moves(n, size, width), minors, comb(n, size + width))
+        size += width
+    return value[0]
+
+
+def _row_blocks(
+    nonzeros: list[list[tuple[int, int]]], n: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The basis as (rows, members) blocks: basis matrices whose row supports
+    meet share a block, so the blocks' rows are disjoint.  Rows and members
+    ascend; blocks are ordered by their first member."""
+    blocks: list[tuple[set[int], list[int]]] = []
+    for j, nz in enumerate(nonzeros):
+        rows = {idx // n for idx, _ in nz}
+        members = [j]
+        for block in [b for b in blocks if b[0] & rows]:
+            blocks.remove(block)
+            rows |= block[0]
+            members += block[1]
+        blocks.append((rows, members))
+    return sorted(((tuple(sorted(r)), tuple(sorted(m))) for r, m in blocks), key=lambda b: b[1])
+
+
+# Operation counts in units of one Laplace move, which costs about what one
+# Bareiss multiply-subtract does: a term of the last block's dot product, and
+# the fixed cost per candidate of either method.  Timed on the corpus
+# searches and on synthetic row-block bases, the expansion got through 0.8
+# to 5.6 times as many units per second as the walk (about 2 in the median),
+# so the count leans to the walk.  S4 standard, the shape at 0.8, counts
+# 1.15M units against the walk's 0.64M, and takes 0.22 s against 0.15 s.
+_DOT_TERM_COST = 0.25
+_CANDIDATE_COST = 8
+
+
+def _expansion_pays(blocks: list[tuple[tuple[int, ...], tuple[int, ...]]], n: int, bound: int) -> bool:
+    """Whether the row-block expansion over [-bound, bound]^k should take
+    fewer operations than the Gray-code walk.  Never for a single block or
+    for blocks leaving a row uncovered (every candidate is singular)."""
+    if len(blocks) < 2 or sum(len(rows) for rows, _ in blocks) != n:
+        return False
+    side = 2 * bound + 1
+    k = sum(len(members) for _, members in blocks)
+    walk = (side**k // 2) * (n**3 / 3 + _CANDIDATE_COST)
+    cost = 0.0
+    prefixes = 1
+    size = 0
+    for i, (rows, members) in enumerate(blocks):
+        r = len(rows)
+        settings = (side ** len(members) - 1) // (2 if i == 0 else 1)
+        cost += settings * sum(comb(n, p) * (n - p) for p in range(r))
+        if i == len(blocks) - 1:
+            per_candidate = comb(n, r) * _DOT_TERM_COST + _CANDIDATE_COST
+            cost += prefixes * (comb(n, size) + settings * per_candidate)
+        else:
+            prefixes *= settings
+            cost += prefixes * comb(n, size) * comb(n - size, r)
+        size += r
+    return cost < walk
+
+
+def _block_minimum(
+    nonzeros: list[list[tuple[int, int]]],
+    n: int,
+    blocks: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    bound: int,
+) -> Optional[tuple]:
+    """The least key over [-bound, bound]^k minus 0, by Laplace expansion
+    along the row blocks.
+
+    A candidate is invertible only if each block's part is, so each block's
+    settings are its nonzero coefficient vectors of full row rank (the
+    first block's with a positive first nonzero coefficient, one of each
+    pair +-E), each with its maximal minors computed once.  Blocks are
+    fixed one at a time: the signed minors of the blocks fixed so far, on
+    every column subset, are shared by every setting of the later blocks,
+    and the last block's minors meet them in one dot product.
+    """
+    choices = []
+    for i, (rows, members) in enumerate(blocks):
+        options = []
+        for coeffs in iter_product(range(-bound, bound + 1), repeat=len(members)):
+            lead = next((c for c in coeffs if c), 0)
+            if lead == 0 or (i == 0 and lead < 0):
+                continue
+            part = {r: [0] * n for r in rows}
+            for c, j in zip(coeffs, members):
+                if c:
+                    for idx, val in nonzeros[j]:
+                        part[idx // n][idx % n] += c * val
+            minors = _maximal_minors([part[r] for r in rows], n)
+            if any(minors):
+                options.append((tuple(part.items()), minors))
+        choices.append(options)
+
+    best = None
+    last = len(blocks) - 1
+    width = len(blocks[last][0])
+
+    def descend(i: int, prefix: list[int], size: int, parts: tuple) -> None:
+        nonlocal best
+        if i == last:
+            fold = [0] * comb(n, width)
+            for v, ((s, _, sign),) in zip(prefix, _laplace_moves(n, size, width)):
+                fold[s] = sign * v
+            for part, minors in choices[i]:
+                det = sum(map(mul, fold, minors))
+                if det and (best is None or abs(det) <= best[0]):
+                    by_row = dict(parts + part)
+                    flat = [x for r in range(n) for x in by_row[r]]
+                    best = _smaller_key(flat, n, best, paired=True, det=det)
+            return
+        r = len(blocks[i][0])
+        moves = _laplace_moves(n, size, r)
+        for part, minors in choices[i]:
+            grown = _laplace_step(prefix, moves, minors, comb(n, size + r))
+            if any(grown):
+                descend(i + 1, grown, size + r, parts + part)
+
+    descend(0, [_order_sign([r for rows, _ in blocks for r in rows])], 0, ())
+    return best
+
+
 def equivariant_finite_index_embedding(
     m1: GammaLattice, m2: GammaLattice, *, allow_random: bool = True
 ) -> LatticeEmbedding:
@@ -528,14 +751,21 @@ def equivariant_finite_index_embedding(
     coefficients lie in the largest box [-b, b]^k, b from _SHELL_BOUNDS, of
     at most _SHELL_BUDGET points; the search keeps the invertible candidate
     that minimizes (|det|, sum of absolute entries, -trace, flattened
-    entries).  That is a total order, so the choice does not depend on the
-    order of enumeration.  Each shell (the box of one bound minus the box of
-    the previous one) is walked in reflected Gray-code order, one basis
-    matrix added per step, evaluating one of each pair +-E.  If even the
-    smallest box exceeds the budget, or no candidate is invertible, a
-    fixed-seed pseudorandom phase takes over (disabled by
-    ``allow_random=False``, in which case exhaustion raises
-    NoInvertibleIntertwiner).
+    entries).  That is a total order, and E and -E share their key, so the
+    choice depends neither on the order of enumeration nor on which of
+    each pair +-E is evaluated.
+
+    m2 is a direct sum, and Hom(m1, N1 + N2) = Hom(m1, N1) + Hom(m1, N2),
+    so the Hermite-form basis splits into blocks supported on disjoint rows
+    (read off the basis itself).  With two or more blocks, and when an
+    operation count says it is cheaper, the box is searched by Laplace
+    expansion along the row blocks (_block_minimum).  Otherwise each shell
+    (the box of one bound minus the box of the previous one) is walked in
+    reflected Gray-code order, one basis matrix added per step, evaluating
+    one of each pair +-E with a Bareiss determinant.  If even the smallest
+    box exceeds the budget, or no candidate is invertible, a fixed-seed
+    pseudorandom phase takes over (disabled by ``allow_random=False``, in
+    which case exhaustion raises NoInvertibleIntertwiner).
     """
     global RANDOM_FALLBACK_COUNT
     if not same_group(m1.group, m2.group):
@@ -555,16 +785,17 @@ def equivariant_finite_index_embedding(
     ]
 
     best = None
-    prev_bound = 0
-    searched = False
-    for bound in _SHELL_BOUNDS:
-        if (2 * bound + 1) ** k > _SHELL_BUDGET:
-            break
-        searched = True
-        best = _shell_minimum(nonzeros, n, bound, prev_bound, best)
-        prev_bound = bound
+    bounds = [b for b in _SHELL_BOUNDS if (2 * b + 1) ** k <= _SHELL_BUDGET]
+    blocks = _row_blocks(nonzeros, n)
+    if bounds and _expansion_pays(blocks, n, bounds[-1]):
+        best = _block_minimum(nonzeros, n, blocks, bounds[-1])
+    else:
+        prev_bound = 0
+        for bound in bounds:
+            best = _shell_minimum(nonzeros, n, bound, prev_bound, best)
+            prev_bound = bound
     if best is None:
-        if searched and not allow_random:
+        if bounds and not allow_random:
             raise NoInvertibleIntertwiner("deterministic search exhausted without an invertible map")
         if not allow_random:
             raise NoInvertibleIntertwiner(

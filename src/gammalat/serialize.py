@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .groups import (
     FiniteGroup,
@@ -21,7 +21,6 @@ from .groups import (
     cyclic_subgroup_class_reps,
     subgroup_conjugacy_reps,
 )
-from .induction import ArtinSolution, OnoResult
 from .intlinalg import FiniteAbelianGroup, IntMatrix
 from .lattices import (
     GammaLattice,
@@ -30,7 +29,10 @@ from .lattices import (
     RationalCharacter,
     character,
 )
-from .reduction import FiniteAbelianWithAction, NarrativeEntry, ReductionReport
+
+if TYPE_CHECKING:
+    from .induction import ArtinSolution, OnoResult
+    from .reduction import FiniteAbelianWithAction, NarrativeEntry, ReductionReport
 
 __all__ = [
     "FORMAT_VERSION",

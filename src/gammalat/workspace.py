@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .corpus import builtin_group, builtin_lattice, builtin_reduction
 from .errors import InvalidCocycle, UnknownName, WorkspaceError
 from .groups import (
     Cocycle,
@@ -48,7 +47,9 @@ from .groups import (
 )
 from .intlinalg import IntMatrix
 from .lattices import GammaLattice, lattice_from_action
-from .reduction import ReductionInput, reduction_input
+
+if TYPE_CHECKING:
+    from .reduction import ReductionInput
 
 __all__ = [
     "Workspace",
@@ -221,6 +222,8 @@ def _load_reductions(section: dict, ws: Workspace) -> None:
         gtor_hat = resolve_lattice(ws, str(entry["gtor_hat"]))
         d = _as_int(entry["d"], f"{where}/d") if "d" in entry else None
         _require(d is None or d >= 1, f"{where}: d must be >= 1")
+        from .reduction import reduction_input
+
         ws.reductions[name] = reduction_input(hf, gamma, action, t_hat, gtor_hat, d)
 
 
@@ -253,6 +256,8 @@ def load_workspace(path: str) -> Workspace:
 def resolve_group(ws: Workspace, name: str) -> FiniteGroup:
     if name in ws.groups:
         return ws.groups[name]
+    from .corpus import builtin_group
+
     try:
         return builtin_group(name)
     except UnknownName:
@@ -268,6 +273,8 @@ def resolve_action(ws: Workspace, name: str) -> GroupAction:
 def resolve_lattice(ws: Workspace, name: str) -> GammaLattice:
     if name in ws.lattices:
         return ws.lattices[name]
+    from .corpus import builtin_lattice
+
     try:
         return builtin_lattice(name)
     except UnknownName:
@@ -283,6 +290,8 @@ def resolve_cocycle(ws: Workspace, name: str) -> Cocycle:
 def resolve_reduction(ws: Workspace, name: str) -> ReductionInput:
     if name in ws.reductions:
         return ws.reductions[name]
+    from .corpus import builtin_reduction
+
     try:
         return builtin_reduction(name)
     except UnknownName:

@@ -366,3 +366,51 @@ def reference_permutation_search(m, coord_bound: int):
         return None
 
     return search(0, 0)
+
+
+# -- Reference group closure and homomorphism check ---------------------------
+#
+# The multiplication table by composing every pair of permutations, and the
+# homomorphism check over every pair of elements, as they stood before the
+# library read the table off its closure and checked only generators.
+
+
+def reference_group_tables(perms):
+    """(mul_table, inv_table, generator_ids, labels) of the closure of the
+    image arrays ``perms``, numbered breadth-first with right
+    multiplication by the generators, (a*b)[i] = a[b[i]]."""
+    npoints = len(perms[0])
+    gens = [tuple(p) for p in perms]
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    identity = tuple(range(npoints))
+    index = {identity: 0}
+    elems = [identity]
+    words = ["e"]
+    for cursor, current in enumerate(elems):
+        for gi, g in enumerate(gens):
+            nxt = tuple(current[g[i]] for i in range(npoints))
+            if nxt not in index:
+                index[nxt] = len(elems)
+                elems.append(nxt)
+                words.append(letters[gi] if cursor == 0 else words[cursor] + letters[gi])
+    mul_table = tuple(
+        tuple(index[tuple(ea[eb[i]] for i in range(npoints))] for eb in elems) for ea in elems
+    )
+    inv_table = []
+    for e in elems:
+        inv = [0] * npoints
+        for i, img in enumerate(e):
+            inv[img] = i
+        inv_table.append(index[tuple(inv)])
+    return mul_table, tuple(inv_table), tuple(index[g] for g in gens), tuple(words)
+
+
+def reference_homomorphism_witness(lattice) -> Optional[str]:
+    """The message naming the first pair (g, h), in id order, with
+    M(gh) != M(g)M(h); None when there is none."""
+    group, mats = lattice.group, lattice.matrices
+    for g in range(group.order):
+        for h in range(group.order):
+            if mats[group.mul(g, h)] != mats[g].mul(mats[h]):
+                return f"action fails to multiply at pair ({g}, {h})"
+    return None

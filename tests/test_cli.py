@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -330,3 +332,22 @@ def test_internal_error_code_for_unexpected(monkeypatch, capsys):
     assert rc == 1
     assert doc["error"]["code"] == "internal"
     assert "surprise" in doc["error"]["message"]
+
+
+def test_cli_import_leaves_unused_layers_unloaded():
+    """A fresh process that imports the CLI loads neither the property
+    suite, the reduction pipeline nor the corpus; ``check`` and ``reduce``
+    import them when they run."""
+    import gammalat
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gammalat.__file__)))
+    code = (
+        "import sys, gammalat.cli; "
+        "print(sorted(m for m in sys.modules if m in "
+        "('gammalat.checks', 'gammalat.reduction', 'gammalat.corpus')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -31,7 +31,7 @@ from gammalat.groups import (
     twisted_section,
     validate_cocycle,
 )
-from oracle import reference_all_subgroups
+from oracle import reference_all_subgroups, reference_group_tables
 
 
 def s3():
@@ -218,3 +218,29 @@ def test_all_subgroups_match_reference():
     for name, classes, cyclic in (("a5", 9, 4), ("s5", 19, 7)):
         assert len(subgroup_conjugacy_reps(groups[name])) == classes
         assert len(cyclic_subgroup_class_reps(groups[name])) == cyclic
+
+
+def test_group_tables_match_reference():
+    """Tables read off the closure's right-multiplication steps equal those
+    from composing every pair of permutations."""
+    gens = {
+        "s4": [[1, 0, 2, 3], [1, 2, 3, 0]],
+        "a5": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]],
+        "s5": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],
+        "c2 x c4": [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]],
+        "trivial": [[0]],
+        "c2": [[1, 0]],
+        "c3": [[1, 2, 0]],
+        "c4": [[1, 2, 3, 0]],
+        "v4": [[1, 0, 3, 2], [2, 3, 0, 1]],
+        "c6": [[1, 2, 3, 4, 5, 0]],
+        "s3": [[1, 0, 2], [1, 2, 0]],
+    }
+    for name, perms in gens.items():
+        group = group_from_generators(perms)
+        expected = reference_group_tables(perms)
+        assert (group.mul_table, group.inv_table, group.generator_ids, group.labels) == expected, name
+        if name in ("trivial", "c2", "c3", "c4", "v4", "c6", "s3"):
+            assert group.mul_table == builtin_group(name).mul_table
+    assert group_from_generators(gens["a5"]).order == 60
+    assert group_from_generators(gens["s5"]).order == 120

@@ -1,5 +1,6 @@
 """Lattices with group action: characters, twists, recognition, embeddings."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from gammalat.errors import (
     CharacterMismatch,
     GroupMismatch,
     NoInvertibleIntertwiner,
+    NotAHomomorphism,
     NotUnimodular,
 )
 from gammalat.groups import (
@@ -21,7 +23,7 @@ from gammalat.groups import (
     semidirect_product,
 )
 from gammalat.induction import artin_decompose, build_multiplicity_lattice
-from gammalat.intlinalg import IntMatrix
+from gammalat.intlinalg import IntMatrix, bareiss_det
 from gammalat.lattices import (
     GammaLattice,
     RationalCharacter,
@@ -40,10 +42,12 @@ from gammalat.lattices import (
     twist,
     zero_lattice,
 )
+from gammalat.lattices import _block_minimum, _row_block_det, _row_blocks
 from oracle import (
     det_fraction,
     permutation_fixed_points,
     reference_embedding_matrix,
+    reference_homomorphism_witness,
     reference_intertwiner_basis,
     reference_permutation_search,
 )
@@ -168,6 +172,111 @@ def _ono_pair(lat):
     m1 = build_multiplicity_lattice(lat.group, sol.reps, sol.m)
     m0 = build_multiplicity_lattice(lat.group, sol.reps, sol.n)
     return m1, direct_sum(power(lat, sol.r), m0)
+
+
+def test_validate_names_the_pair_scan_witness():
+    """Checking generators only still reports the first failing pair."""
+    good = builtin_lattice("s3_standard")
+    mats = list(good.matrices)
+    for x, y in ((1, 2), (5, 3), (4, 1)):
+        bad = GammaLattice(good.group, good.rank, tuple(mats[:x] + [mats[y]] + mats[x + 1 :]))
+        expected = reference_homomorphism_witness(bad)
+        assert expected is not None
+        with pytest.raises(NotAHomomorphism) as info:
+            bad.validate()
+        assert str(info.value) == expected
+    # The generator of C2 extended by words, but squaring to something else.
+    with pytest.raises(NotAHomomorphism) as info:
+        lattice_from_action(builtin_group("c2"), 2, [IntMatrix.from_rows([[0, 1], [1, 1]])])
+    assert str(info.value) == "action fails to multiply at pair (1, 1)"
+    assert reference_homomorphism_witness(good) is None
+
+
+def test_row_block_det_matches_bareiss():
+    """Laplace expansion along any split of the rows gives the determinant."""
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        owner = [rng.randrange(4) for _ in range(n)]
+        blocks = [[i for i in range(n) if owner[i] == b] for b in range(4)]
+        blocks = [b for b in blocks if b]
+        rng.shuffle(blocks)
+        assert _row_block_det(rows, blocks) == bareiss_det(rows)
+
+
+def _row_block_basis(rng, shape, lead="random"):
+    """Basis matrices in row blocks: ``shape`` lists (rows, members) per
+    block; rows and basis order are shuffled.  The leading block (the one
+    holding basis index 0) has rank-1 members with lead="rank1" and rows
+    proportional to its first with lead="singular"."""
+    n = sum(r for r, _ in shape)
+    order = list(range(n))
+    rng.shuffle(order)
+    mats = []
+    start = 0
+    for b, (r, members) in enumerate(shape):
+        rows = order[start : start + r]
+        start += r
+        for _ in range(members):
+            entries = [[0] * n for _ in range(n)]
+            if b == 0 and lead == "rank1":
+                u = [rng.choice([-1, 1, 2]) for _ in rows]
+                v = [rng.randint(-2, 2) for _ in range(n)]
+                v[rng.randrange(n)] = 1
+                for ui, i in zip(u, rows):
+                    entries[i] = [ui * x for x in v]
+            else:
+                for i in rows:
+                    entries[i] = [rng.choice([-2, -1, 0, 0, 1, 1, 2]) for _ in range(n)]
+                    entries[i][rng.randrange(n)] = rng.choice([-1, 1])
+                if b == 0 and lead == "singular":
+                    for k, i in enumerate(rows[1:], start=2):
+                        entries[i] = [k * x for x in entries[rows[0]]]
+            mats.append((b, IntMatrix.from_rows(entries, cols=n)))
+    lead_block = mats[: shape[0][1]]
+    rest = mats[shape[0][1] :]
+    rng.shuffle(rest)
+    return [m for _, m in lead_block[:1] + rest + lead_block[1:]], n
+
+
+def test_block_search_matches_reference():
+    """The row-block expansion finds exactly the matrix the product-order
+    reference search finds, with 2 to 4 blocks over ranks 2 to 6."""
+    rng = random.Random(5)
+    cases = [
+        ([(1, 1), (1, 1)], "random"),
+        ([(2, 1), (1, 2)], "random"),
+        ([(2, 2), (2, 2)], "random"),
+        ([(1, 1), (1, 1), (2, 2)], "random"),
+        ([(1, 1), (1, 1), (1, 1), (1, 1)], "random"),
+        ([(1, 1), (2, 1), (3, 2)], "random"),
+        ([(2, 2), (2, 1), (2, 2)], "random"),
+        ([(2, 2), (1, 1)], "rank1"),
+        ([(3, 2), (2, 2)], "rank1"),
+        ([(2, 2), (2, 1)], "singular"),
+    ]
+    found = 0
+    for shape, lead in cases:
+        basis, n = _row_block_basis(rng, shape, lead)
+        nonzeros = [
+            [(i * n + j, x) for i, row in enumerate(b.entries) for j, x in enumerate(row) if x]
+            for b in basis
+        ]
+        blocks = _row_blocks(nonzeros, n)
+        assert sorted((len(rows), len(members)) for rows, members in blocks) == sorted(shape)
+        k = len(basis)
+        bound = max(b for b in (1, 2, 3, 6, 12, 24) if (2 * b + 1) ** k <= 20000)
+        best = _block_minimum(nonzeros, n, blocks, bound)
+        expected = reference_embedding_matrix(basis, n)
+        if best is None:
+            assert expected is None, (shape, lead)
+        else:
+            found += 1
+            assert [list(best[3][i * n : (i + 1) * n]) for i in range(n)] == expected, (shape, lead)
+    # The two structurally singular leading blocks find nothing; the
+    # comparison is not vacuous for the others.
+    assert found >= len(cases) - 3
 
 
 def test_intertwiners_and_embedding_match_reference():
