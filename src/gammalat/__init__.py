@@ -31,8 +31,10 @@ _EXPORTS = {
     "errors": (
         "CharacterMismatch",
         "ClosureTooLarge",
+        "ComputationError",
         "GammalatError",
         "GroupMismatch",
+        "InputError",
         "InternalContradiction",
         "InvalidCocycle",
         "NoInvertibleIntertwiner",

@@ -108,11 +108,12 @@ def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9) -> 
     )
 
 
-def _sweep_cells(max_order: int):
-    """(f_name, gamma_name, action_index, action, product) for small pairs."""
+def _sweep_cells():
+    """(f_name, gamma_name, action_index, action, product) for the pairs
+    with |F| * |Gamma| at most _SWEEP_MAX_ORDER."""
     for f_name, f_grp in twist_sweep_groups():
         for g_name, g_grp in twist_sweep_groups():
-            if f_grp.order * g_grp.order > max_order:
+            if f_grp.order * g_grp.order > _SWEEP_MAX_ORDER:
                 continue
             for idx, action in enumerate(all_actions(g_grp, f_grp)):
                 yield f_name, g_name, idx, action, semidirect_product(action)
@@ -248,7 +249,7 @@ def _prop_fixed_coset_character(ctx: _Context) -> PropertyResult:
 def _prop_semidirect_structure(ctx: _Context) -> PropertyResult:
     failures = []
     cases = 0
-    for f_name, g_name, idx, action, product in _sweep_cells(_SWEEP_MAX_ORDER):
+    for f_name, g_name, idx, action, product in _sweep_cells():
         cases += 1
         label = f"{f_name} by {g_name} action {idx}"
         f_grp, g_grp = action.target, action.actor
@@ -281,7 +282,7 @@ def _prop_semidirect_structure(ctx: _Context) -> PropertyResult:
 def _prop_cocycles_are_sections(ctx: _Context) -> PropertyResult:
     failures = []
     cases = 0
-    for f_name, g_name, idx, action, product in _sweep_cells(_SWEEP_MAX_ORDER):
+    for f_name, g_name, idx, action, product in _sweep_cells():
         cases += 1
         label = f"{f_name} by {g_name} action {idx}"
         gamma = action.actor
@@ -580,7 +581,7 @@ def _prop_intertwiner_relation(ctx: _Context) -> PropertyResult:
 def _prop_twist_quasi_split(ctx: _Context) -> PropertyResult:
     failures = []
     cases = 0
-    for f_name, g_name, idx, action, product in _sweep_cells(_SWEEP_MAX_ORDER):
+    for f_name, g_name, idx, action, product in _sweep_cells():
         cocycles = enumerate_cocycles(action)
         for delta in all_subgroups(product.group):
             lat = induced_lattice(product.group, delta)
@@ -599,7 +600,7 @@ def _prop_twist_quasi_split(ctx: _Context) -> PropertyResult:
 def _prop_twist_trivial_cocycle(ctx: _Context) -> PropertyResult:
     failures = []
     cases = 0
-    for f_name, g_name, idx, action, product in _sweep_cells(_SWEEP_MAX_ORDER):
+    for f_name, g_name, idx, action, product in _sweep_cells():
         trivial = Cocycle(action, tuple(0 for _ in range(action.actor.order)))
         if not validate_cocycle(trivial).ok:
             failures.append(f"{f_name} by {g_name} action {idx}: zero map is not a cocycle")

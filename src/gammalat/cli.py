@@ -4,8 +4,9 @@ Subcommands: group-info, artin, ono, twist, reduce, check.  Global flags
 come before the subcommand: --workspace loads a JSON workspace file,
 --json/--table pick the output form (JSON is the default and is always
 byte-stable).  Errors print a machine-readable JSON object to stdout and
-exit with 2 for input problems, 1 for computation failures; argparse usage
-errors (such as ``--coord-bound 0``) go to stderr, also with exit 2.
+exit with 2 for an InputError, 1 for a ComputationError or any other
+exception (code "internal"); argparse usage errors (such as
+``--coord-bound 0``) go to stderr, also with exit 2.
 """
 
 from __future__ import annotations
@@ -14,22 +15,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .errors import (
-    CharacterMismatch,
-    ClosureTooLarge,
-    GroupMismatch,
-    InternalContradiction,
-    InvalidCocycle,
-    NoInvertibleIntertwiner,
-    NotAHomomorphism,
-    NotAPermutation,
-    NotASubgroup,
-    NotFiniteIndex,
-    NotInRationalSpan,
-    NotUnimodular,
-    UnknownName,
-    WorkspaceError,
-)
+from .errors import ComputationError, InputError
 from .groups import conjugacy_classes, cyclic_subgroup_class_reps, subgroup_conjugacy_reps
 from .induction import artin_decompose, certify_minimality, ono_construct
 from .lattices import GammaLattice, is_permutation_lattice, twist
@@ -58,24 +44,8 @@ from .workspace import resolve_group as _resolve_group
 
 __all__ = ["main"]
 
-_INPUT_ERRORS = (
-    WorkspaceError,
-    UnknownName,
-    NotAPermutation,
-    NotASubgroup,
-    NotAHomomorphism,
-    NotUnimodular,
-    InvalidCocycle,
-    GroupMismatch,
-    CharacterMismatch,
-    ClosureTooLarge,
-)
-_COMPUTATION_ERRORS = (
-    NoInvertibleIntertwiner,
-    NotInRationalSpan,
-    NotFiniteIndex,
-    InternalContradiction,
-)
+# Each subcommand is one cmd_* function of (workspace, parsed args) that
+# returns (JSON payload, table text, exit code); main adds the "format" key.
 
 
 def _abelian_text(structure) -> str:
@@ -94,9 +64,9 @@ def _lattice_table(m: GammaLattice, title: str) -> str:
     return _blocks(parts)
 
 
-def cmd_group_info(workspace: Workspace, group_name: str) -> tuple[dict, str, int]:
-    group = _resolve_group(workspace, group_name)
-    payload = {"format": FORMAT_VERSION, "group": encode_group_info(group, name=group_name)}
+def cmd_group_info(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
+    group = _resolve_group(workspace, args.group)
+    payload = {"group": encode_group_info(group, name=args.group)}
     classes = conjugacy_classes(group)
     cyc = cyclic_subgroup_class_reps(group)
     subs = subgroup_conjugacy_reps(group)
@@ -104,7 +74,7 @@ def cmd_group_info(workspace: Workspace, group_name: str) -> tuple[dict, str, in
         format_table(
             ("field", "value"),
             [
-                ("name", group_name),
+                ("name", args.group),
                 ("order", str(group.order)),
                 ("abelian", "yes" if group.is_abelian() else "no"),
                 ("generators", " ".join(group.label(g) for g in group.generator_ids)),
@@ -133,13 +103,12 @@ def cmd_group_info(workspace: Workspace, group_name: str) -> tuple[dict, str, in
     return payload, _blocks(parts), 0
 
 
-def cmd_artin(workspace: Workspace, lattice_name: str) -> tuple[dict, str, int]:
-    lat = resolve_lattice(workspace, lattice_name)
+def cmd_artin(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
+    lat = resolve_lattice(workspace, args.lattice)
     solution = artin_decompose(lat)
     minimal = certify_minimality(lat, solution)
     payload = {
-        "format": FORMAT_VERSION,
-        "lattice": encode_lattice(lat, name=lattice_name),
+        "lattice": encode_lattice(lat, name=args.lattice),
         "artin": encode_artin(solution),
         "minimal": minimal,
     }
@@ -154,7 +123,7 @@ def cmd_artin(workspace: Workspace, lattice_name: str) -> tuple[dict, str, int]:
         if solution.m[i] or solution.n[i]
     ]
     parts = [
-        f"lattice {lattice_name}: rank {lat.rank}, group order {lat.group.order}",
+        f"lattice {args.lattice}: rank {lat.rank}, group order {lat.group.order}",
         f"multiplier r = {solution.r} (certified minimal: {'yes' if minimal else 'no'})",
         "induced terms (m on the left of the embedding, n on the right):",
         format_table(("subgroup", "order", "m", "n"), rows) if rows else "(none)",
@@ -162,18 +131,12 @@ def cmd_artin(workspace: Workspace, lattice_name: str) -> tuple[dict, str, int]:
     return payload, _blocks(parts), 0
 
 
-def cmd_ono(
-    workspace: Workspace, lattice_name: str, allow_random: bool = True
-) -> tuple[dict, str, int]:
-    lat = resolve_lattice(workspace, lattice_name)
-    result = ono_construct(lat, allow_random=allow_random)
-    payload = {
-        "format": FORMAT_VERSION,
-        "lattice": encode_lattice(lat, name=lattice_name),
-        "ono": encode_ono(result),
-    }
+def cmd_ono(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
+    lat = resolve_lattice(workspace, args.lattice)
+    result = ono_construct(lat, allow_random=not args.seedless)
+    payload = {"lattice": encode_lattice(lat, name=args.lattice), "ono": encode_ono(result)}
     parts = [
-        f"lattice {lattice_name}: rank {lat.rank}, group order {lat.group.order}",
+        f"lattice {args.lattice}: rank {lat.rank}, group order {lat.group.order}",
         f"multiplier r = {result.r}",
         f"induced source rank {result.m1.rank}, target rank {result.embedding.target.rank}",
         f"embedding index {result.index}",
@@ -184,18 +147,16 @@ def cmd_ono(
     return payload, _blocks(parts), 0
 
 
-def cmd_twist(
-    workspace: Workspace, lattice_name: str, cocycle_name: str, coord_bound: int = 2
-) -> tuple[dict, str, int]:
+def cmd_twist(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
+    lattice_name, cocycle_name = args.lattice, args.cocycle
     lat = resolve_lattice(workspace, lattice_name)
     cocycle = resolve_cocycle(workspace, cocycle_name)
     product = next(
         (p for p in workspace.products.values() if p.action == cocycle.base), None
     )
     twisted = twist(lat, cocycle, product)
-    cert = is_permutation_lattice(twisted, coord_bound)
+    cert = is_permutation_lattice(twisted, args.coord_bound)
     payload = {
-        "format": FORMAT_VERSION,
         "lattice": encode_lattice(twisted, name=f"{lattice_name} twisted by {cocycle_name}"),
         "permutation_certificate": encode_certificate(cert),
     }
@@ -207,30 +168,20 @@ def cmd_twist(
     return payload, _blocks(parts), 0
 
 
-def cmd_reduce(
-    workspace: Workspace,
-    input_name: str,
-    allow_random: bool = True,
-    narrative_only: bool = False,
-) -> tuple[dict, str, int]:
+def cmd_reduce(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
     from .reduction import reduce_stabilizer
 
-    inp = resolve_reduction(workspace, input_name)
-    report = reduce_stabilizer(inp, allow_random=allow_random)
-    narrative = encode_narrative(report.narrative)
-    if narrative_only:
-        payload = {"format": FORMAT_VERSION, "narrative": narrative}
+    inp = resolve_reduction(workspace, args.input)
+    report = reduce_stabilizer(inp, allow_random=not args.seedless)
+    if args.narrative_only:
+        payload = {"narrative": encode_narrative(report.narrative)}
     else:
-        payload = {
-            "format": FORMAT_VERSION,
-            "input": input_name,
-            "reduction": encode_reduction(report),
-        }
+        payload = {"input": args.input, "reduction": encode_reduction(report)}
     parts = []
     for entry in report.narrative:
         parts.append(f"[{entry.step}] {entry.title} ({entry.status})")
         parts.append(f"    {entry.detail}")
-    if not narrative_only:
+    if not args.narrative_only:
         parts.append(f"m = {report.m}")
         parts.append(f"A  = {_abelian_text(report.a.structure)}")
         parts.append(f"A' = {_abelian_text(report.a_prime.structure)}")
@@ -238,17 +189,14 @@ def cmd_reduce(
     return payload, _blocks(parts), 0
 
 
-def cmd_check(
-    workspace: Workspace, coord_bound: int = 2, allow_random: bool = True
-) -> tuple[dict, str, int]:
+def cmd_check(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
     from .checks import run_property_suite
 
     results = run_property_suite(
-        workspace, coord_bound=coord_bound, allow_random=allow_random
+        workspace, coord_bound=args.coord_bound, allow_random=not args.seedless
     )
     passed = all(r.passed for r in results)
     payload = {
-        "format": FORMAT_VERSION,
         "passed": passed,
         "properties": [
             {"name": r.name, "passed": r.passed, "cases": r.cases, "detail": r.detail}
@@ -297,24 +245,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(format="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("group-info", help="order, conjugacy classes, cyclic subgroup reps")
-    p.add_argument("group", help="group name (workspace or built-in)")
-
-    p = sub.add_parser("artin", help="decompose r*[lattice] into induced lattices")
-    p.add_argument("lattice", help="lattice name (workspace or built-in)")
-
-    p = sub.add_parser("ono", help="finite-index embedding of a sum of induced lattices")
-    p.add_argument("lattice", help="lattice name (workspace or built-in)")
-    p.add_argument(
-        "--seedless",
-        action="store_true",
-        help="fail instead of falling back to seeded random search",
+    # Flags shared by several subcommands, each defined once.
+    seedless = argparse.ArgumentParser(add_help=False)
+    seedless.add_argument(
+        "--seedless", action="store_true", help="fail instead of falling back to seeded random search"
     )
-
-    p = sub.add_parser("twist", help="twist a lattice over a semidirect product by a cocycle")
-    p.add_argument("lattice", help="lattice name (workspace or built-in)")
-    p.add_argument("cocycle", help="cocycle name (workspace)")
-    p.add_argument(
+    coord_bound = argparse.ArgumentParser(add_help=False)
+    coord_bound.add_argument(
         "--coord-bound",
         type=positive_int,
         default=2,
@@ -322,79 +259,72 @@ def _build_parser() -> argparse.ArgumentParser:
         help="coordinate bound for the permutation-basis search (default 2)",
     )
 
-    p = sub.add_parser("reduce", help="stabilizer reduction pipeline: kernel data and narrative")
+    p = sub.add_parser("group-info", help="order, conjugacy classes, cyclic subgroup reps")
+    p.add_argument("group", help="group name (workspace or built-in)")
+    p.set_defaults(run=cmd_group_info)
+
+    p = sub.add_parser("artin", help="decompose r*[lattice] into induced lattices")
+    p.add_argument("lattice", help="lattice name (workspace or built-in)")
+    p.set_defaults(run=cmd_artin)
+
+    p = sub.add_parser(
+        "ono", parents=[seedless], help="finite-index embedding of a sum of induced lattices"
+    )
+    p.add_argument("lattice", help="lattice name (workspace or built-in)")
+    p.set_defaults(run=cmd_ono)
+
+    p = sub.add_parser(
+        "twist",
+        parents=[coord_bound],
+        help="twist a lattice over a semidirect product by a cocycle",
+    )
+    p.add_argument("lattice", help="lattice name (workspace or built-in)")
+    p.add_argument("cocycle", help="cocycle name (workspace)")
+    p.set_defaults(run=cmd_twist)
+
+    p = sub.add_parser(
+        "reduce",
+        parents=[seedless],
+        help="stabilizer reduction pipeline: kernel data and narrative",
+    )
     p.add_argument("input", help="reduction input name (workspace or built-in)")
     p.add_argument("--narrative-only", action="store_true", help="emit only the 5-step trace")
-    p.add_argument(
-        "--seedless",
-        action="store_true",
-        help="fail instead of falling back to seeded random search",
-    )
+    p.set_defaults(run=cmd_reduce)
 
-    p = sub.add_parser("check", help="run the full property suite over corpus plus workspace")
-    p.add_argument(
-        "--coord-bound",
-        type=positive_int,
-        default=2,
-        metavar="K",
-        help="coordinate bound for permutation-basis searches (default 2)",
+    p = sub.add_parser(
+        "check",
+        parents=[coord_bound, seedless],
+        help="run the full property suite over corpus plus workspace",
     )
-    p.add_argument(
-        "--seedless",
-        action="store_true",
-        help="fail instead of falling back to seeded random search",
-    )
+    p.set_defaults(run=cmd_check)
     return parser
 
 
 def _emit_error(exc: BaseException, code: Optional[str] = None) -> None:
-    payload = {
-        "format": FORMAT_VERSION,
-        "error": {"code": code or type(exc).__name__, "message": str(exc)},
-    }
-    sys.stdout.write(canonical_json(payload))
+    error = {"code": code or type(exc).__name__, "message": str(exc)}
+    sys.stdout.write(canonical_json({"format": FORMAT_VERSION, "error": error}))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         workspace = (
             load_workspace(args.workspace) if args.workspace else empty_workspace()
         )
-        if args.command == "group-info":
-            payload, table, code = cmd_group_info(workspace, args.group)
-        elif args.command == "artin":
-            payload, table, code = cmd_artin(workspace, args.lattice)
-        elif args.command == "ono":
-            payload, table, code = cmd_ono(
-                workspace, args.lattice, allow_random=not args.seedless
-            )
-        elif args.command == "twist":
-            payload, table, code = cmd_twist(
-                workspace, args.lattice, args.cocycle, coord_bound=args.coord_bound
-            )
-        elif args.command == "reduce":
-            payload, table, code = cmd_reduce(
-                workspace,
-                args.input,
-                allow_random=not args.seedless,
-                narrative_only=args.narrative_only,
-            )
-        else:
-            payload, table, code = cmd_check(
-                workspace, coord_bound=args.coord_bound, allow_random=not args.seedless
-            )
-    except _INPUT_ERRORS as exc:
+        payload, table, code = args.run(workspace, args)
+    except InputError as exc:
         _emit_error(exc)
         return 2
-    except _COMPUTATION_ERRORS as exc:
+    except ComputationError as exc:
         _emit_error(exc)
         return 1
     except Exception as exc:
         _emit_error(exc, code="internal")
         return 1
-    sys.stdout.write(table if args.format == "table" else canonical_json(payload))
+    if args.format == "table":
+        sys.stdout.write(table)
+    else:
+        sys.stdout.write(canonical_json({"format": FORMAT_VERSION, **payload}))
     return code
 
 

@@ -9,6 +9,7 @@ induced, sign, and irreducible-but-not-permutation examples.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import UnknownName
 from .groups import (
@@ -27,7 +28,9 @@ from .lattices import (
     trivial_lattice,
     zero_lattice,
 )
-from .reduction import ReductionInput, reduction_input
+
+if TYPE_CHECKING:
+    from .reduction import ReductionInput
 
 __all__ = [
     "group_c2",
@@ -164,6 +167,8 @@ def builtin_lattice(name: str) -> GammaLattice:
 
 @lru_cache(maxsize=None)
 def builtin_reductions() -> tuple[tuple[str, ReductionInput], ...]:
+    from .reduction import reduction_input
+
     triv = trivial_group()
     c2 = group_c2()
 

@@ -164,7 +164,6 @@ _GENERATOR_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 def group_from_generators(
     perms: Sequence[Sequence[int]],
     *,
-    max_order: int = DEFAULT_MAX_ORDER,
     generator_letters: Optional[Sequence[str]] = None,
 ) -> FiniteGroup:
     """Close a list of permutations (image arrays) into a FiniteGroup.
@@ -175,7 +174,7 @@ def group_from_generators(
     read off the closure's steps: each element b was found as p * s, so
     a * b = (a * p) * s, one lookup per entry and no further composition.
     Raises NotAPermutation on malformed input and ClosureTooLarge past
-    ``max_order`` elements.
+    DEFAULT_MAX_ORDER elements.
     """
     if not perms:
         raise NotAPermutation("empty generator list")
@@ -210,8 +209,8 @@ def group_from_generators(
                 words.append(letters[gi] if cursor == 0 else words[cursor] + letters[gi])
                 parent.append(cursor)
                 via.append(gi)
-                if len(elems) > max_order:
-                    raise ClosureTooLarge(f"closure exceeded {max_order} elements")
+                if len(elems) > DEFAULT_MAX_ORDER:
+                    raise ClosureTooLarge(f"closure exceeded {DEFAULT_MAX_ORDER} elements")
             right[gi].append(j)
         cursor += 1
 

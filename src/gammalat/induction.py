@@ -148,7 +148,7 @@ def ono_construct(m: GammaLattice, *, allow_random: bool = True) -> OnoResult:
 
     The embedding target is power(M, r) + M0; its cokernel order is the
     embedding index.  ``allow_random=False`` restricts the underlying
-    intertwiner search to its deterministic shells.
+    intertwiner search to its deterministic box.
     """
     solution = artin_decompose(m)
     m1 = build_multiplicity_lattice(m.group, solution.reps, solution.m)

@@ -124,9 +124,6 @@ class IntMatrix:
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(k * x for x in row) for row in self.entries))
 
-    def neg(self) -> "IntMatrix":
-        return self.scale(-1)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
 

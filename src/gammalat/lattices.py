@@ -19,7 +19,7 @@ rows, and the determinant of a combination is a Laplace expansion along
 those row blocks: the signed minors of the blocks fixed so far, on every
 column subset, are shared by all settings of the later blocks, and the
 last block costs one dot product per candidate.  With a single block, or
-where an operation count favours it, the coefficient boxes are instead
+where an operation count favours it, the one coefficient box is instead
 walked in reflected Gray-code order, so each candidate differs from the
 last by one basis matrix, with a Bareiss determinant per candidate.
 Either way the same candidates meet the same total order, so the answer
@@ -100,7 +100,7 @@ __all__ = [
 
 # Incremented once per equivariant-embedding search that had to fall back
 # to the seeded pseudorandom phase.  Reset by callers that need to assert
-# the deterministic shells sufficed.
+# the deterministic box search sufficed.
 RANDOM_FALLBACK_COUNT = 0
 
 _SHELL_BOUNDS = (1, 2, 3, 6, 12, 24)
@@ -134,9 +134,6 @@ class GammaLattice:
                 raise ValueError("action matrix has the wrong shape")
         if not self.matrices[0].is_identity():
             raise NotAHomomorphism("identity element must act as the identity matrix")
-
-    def action(self, g: int) -> IntMatrix:
-        return self.matrices[g]
 
     def validate(self) -> None:
         """Check that the action is a homomorphism: M(gh) = M(g)M(h).
@@ -505,11 +502,9 @@ def _smaller_key(
     return key if best is None or key < best else best
 
 
-def _shell_minimum(
-    nonzeros: list[list[tuple[int, int]]], n: int, bound: int, inner: int, best: Optional[tuple]
-) -> Optional[tuple]:
-    """Fold into ``best`` the keys of the combinations sum c_j * basis_j with
-    c in [-bound, bound]^k and max |c_j| > inner.
+def _box_minimum(nonzeros: list[list[tuple[int, int]]], n: int, bound: int) -> Optional[tuple]:
+    """The least key of the combinations sum c_j * basis_j with c in
+    [-bound, bound]^k minus 0.
 
     The box is walked in reflected Gray-code order (coefficient 0 moving
     fastest), so each step adds or subtracts one basis matrix's nonzero
@@ -523,24 +518,21 @@ def _shell_minimum(
     for nz in nonzeros:
         for idx, val in nz:
             flat[idx] -= bound * val
-    outside = k if bound > inner else 0  # coefficients with |c_j| > inner
+    best = None
     while True:
-        if outside:
-            for lead in coeffs:
-                if lead:
-                    break
-            if lead > 0:
-                best = _smaller_key(flat, n, best, paired=True)
+        for lead in coeffs:
+            if lead:
+                break
+        if lead > 0:
+            best = _smaller_key(flat, n, best, paired=True)
         j = 0
         while j < k and not -bound <= coeffs[j] + steps[j] <= bound:
             steps[j] = -steps[j]
             j += 1
         if j == k:
             return best
-        old = coeffs[j]
         step = steps[j]
-        coeffs[j] = old + step
-        outside += (abs(old + step) > inner) - (abs(old) > inner)
+        coeffs[j] += step
         for idx, val in nonzeros[j]:
             flat[idx] += step * val
 
@@ -759,13 +751,13 @@ def equivariant_finite_index_embedding(
     so the Hermite-form basis splits into blocks supported on disjoint rows
     (read off the basis itself).  With two or more blocks, and when an
     operation count says it is cheaper, the box is searched by Laplace
-    expansion along the row blocks (_block_minimum).  Otherwise each shell
-    (the box of one bound minus the box of the previous one) is walked in
-    reflected Gray-code order, one basis matrix added per step, evaluating
-    one of each pair +-E with a Bareiss determinant.  If even the smallest
-    box exceeds the budget, or no candidate is invertible, a fixed-seed
-    pseudorandom phase takes over (disabled by ``allow_random=False``, in
-    which case exhaustion raises NoInvertibleIntertwiner).
+    expansion along the row blocks (_block_minimum).  Otherwise the box is
+    walked once in reflected Gray-code order, one basis matrix added per
+    step, evaluating one of each pair +-E with a Bareiss determinant.  If
+    even the smallest box exceeds the budget, or no candidate is
+    invertible, a fixed-seed pseudorandom phase takes over (disabled by
+    ``allow_random=False``, in which case exhaustion raises
+    NoInvertibleIntertwiner).
     """
     global RANDOM_FALLBACK_COUNT
     if not same_group(m1.group, m2.group):
@@ -785,17 +777,15 @@ def equivariant_finite_index_embedding(
     ]
 
     best = None
-    bounds = [b for b in _SHELL_BOUNDS if (2 * b + 1) ** k <= _SHELL_BUDGET]
-    blocks = _row_blocks(nonzeros, n)
-    if bounds and _expansion_pays(blocks, n, bounds[-1]):
-        best = _block_minimum(nonzeros, n, blocks, bounds[-1])
-    else:
-        prev_bound = 0
-        for bound in bounds:
-            best = _shell_minimum(nonzeros, n, bound, prev_bound, best)
-            prev_bound = bound
+    bound = max((b for b in _SHELL_BOUNDS if (2 * b + 1) ** k <= _SHELL_BUDGET), default=0)
+    if bound:
+        blocks = _row_blocks(nonzeros, n)
+        if _expansion_pays(blocks, n, bound):
+            best = _block_minimum(nonzeros, n, blocks, bound)
+        else:
+            best = _box_minimum(nonzeros, n, bound)
     if best is None:
-        if bounds and not allow_random:
+        if bound and not allow_random:
             raise NoInvertibleIntertwiner("deterministic search exhausted without an invertible map")
         if not allow_random:
             raise NoInvertibleIntertwiner(

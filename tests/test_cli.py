@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from gammalat.cli import main
+import gammalat
+from gammalat import errors
+from gammalat.cli import _build_parser, cmd_check, cmd_ono, cmd_reduce, cmd_twist, main
 from gammalat.errors import InvalidCocycle, UnknownName, WorkspaceError
 from gammalat.workspace import empty_workspace, load_workspace, resolve_lattice
 
@@ -58,6 +60,66 @@ def test_missing_name_exits_2(capsys):
     assert rc == 2
     rc, doc = run_json(capsys, "reduce", "nope")
     assert rc == 2
+
+
+def test_error_documents_are_pinned(capsys):
+    """The whole error document, "format" included, for one input error
+    (exit 2) and one computation error (exit 1)."""
+    rc, out = run(capsys, "group-info", "nope")
+    assert rc == 2
+    assert out == (
+        '{\n  "error": {\n    "code": "UnknownName",\n'
+        '    "message": "no group named \'nope\' in the workspace or the built-ins"\n'
+        '  },\n  "format": 1\n}\n'
+    )
+    rc, out = run(capsys, "ono", "v4_character", "--seedless")
+    assert rc == 1
+    assert out == (
+        '{\n  "error": {\n    "code": "NoInvertibleIntertwiner",\n'
+        '    "message": "search space too large for deterministic enumeration and the '
+        'pseudorandom fallback is disabled"\n'
+        '  },\n  "format": 1\n}\n'
+    )
+
+
+def test_every_error_has_one_exit_class():
+    """The CLI's exit code follows the class: each concrete error derives
+    from exactly one of InputError (exit 2) and ComputationError (exit 1)."""
+    bases = {"GammalatError", "InputError", "ComputationError"}
+    assert bases <= set(errors.__all__)
+    for name in set(errors.__all__) - bases:
+        cls = getattr(errors, name)
+        assert issubclass(cls, errors.GammalatError), name
+        kinds = [issubclass(cls, errors.InputError), issubclass(cls, errors.ComputationError)]
+        assert kinds.count(True) == 1, name
+    assert issubclass(errors.InputError, errors.GammalatError)
+    assert issubclass(errors.ComputationError, errors.GammalatError)
+
+
+def test_parser_wiring():
+    """Each subcommand dispatches to its cmd_* function, and the shared
+    flags parse with their defaults wherever they are offered."""
+    parse = _build_parser().parse_args
+    args = parse(["ono", "c2_sign"])
+    assert (args.run, args.seedless, args.format) == (cmd_ono, False, "json")
+    args = parse(["--table", "twist", "c2_sign", "x"])
+    assert (args.run, args.coord_bound, args.format) == (cmd_twist, 2, "table")
+    args = parse(["reduce", "sign_component", "--seedless"])
+    assert (args.run, args.seedless, args.narrative_only) == (cmd_reduce, True, False)
+    args = parse(["check"])
+    assert (args.run, args.coord_bound, args.seedless) == (cmd_check, 2, False)
+    args = parse(["check", "--seedless", "--coord-bound", "3"])
+    assert (args.run, args.coord_bound, args.seedless) == (cmd_check, 3, True)
+    for argv in (["group-info", "s3"], ["artin", "c2_sign"]):
+        args = parse(argv)
+        assert not hasattr(args, "seedless") and not hasattr(args, "coord_bound")
+
+
+def test_every_public_name_resolves():
+    for name in gammalat.__all__:
+        assert getattr(gammalat, name) is not None, name
+    assert gammalat.InputError is errors.InputError
+    assert gammalat.ComputationError is errors.ComputationError
 
 
 def test_artin_sign_lattice(capsys):
@@ -338,8 +400,6 @@ def test_cli_import_leaves_unused_layers_unloaded():
     """A fresh process that imports the CLI loads neither the property
     suite, the reduction pipeline nor the corpus; ``check`` and ``reduce``
     import them when they run."""
-    import gammalat
-
     src = os.path.dirname(os.path.dirname(os.path.abspath(gammalat.__file__)))
     code = (
         "import sys, gammalat.cli; "
@@ -351,3 +411,22 @@ def test_cli_import_leaves_unused_layers_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_builtin_ono_leaves_reduction_unloaded():
+    """A builtin lattice name reaches the corpus, which loads the reduction
+    layer only when a reduction fixture is asked for."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gammalat.__file__)))
+    code = (
+        "import io, sys, contextlib\n"
+        "from gammalat.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['ono', 'c2_sign']) == 0\n"
+        "print(sorted(m for m in sys.modules if m in "
+        "('gammalat.checks', 'gammalat.reduction', 'gammalat.corpus')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "['gammalat.corpus']"

@@ -280,7 +280,7 @@ def test_block_search_matches_reference():
 
 
 def test_intertwiners_and_embedding_match_reference():
-    """The orbit-by-orbit basis and the Gray-code shell search give exactly
+    """The orbit-by-orbit basis and the Gray-code box search give exactly
     what the full constraint system and the product-order search give."""
     pairs = [_ono_pair(lat) for lat in [*builtin_lattices(), _s4_standard()]]
     pairs.append((builtin_lattice("c3_augmentation"), builtin_lattice("c3_augmentation")))
