@@ -20,7 +20,6 @@ from .groups import (
     FiniteGroup,
     GroupAction,
     GroupHom,
-    SemidirectProduct,
     all_actions,
     all_subgroups,
     conjugacy_classes,
@@ -302,7 +301,7 @@ def _prop_cocycles_are_sections(ctx: _Context) -> PropertyResult:
             failures.append(f"{label}: {sections} sections but {len(cocycles)} cocycles")
             continue
         for x in cocycles:
-            hom = twisted_section(x, product)
+            hom = twisted_section(x)
             if any(product.projection[hom.apply(g)] != g for g in range(gamma.order)):
                 failures.append(f"{label}: twisted section is not a splitting")
                 break
@@ -587,7 +586,7 @@ def _prop_twist_quasi_split(ctx: _Context) -> PropertyResult:
             lat = induced_lattice(product.group, delta)
             for ci, x in enumerate(cocycles):
                 cases += 1
-                tw = twist(lat, x, product)
+                tw = twist(lat, x)
                 cert = is_permutation_lattice(tw, ctx.coord_bound)
                 if cert.status != "YES":
                     failures.append(
@@ -608,7 +607,7 @@ def _prop_twist_trivial_cocycle(ctx: _Context) -> PropertyResult:
         for delta in all_subgroups(product.group):
             cases += 1
             lat = induced_lattice(product.group, delta)
-            tw = twist(lat, trivial, product)
+            tw = twist(lat, trivial)
             plain = tuple(lat.matrices[product.section[g]] for g in range(action.actor.order))
             if tw.matrices != plain:
                 failures.append(

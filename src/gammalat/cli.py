@@ -151,10 +151,7 @@ def cmd_twist(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str
     lattice_name, cocycle_name = args.lattice, args.cocycle
     lat = resolve_lattice(workspace, lattice_name)
     cocycle = resolve_cocycle(workspace, cocycle_name)
-    product = next(
-        (p for p in workspace.products.values() if p.action == cocycle.base), None
-    )
-    twisted = twist(lat, cocycle, product)
+    twisted = twist(lat, cocycle)
     cert = is_permutation_lattice(twisted, args.coord_bound)
     payload = {
         "lattice": encode_lattice(twisted, name=f"{lattice_name} twisted by {cocycle_name}"),

@@ -173,21 +173,19 @@ def builtin_reductions() -> tuple[tuple[str, ReductionInput], ...]:
     c2 = group_c2()
 
     degenerate_action = GroupAction.trivial(triv, triv)
-    degenerate_product = semidirect_product(degenerate_action)
     degenerate = reduction_input(
         triv,
         triv,
         degenerate_action,
-        zero_lattice(degenerate_product.group),
+        zero_lattice(semidirect_product(degenerate_action).group),
         zero_lattice(triv),
     )
 
     # Component group C2, trivial Galois part: the torus character lattice
     # is the sign lattice, d = 1, so m = 2.
     component_action = GroupAction.trivial(triv, c2)
-    component_product = semidirect_product(component_action)
     component_t_hat = lattice_from_action(
-        component_product.group,
+        semidirect_product(component_action).group,
         1,
         [_mat([[-1]]), _mat([[1]])],
         "component_sign_torus",
@@ -204,12 +202,11 @@ def builtin_reductions() -> tuple[tuple[str, ReductionInput], ...]:
     # Trivial component group, Galois quotient C2 acting on the ambient
     # torus by the sign lattice; d defaults to |Gamma| = 2.
     galois_action = GroupAction.trivial(c2, triv)
-    galois_product = semidirect_product(galois_action)
     sign_galois = reduction_input(
         triv,
         c2,
         galois_action,
-        zero_lattice(galois_product.group),
+        zero_lattice(semidirect_product(galois_action).group),
         builtin_lattice("c2_sign"),
     )
 

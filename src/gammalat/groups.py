@@ -8,6 +8,7 @@ lists, reports) canonical.
 
 Also here: group actions by automorphisms, semidirect products, 1-cocycles
 for the twisting construction, and the twisted sections they induce.
+Semidirect products are memoized like the derived tables: one per action.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     ClosureTooLarge,
-    GroupMismatch,
     InvalidCocycle,
     NotAHomomorphism,
     NotAPermutation,
@@ -555,14 +555,18 @@ class SemidirectProduct:
     embed_f: tuple[int, ...]
     section: tuple[int, ...]
     projection: tuple[int, ...]
-    factor: tuple[tuple[int, int], ...]
 
     def pair_id(self, f: int, g: int) -> int:
         return f * self.action.actor.order + g
 
 
+@lru_cache(maxsize=None)
 def semidirect_product(action: GroupAction) -> SemidirectProduct:
-    """Build the semidirect product of a validated action."""
+    """The semidirect product of a validated action.
+
+    Memoized per action: equal actions get the one product object, so its
+    group passes ``same_group`` by identity.
+    """
     action.validate()
     f_grp = action.target
     g_grp = action.actor
@@ -600,7 +604,6 @@ def semidirect_product(action: GroupAction) -> SemidirectProduct:
         embed_f=tuple(pid(f, 0) for f in range(nf)),
         section=tuple(pid(0, g) for g in range(ng)),
         projection=tuple(a % ng for a in range(n)),
-        factor=tuple(divmod(a, ng) for a in range(n)),
     )
 
 
@@ -647,19 +650,16 @@ def validate_cocycle(x: Cocycle) -> CocycleCheck:
     return CocycleCheck(True, None)
 
 
-def twisted_section(x: Cocycle, product: Optional[SemidirectProduct] = None) -> GroupHom:
-    """The homomorphic section ``g -> (x_g, g)`` of the semidirect projection.
+def twisted_section(x: Cocycle) -> GroupHom:
+    """The homomorphic section ``g -> (x_g, g)`` of the projection of
+    ``semidirect_product(x.base)``.
 
-    Raises InvalidCocycle when the cocycle law fails.  ``product`` may be
-    passed to reuse an already-built semidirect product of ``x.base``.
+    Raises InvalidCocycle when the cocycle law fails.
     """
     check = validate_cocycle(x)
     if not check.ok:
         raise InvalidCocycle(f"cocycle law fails at pair {check.witness}")
-    if product is None:
-        product = semidirect_product(x.base)
-    elif product.action != x.base:
-        raise GroupMismatch("semidirect product was built from a different action")
+    product = semidirect_product(x.base)
     gamma = x.base.actor
     images = tuple(product.pair_id(x.values[g], g) for g in range(gamma.order))
     return GroupHom(gamma, product.group, images)

@@ -56,7 +56,6 @@ from .groups import (
     Cocycle,
     FiniteGroup,
     GroupHom,
-    SemidirectProduct,
     bfs_words,
     conjugacy_classes,
     fixed_coset_counts,
@@ -254,11 +253,11 @@ def direct_sum(m: GammaLattice, n: GammaLattice, name: Optional[str] = None) -> 
     return GammaLattice(m.group, m.rank + n.rank, mats, name)
 
 
-def power(m: GammaLattice, r: int, name: Optional[str] = None) -> GammaLattice:
+def power(m: GammaLattice, r: int) -> GammaLattice:
     if r < 0:
         raise ValueError("power must be nonnegative")
     mats = tuple(block_diagonal([m.matrices[g]] * r) for g in range(m.group.order))
-    return GammaLattice(m.group, m.rank * r, mats, name)
+    return GammaLattice(m.group, m.rank * r, mats)
 
 
 def zero_lattice(group: FiniteGroup) -> GammaLattice:
@@ -297,35 +296,30 @@ def _induced_cached(group: FiniteGroup, delta: tuple[int, ...]) -> GammaLattice:
     return GammaLattice(group, rank, tuple(mats))
 
 
-def restrict_action(m: GammaLattice, hom: GroupHom, name: Optional[str] = None) -> GammaLattice:
+def restrict_action(m: GammaLattice, hom: GroupHom) -> GammaLattice:
     """Pull the action back along a verified homomorphism into m's group."""
     if not same_group(hom.target, m.group):
         raise GroupMismatch("homomorphism target is not the lattice's group")
     mats = tuple(m.matrices[hom.apply(h)] for h in range(hom.source.order))
-    return GammaLattice(hom.source, m.rank, mats, name)
+    return GammaLattice(hom.source, m.rank, mats)
 
 
-def twist(
-    m: GammaLattice, x: Cocycle, product: Optional[SemidirectProduct] = None
-) -> GammaLattice:
-    """Twist a lattice over a semidirect product by a cocycle.
+def twist(m: GammaLattice, x: Cocycle) -> GammaLattice:
+    """Twist a lattice over ``semidirect_product(x.base)`` by a cocycle.
 
     The result lives over the acting group of ``x.base`` and is exactly the
-    restriction along the twisted section.  ``product`` may be passed to
-    reuse a prebuilt semidirect product of the same action.
+    restriction along the twisted section.  Raises GroupMismatch for a
+    lattice over any other group.
     """
-    if product is None:
-        product = semidirect_product(x.base)
-    if not same_group(m.group, product.group):
+    if not same_group(m.group, semidirect_product(x.base).group):
         raise GroupMismatch("lattice is not defined over the cocycle's semidirect product")
-    section = twisted_section(x, product)
-    return restrict_action(m, section)
+    return restrict_action(m, twisted_section(x))
 
 
-def dual(m: GammaLattice, name: Optional[str] = None) -> GammaLattice:
+def dual(m: GammaLattice) -> GammaLattice:
     """Contragredient lattice: g acts by the transpose of the inverse."""
     mats = tuple(m.matrices[m.group.inv(g)].transpose() for g in range(m.group.order))
-    return GammaLattice(m.group, m.rank, mats, name)
+    return GammaLattice(m.group, m.rank, mats)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GroupMismatch, InternalContradiction, NotFiniteIndex
-from .groups import FiniteGroup, GroupAction, SemidirectProduct, same_group, semidirect_product
+from .groups import FiniteGroup, GroupAction, same_group, semidirect_product
 from .induction import OnoResult, ono_construct
 from .intlinalg import FiniteAbelianGroup, IntMatrix, scaled_inverse, smith_normal_form
 from .lattices import GammaLattice, LatticeEmbedding, lattice_embedding
@@ -41,9 +41,10 @@ __all__ = [
 class ReductionInput:
     """Everything the pipeline consumes.
 
-    ``t_hat`` lives over the semidirect product of ``gamma_on_hf`` (the
-    combined component-group and Galois action); ``gtor_hat`` lives over
-    ``gamma`` alone.  ``d`` is the splitting degree used in m = n*d.
+    ``t_hat`` lives over ``semidirect_product(gamma_on_hf)`` (the combined
+    component-group and Galois action), which is memoized and so not kept
+    here; ``gtor_hat`` lives over ``gamma`` alone.  ``d`` is the splitting
+    degree used in m = n*d.
     """
 
     hf: FiniteGroup
@@ -52,7 +53,6 @@ class ReductionInput:
     t_hat: GammaLattice
     gtor_hat: GammaLattice
     d: int
-    product: SemidirectProduct
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -61,7 +61,7 @@ class ReductionInput:
             raise GroupMismatch("action's actor is not the supplied Galois quotient")
         if not same_group(self.gamma_on_hf.target, self.hf):
             raise GroupMismatch("action's target is not the supplied component group")
-        if not same_group(self.t_hat.group, self.product.group):
+        if not same_group(self.t_hat.group, semidirect_product(self.gamma_on_hf).group):
             raise GroupMismatch("torus lattice is not defined over the semidirect product")
         if not same_group(self.gtor_hat.group, self.gamma):
             raise GroupMismatch("ambient torus lattice is not defined over the Galois quotient")
@@ -76,7 +76,6 @@ def reduction_input(
     d: Optional[int] = None,
 ) -> ReductionInput:
     """Validated constructor; ``d`` defaults to the order of ``gamma``."""
-    product = semidirect_product(gamma_on_hf)
     return ReductionInput(
         hf=hf,
         gamma=gamma,
@@ -84,7 +83,6 @@ def reduction_input(
         t_hat=t_hat,
         gtor_hat=gtor_hat,
         d=gamma.order if d is None else d,
-        product=product,
     )
 
 
@@ -245,6 +243,7 @@ def reduce_stabilizer(inp: ReductionInput, *, allow_random: bool = True) -> Redu
     reversed_emb = reverse_isogeny(ambient.embedding)
     a_prime = isogeny_kernel(reversed_emb, 1)
     kernel_order = a.order * a_prime.order
+    combined_order = semidirect_product(inp.gamma_on_hf).group.order
 
     if a.order != (m ** iso.target.rank) * iso.index:
         raise InternalContradiction("kernel order of A violates the determinant factorization")
@@ -278,7 +277,7 @@ def reduce_stabilizer(inp: ReductionInput, *, allow_random: bool = True) -> Redu
             detail=(
                 f"Induction decomposition of the torus character lattice (rank "
                 f"{inp.t_hat.rank}) over the combined component-and-Galois group of order "
-                f"{inp.product.group.order}: r = {ono.r}, quasi-split source of rank "
+                f"{combined_order}: r = {ono.r}, quasi-split source of rank "
                 f"{ono.m1.rank}, ambient sum of rank {iso.target.rank}, embedding "
                 f"index {iso.index}."
             ),

@@ -22,8 +22,9 @@ Schema (all sections optional, all names must be unique per section)::
                             "d": int >= 1?}}
     }
 
-A matrix is ``{"rows": int, "cols": int, "entries": [[int-or-string]]}``;
-entries may be decimal strings so arbitrarily large values survive JSON
+``"format"`` is the integer 1.  A matrix is ``{"rows": int, "cols": int,
+"entries": [[int]]}``.  Every int may also be given as a decimal string, an
+optional sign followed by ASCII digits, so large values survive JSON
 readers with small number types.  A lattice over ``semidirect:<action>``
 lists one generator matrix per generator of the inner group followed by
 one per generator of the acting group.
@@ -32,15 +33,15 @@ one per generator of the acting group.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .errors import InvalidCocycle, UnknownName, WorkspaceError
 from .groups import (
     Cocycle,
     FiniteGroup,
     GroupAction,
-    SemidirectProduct,
     group_from_generators,
     semidirect_product,
     validate_cocycle,
@@ -65,12 +66,14 @@ __all__ = [
 
 @dataclass
 class Workspace:
-    """Named objects from one workspace file (or nothing, for builtins only)."""
+    """Named objects from one workspace file (or nothing, for builtins only).
 
-    path: Optional[str] = None
+    A ``semidirect:<action>`` group is ``semidirect_product(actions[action])``,
+    memoized there, so it is not stored here.
+    """
+
     groups: dict[str, FiniteGroup] = field(default_factory=dict)
     actions: dict[str, GroupAction] = field(default_factory=dict)
-    products: dict[str, SemidirectProduct] = field(default_factory=dict)
     lattices: dict[str, GammaLattice] = field(default_factory=dict)
     cocycles: dict[str, Cocycle] = field(default_factory=dict)
     reductions: dict[str, ReductionInput] = field(default_factory=dict)
@@ -85,16 +88,22 @@ def _require(cond: bool, message: str) -> None:
         raise WorkspaceError(message)
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
 def _as_int(value: object, where: str) -> int:
+    """A JSON integer, or a decimal string: an optional sign, then ASCII digits."""
     if isinstance(value, bool):
         raise WorkspaceError(f"{where}: expected an integer, got a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise WorkspaceError(f"{where}: {value!r} is not a decimal integer") from None
+        if _DECIMAL.fullmatch(value):
+            try:
+                return int(value)
+            except ValueError:  # more digits than int() converts
+                pass
+        raise WorkspaceError(f"{where}: {value!r} is not a decimal integer")
     raise WorkspaceError(f"{where}: expected an integer, got {type(value).__name__}")
 
 
@@ -166,9 +175,7 @@ def _load_actions(section: dict, ws: Workspace) -> None:
         images_obj = entry["generator_images"]
         _require(isinstance(images_obj, list), f"{where}/generator_images: expected a list")
         images = [_parse_int_list(img, f"{where}/generator_images") for img in images_obj]
-        action = GroupAction.from_generator_images(actor, target, images)
-        ws.actions[name] = action
-        ws.products[name] = semidirect_product(action)
+        ws.actions[name] = GroupAction.from_generator_images(actor, target, images)
 
 
 def _load_lattices(section: dict, ws: Workspace) -> None:
@@ -180,9 +187,9 @@ def _load_lattices(section: dict, ws: Workspace) -> None:
         _require(isinstance(group_name, str), f"{where}/group: expected a name")
         if group_name.startswith("semidirect:"):
             action_name = group_name[len("semidirect:") :]
-            if action_name not in ws.products:
+            if action_name not in ws.actions:
                 raise UnknownName(f"{where}: no action named {action_name!r} in the workspace")
-            group = ws.products[action_name].group
+            group = semidirect_product(ws.actions[action_name]).group
         else:
             group = resolve_group(ws, group_name)
         rank = _as_int(entry["rank"], f"{where}/rank")
@@ -235,16 +242,17 @@ def load_workspace(path: str) -> Workspace:
             doc = json.load(fh)
     except OSError as exc:
         raise WorkspaceError(f"cannot read workspace {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise WorkspaceError(f"workspace {path!r} is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "workspace document must be a JSON object")
     _require("format" in doc, 'workspace is missing the "format" field')
-    _require(doc["format"] == 1, f'unsupported workspace format {doc["format"]!r}')
+    fmt = doc["format"]
+    _require(type(fmt) is int and fmt == 1, f"unsupported workspace format {fmt!r}")
     known = {"format", "groups", "actions", "lattices", "cocycles", "reductions"}
     for key in doc:
         _require(key in known, f"unknown workspace section {key!r}")
 
-    ws = Workspace(path=path)
+    ws = Workspace()
     ws.groups = _load_groups(_as_section(doc, "groups"))
     _load_actions(_as_section(doc, "actions"), ws)
     _load_lattices(_as_section(doc, "lattices"), ws)

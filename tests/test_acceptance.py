@@ -110,7 +110,7 @@ def test_criterion_3_every_twist_of_induced_lattices_is_quasi_split():
                     lat = induced_lattice(product.group, delta)
                     for x in cocycles:
                         twists += 1
-                        cert = is_permutation_lattice(twist(lat, x, product))
+                        cert = is_permutation_lattice(twist(lat, x))
                         if cert.status != "YES":
                             failures.append(
                                 f"{f_name} by {g_name}, subgroup {delta}: {cert.status}"

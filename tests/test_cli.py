@@ -11,6 +11,7 @@ import gammalat
 from gammalat import errors
 from gammalat.cli import _build_parser, cmd_check, cmd_ono, cmd_reduce, cmd_twist, main
 from gammalat.errors import InvalidCocycle, UnknownName, WorkspaceError
+from gammalat.groups import semidirect_product
 from gammalat.workspace import empty_workspace, load_workspace, resolve_lattice
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demo", "workspace.json")
@@ -63,7 +64,7 @@ def test_missing_name_exits_2(capsys):
 
 
 def test_error_documents_are_pinned(capsys):
-    """The whole error document, "format" included, for one input error
+    """The whole error document, "format" included, for input errors
     (exit 2) and one computation error (exit 1)."""
     rc, out = run(capsys, "group-info", "nope")
     assert rc == 2
@@ -80,6 +81,15 @@ def test_error_documents_are_pinned(capsys):
         'pseudorandom fallback is disabled"\n'
         '  },\n  "format": 1\n}\n'
     )
+    # A lattice over another action's product, or over a plain group.
+    for lattice in ("component_sign_demo", "c2_sign"):
+        rc, out = run(capsys, "--workspace", DEMO, "twist", lattice, "twist_inv3")
+        assert rc == 2
+        assert out == (
+            '{\n  "error": {\n    "code": "GroupMismatch",\n'
+            '    "message": "lattice is not defined over the cocycle\'s semidirect product"\n'
+            '  },\n  "format": 1\n}\n'
+        )
 
 
 def test_every_error_has_one_exit_class():
@@ -226,6 +236,11 @@ def test_workspace_loads_and_resolves():
     assert resolve_lattice(ws, "c2_sign").rank == 1
     with pytest.raises(UnknownName):
         resolve_lattice(ws, "nope")
+    # semidirect:<action> lattices live over the action's memoized product.
+    inv3 = semidirect_product(ws.actions["inv3"]).group
+    assert ws.lattices["aug_twisted"].group is inv3
+    triv = semidirect_product(ws.actions["triv_on_c2"]).group
+    assert ws.reductions["demo_component"].t_hat.group is triv
 
 
 def test_readme_workspace_example_loads(tmp_path):
@@ -294,6 +309,42 @@ def test_workspace_error_paths(tmp_path, capsys):
     rc, doc = run_json(capsys, "--workspace", str(tmp_path / "absent.json"), "check")
     assert rc == 2
     assert doc["error"]["code"] == "WorkspaceError"
+
+    # "format" is the integer 1, and a decimal string is an optional sign
+    # followed by ASCII digits; JSON numbers past int()'s digit limit are
+    # input errors too.
+    odd = tmp_path / "odd.json"
+    points = {"points": 2, "generators": [[1, 0]]}
+    for fmt, value in (
+        (True, 2),
+        (1.0, 2),
+        ("1", 2),
+        (1, "1_0"),
+        (1, " 7 "),
+        (1, "\u0667"),
+        (1, "2\n"),
+        (1, ""),
+        (1, "9" * 5000),
+    ):
+        odd.write_text(json.dumps({"format": fmt, "groups": {"g": dict(points, points=value)}}))
+        rc, doc = run_json(capsys, "--workspace", str(odd), "group-info", "g")
+        assert (rc, doc["error"]["code"]) == (2, "WorkspaceError"), (fmt, value)
+    odd.write_text('{"format": 1, "groups": {"g": {"points": ' + "9" * 5000 + "}}}")
+    rc, doc = run_json(capsys, "--workspace", str(odd), "group-info", "g")
+    assert (rc, doc["error"]["code"]) == (2, "WorkspaceError")
+    odd.write_text(json.dumps({"format": 1, "groups": {"g": dict(points, points="+2")}}))
+    assert load_workspace(str(odd)).groups["g"].order == 2
+
+    with open(DEMO, encoding="utf-8") as fh:
+        demo = json.load(fh)
+    demo["lattices"]["bad"] = {"group": "semidirect:nope", "rank": 0, "generator_matrices": []}
+    odd.write_text(json.dumps(demo))
+    rc, doc = run_json(capsys, "--workspace", str(odd), "check")
+    assert rc == 2
+    assert doc["error"] == {
+        "code": "UnknownName",
+        "message": "lattices/bad: no action named 'nope' in the workspace",
+    }
 
 
 def _load_demo_with(tmp_path, capsys, section, name, key, value):

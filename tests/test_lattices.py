@@ -403,7 +403,7 @@ def test_sheared_regular_s3_twisted_to_c2_is_recognized():
     c2, c3 = builtin_group("c2"), builtin_group("c3")
     inversion = next(a for a in all_actions(c2, c3) if not a.is_trivial())
     prod = semidirect_product(inversion)
-    lat = twist(_sheared(induced_lattice(prod.group, (0,))), enumerate_cocycles(inversion)[1], prod)
+    lat = twist(_sheared(induced_lattice(prod.group, (0,))), enumerate_cocycles(inversion)[1])
     assert lat.rank == 6
     cert = is_permutation_lattice(lat, 2)
     assert cert.status == "YES"
@@ -421,13 +421,13 @@ def test_twist_demo_cocycle():
     swap = IntMatrix.from_rows([[0, 1], [1, 0]])
     lat = lattice_from_action(prod.group, 2, [rot, swap])
     cocycles = enumerate_cocycles(inversion)
-    plain = twist(lat, cocycles[0], prod)
+    plain = twist(lat, cocycles[0])
     assert plain.matrices[1] == swap
-    twisted = twist(lat, cocycles[1], prod)
+    twisted = twist(lat, cocycles[1])
     assert twisted.matrices[1].entries == ((-1, 0), (-1, 1))
     assert is_permutation_lattice(twisted).status == "YES"
     with pytest.raises(GroupMismatch):
-        twist(builtin_lattice("c2_sign"), cocycles[1], prod)
+        twist(builtin_lattice("c2_sign"), cocycles[1])
 
 
 def test_rational_character_validation():
