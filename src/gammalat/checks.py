@@ -1,24 +1,30 @@
 """Executable property suite.
 
 Each property sweeps a domain (the built-in corpus plus whatever the
-workspace defines), counts the cases it checked, and reports the first
-failure if any.  The suite is deterministic: domains are canonically
-ordered and every randomized property uses its own fixed-seed generator.
-Results come back sorted by property name.
+workspace defines) and returns ``(cases, failures)``: how many cases it
+checked and a message per failure.  ``run_property_suite`` names each
+property after its function, tallies it and reports the first failure; a
+property that raises is reported as crashed.  A property calls the library
+and checks what the library does not already raise on: it never
+re-asserts, on the same immutable object, a condition its callee checks.
+The suite is deterministic: domains are canonically ordered and every
+randomized property uses its own fixed-seed generator.  Results come back
+sorted by property name.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Callable, Optional
 
 from .corpus import builtin_groups, builtin_lattices, builtin_reductions, twist_sweep_groups
+from .errors import NotInRationalSpan
 from .groups import (
     Cocycle,
     FiniteGroup,
-    GroupAction,
     GroupHom,
     all_actions,
     all_subgroups,
@@ -86,19 +92,25 @@ class _Context:
     allow_random: bool
     ono_cache: dict[str, OnoResult] = field(default_factory=dict)
 
+    @cached_property
+    def sweep(self) -> tuple[tuple, ...]:
+        """(label, action, product, cocycles) for every action in the twist
+        sweep with |F| * |Gamma| at most _SWEEP_MAX_ORDER, built once."""
+        cells = []
+        for f_name, f_grp in twist_sweep_groups():
+            for g_name, g_grp in twist_sweep_groups():
+                if f_grp.order * g_grp.order > _SWEEP_MAX_ORDER:
+                    continue
+                for idx, action in enumerate(all_actions(g_grp, f_grp)):
+                    label = f"{f_name} by {g_name} action {idx}"
+                    cells.append((label, action, semidirect_product(action), enumerate_cocycles(action)))
+        return tuple(cells)
+
 
 def _ono(ctx: _Context, name: str, lattice: GammaLattice) -> OnoResult:
     if name not in ctx.ono_cache:
         ctx.ono_cache[name] = ono_construct(lattice, allow_random=ctx.allow_random)
     return ctx.ono_cache[name]
-
-
-def _result(name: str, cases: int, failures: list[str]) -> PropertyResult:
-    if failures:
-        detail = f"{len(failures)} failure(s); first: {failures[0]}"
-    else:
-        detail = ""
-    return PropertyResult(name, not failures, cases, detail)
 
 
 def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9) -> IntMatrix:
@@ -107,21 +119,10 @@ def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9) -> 
     )
 
 
-def _sweep_cells():
-    """(f_name, gamma_name, action_index, action, product) for the pairs
-    with |F| * |Gamma| at most _SWEEP_MAX_ORDER."""
-    for f_name, f_grp in twist_sweep_groups():
-        for g_name, g_grp in twist_sweep_groups():
-            if f_grp.order * g_grp.order > _SWEEP_MAX_ORDER:
-                continue
-            for idx, action in enumerate(all_actions(g_grp, f_grp)):
-                yield f_name, g_name, idx, action, semidirect_product(action)
-
-
 # --- group properties -------------------------------------------------------
 
 
-def _prop_group_axioms(ctx: _Context) -> PropertyResult:
+def _prop_group_axioms(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, group in ctx.groups:
@@ -130,15 +131,10 @@ def _prop_group_axioms(ctx: _Context) -> PropertyResult:
             group.validate()
         except Exception as exc:
             failures.append(f"{name}: {exc}")
-            continue
-        for g in range(group.order):
-            if group.mul(g, group.inv(g)) != 0 or group.mul(group.inv(g), g) != 0:
-                failures.append(f"{name}: inverse table wrong at {g}")
-                break
-    return _result("group-axioms", cases, failures)
+    return cases, failures
 
 
-def _prop_conjugacy_partition(ctx: _Context) -> PropertyResult:
+def _prop_conjugacy_partition(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, group in ctx.groups:
@@ -158,10 +154,10 @@ def _prop_conjugacy_partition(ctx: _Context) -> PropertyResult:
             if group.order % len(cls) != 0:
                 failures.append(f"{name}: class size {len(cls)} does not divide {group.order}")
                 break
-    return _result("conjugacy-partition", cases, failures)
+    return cases, failures
 
 
-def _prop_cyclic_subgroup_reps(ctx: _Context) -> PropertyResult:
+def _prop_cyclic_subgroup_reps(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, group in ctx.groups:
@@ -188,14 +184,14 @@ def _prop_cyclic_subgroup_reps(ctx: _Context) -> PropertyResult:
         keys = [(len(r), r) for r in reps]
         if keys != sorted(keys):
             failures.append(f"{name}: representatives are not in canonical order")
-    return _result("cyclic-subgroup-reps", cases, failures)
+    return cases, failures
 
 
 def _is_cyclic(group: FiniteGroup, sub: frozenset[int]) -> bool:
     return any(subgroup_closure(group, [g]) == sub for g in sub)
 
 
-def _prop_left_cosets(ctx: _Context) -> PropertyResult:
+def _prop_left_cosets(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, group in ctx.groups:
@@ -211,10 +207,10 @@ def _prop_left_cosets(ctx: _Context) -> PropertyResult:
                 continue
             if cosets[0] != tuple(sorted(rep)):
                 failures.append(f"{name}/{rep}: first coset is not the subgroup")
-    return _result("left-cosets", cases, failures)
+    return cases, failures
 
 
-def _prop_fixed_coset_character(ctx: _Context) -> PropertyResult:
+def _prop_fixed_coset_character(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, group in ctx.groups:
@@ -242,15 +238,14 @@ def _prop_fixed_coset_character(ctx: _Context) -> PropertyResult:
             chi2 = induced_trivial_character(group, rep).integer_values()
             if chi2 != counts:
                 failures.append(f"{name}/{rep}: induced-trivial character differs")
-    return _result("fixed-coset-character", cases, failures)
+    return cases, failures
 
 
-def _prop_semidirect_structure(ctx: _Context) -> PropertyResult:
+def _prop_semidirect_structure(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
-    for f_name, g_name, idx, action, product in _sweep_cells():
+    for label, action, product, _ in ctx.sweep:
         cases += 1
-        label = f"{f_name} by {g_name} action {idx}"
         f_grp, g_grp = action.target, action.actor
         if product.group.order != f_grp.order * g_grp.order:
             failures.append(f"{label}: wrong product order")
@@ -275,15 +270,14 @@ def _prop_semidirect_structure(ctx: _Context) -> PropertyResult:
                 if fa != f_grp.mul(f1, f1) or ga != g_grp.mul(g1, g1):
                     failures.append(f"{label}: trivial action is not the direct product")
                     break
-    return _result("semidirect-structure", cases, failures)
+    return cases, failures
 
 
-def _prop_cocycles_are_sections(ctx: _Context) -> PropertyResult:
+def _prop_cocycles_are_sections(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
-    for f_name, g_name, idx, action, product in _sweep_cells():
+    for label, action, product, cocycles in ctx.sweep:
         cases += 1
-        label = f"{f_name} by {g_name} action {idx}"
         gamma = action.actor
         f_grp = action.target
         sections = 0
@@ -296,7 +290,6 @@ def _prop_cocycles_are_sections(ctx: _Context) -> PropertyResult:
                 for b in range(gamma.order)
             ):
                 sections += 1
-        cocycles = enumerate_cocycles(action)
         if sections != len(cocycles):
             failures.append(f"{label}: {sections} sections but {len(cocycles)} cocycles")
             continue
@@ -312,13 +305,13 @@ def _prop_cocycles_are_sections(ctx: _Context) -> PropertyResult:
         cases += 1
         if not validate_cocycle(x).ok:
             failures.append(f"cocycle {name}: law fails")
-    return _result("cocycles-are-sections", cases, failures)
+    return cases, failures
 
 
 # --- integer linear algebra properties --------------------------------------
 
 
-def _prop_hermite_form(ctx: _Context) -> PropertyResult:
+def _prop_hermite_form(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     rng = random.Random(1001)
     cases = 0
@@ -341,7 +334,7 @@ def _prop_hermite_form(ctx: _Context) -> PropertyResult:
         if (h2, u2) != (h, u):
             failures.append("Hermite form is not canonical")
             break
-    return _result("hermite-form", cases, failures)
+    return cases, failures
 
 
 def _is_hnf(h: IntMatrix) -> bool:
@@ -365,7 +358,7 @@ def _is_hnf(h: IntMatrix) -> bool:
     return True
 
 
-def _prop_smith_form(ctx: _Context) -> PropertyResult:
+def _prop_smith_form(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     rng = random.Random(2002)
     cases = 0
@@ -396,10 +389,10 @@ def _prop_smith_form(ctx: _Context) -> PropertyResult:
         if smith_normal_form(a) != snf:
             failures.append("Smith form is not canonical")
             break
-    return _result("smith-form", cases, failures)
+    return cases, failures
 
 
-def _prop_cokernel_block(ctx: _Context) -> PropertyResult:
+def _prop_cokernel_block(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     rng = random.Random(3003)
     cases = 0
@@ -416,10 +409,10 @@ def _prop_cokernel_block(ctx: _Context) -> PropertyResult:
         if tc.order != ta.order * tb.order:
             failures.append("torsion orders do not multiply")
             break
-    return _result("cokernel-block", cases, failures)
+    return cases, failures
 
 
-def _prop_integer_solve(ctx: _Context) -> PropertyResult:
+def _prop_integer_solve(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     rng = random.Random(4004)
     cases = 0
@@ -440,10 +433,10 @@ def _prop_integer_solve(ctx: _Context) -> PropertyResult:
         if solve_integer_linear(a, b) != x:
             failures.append("solution is not canonical")
             break
-    return _result("integer-solve", cases, failures)
+    return cases, failures
 
 
-def _prop_minimal_multiplier(ctx: _Context) -> PropertyResult:
+def _prop_minimal_multiplier(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     rng = random.Random(5005)
     cases = 0
@@ -456,7 +449,7 @@ def _prop_minimal_multiplier(ctx: _Context) -> PropertyResult:
         v = [rng.randint(-4, 4) for _ in range(n)]
         try:
             r, coeffs = minimal_multiplier(v, basis)
-        except Exception:
+        except NotInRationalSpan:
             continue
         cases += 1
         combo = [sum(c * basis[j][i] for j, c in enumerate(coeffs)) for i in range(n)]
@@ -466,13 +459,13 @@ def _prop_minimal_multiplier(ctx: _Context) -> PropertyResult:
         bmat = IntMatrix.from_rows([[w[i] for w in basis] for i in range(n)], cols=k)
         if not multiplier_is_minimal(bmat, v, r):
             failures.append(f"r={r} is not minimal: v={v} basis={basis}")
-    return _result("minimal-multiplier", cases, failures)
+    return cases, failures
 
 
 # --- lattice properties ------------------------------------------------------
 
 
-def _prop_lattice_homomorphism(ctx: _Context) -> PropertyResult:
+def _prop_lattice_homomorphism(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, lat in ctx.lattices:
@@ -489,10 +482,10 @@ def _prop_lattice_homomorphism(ctx: _Context) -> PropertyResult:
             if not lat.matrices[g].mul(lat.matrices[lat.group.inv(g)]).is_identity():
                 failures.append(f"{name}: inverse action wrong at {g}")
                 break
-    return _result("lattice-homomorphism", cases, failures)
+    return cases, failures
 
 
-def _prop_character_laws(ctx: _Context) -> PropertyResult:
+def _prop_character_laws(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, lat in ctx.lattices:
@@ -501,10 +494,6 @@ def _prop_character_laws(ctx: _Context) -> PropertyResult:
         if chi.values[0] != lat.rank:
             failures.append(f"{name}: character at identity differs from rank")
             continue
-        for cls_idx, cls in enumerate(conjugacy_classes(lat.group)):
-            if any(lat.matrices[g].trace() != chi.values[cls_idx] for g in cls):
-                failures.append(f"{name}: trace not constant on class {cls_idx}")
-                break
         if character(dual(lat)) != chi:
             failures.append(f"{name}: dual changes the character")
         if any(chi.value_at(lat.group.inv(g)) != chi.value_at(g) for g in range(lat.group.order)):
@@ -518,10 +507,10 @@ def _prop_character_laws(ctx: _Context) -> PropertyResult:
             a, b = lats[0], lats[1]
             if character(direct_sum(a, b)) != character(a) + character(b):
                 failures.append("character is not additive on a direct sum")
-    return _result("character-laws", cases, failures)
+    return cases, failures
 
 
-def _prop_induced_permutation(ctx: _Context) -> PropertyResult:
+def _prop_induced_permutation(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, group in ctx.groups:
@@ -537,20 +526,20 @@ def _prop_induced_permutation(ctx: _Context) -> PropertyResult:
             cert = is_permutation_lattice(lat, ctx.coord_bound)
             if cert.status != "YES":
                 failures.append(f"{name}/{rep}: recognition returned {cert.status}")
-    return _result("induced-permutation", cases, failures)
+    return cases, failures
 
 
-def _prop_dual_involution(ctx: _Context) -> PropertyResult:
+def _prop_dual_involution(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, lat in ctx.lattices:
         cases += 1
         if dual(dual(lat)) != lat:
             failures.append(f"{name}: double dual differs")
-    return _result("dual-involution", cases, failures)
+    return cases, failures
 
 
-def _prop_intertwiner_relation(ctx: _Context) -> PropertyResult:
+def _prop_intertwiner_relation(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     by_group: dict[tuple, list[tuple[str, GammaLattice]]] = {}
@@ -574,14 +563,13 @@ def _prop_intertwiner_relation(ctx: _Context) -> PropertyResult:
                     if bad is not None:
                         failures.append(f"{n1}->{n2}: basis element fails at {bad}")
                         break
-    return _result("intertwiner-relation", cases, failures)
+    return cases, failures
 
 
-def _prop_twist_quasi_split(ctx: _Context) -> PropertyResult:
+def _prop_twist_quasi_split(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
-    for f_name, g_name, idx, action, product in _sweep_cells():
-        cocycles = enumerate_cocycles(action)
+    for label, _, product, cocycles in ctx.sweep:
         for delta in all_subgroups(product.group):
             lat = induced_lattice(product.group, delta)
             for ci, x in enumerate(cocycles):
@@ -589,20 +577,17 @@ def _prop_twist_quasi_split(ctx: _Context) -> PropertyResult:
                 tw = twist(lat, x)
                 cert = is_permutation_lattice(tw, ctx.coord_bound)
                 if cert.status != "YES":
-                    failures.append(
-                        f"{f_name} by {g_name} action {idx} subgroup {delta} "
-                        f"cocycle {ci}: {cert.status}"
-                    )
-    return _result("twist-quasi-split", cases, failures)
+                    failures.append(f"{label} subgroup {delta} cocycle {ci}: {cert.status}")
+    return cases, failures
 
 
-def _prop_twist_trivial_cocycle(ctx: _Context) -> PropertyResult:
+def _prop_twist_trivial_cocycle(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
-    for f_name, g_name, idx, action, product in _sweep_cells():
+    for label, action, product, _ in ctx.sweep:
         trivial = Cocycle(action, tuple(0 for _ in range(action.actor.order)))
         if not validate_cocycle(trivial).ok:
-            failures.append(f"{f_name} by {g_name} action {idx}: zero map is not a cocycle")
+            failures.append(f"{label}: zero map is not a cocycle")
             continue
         for delta in all_subgroups(product.group):
             cases += 1
@@ -610,17 +595,15 @@ def _prop_twist_trivial_cocycle(ctx: _Context) -> PropertyResult:
             tw = twist(lat, trivial)
             plain = tuple(lat.matrices[product.section[g]] for g in range(action.actor.order))
             if tw.matrices != plain:
-                failures.append(
-                    f"{f_name} by {g_name} action {idx} subgroup {delta}: trivial twist moved"
-                )
+                failures.append(f"{label} subgroup {delta}: trivial twist moved")
                 break
             if tw.rank != lat.rank:
-                failures.append(f"{f_name} by {g_name} action {idx}: twist changed the rank")
+                failures.append(f"{label}: twist changed the rank")
                 break
-    return _result("twist-trivial-cocycle", cases, failures)
+    return cases, failures
 
 
-def _prop_permutation_recognition(ctx: _Context) -> PropertyResult:
+def _prop_permutation_recognition(ctx: _Context) -> tuple[int, list[str]]:
     expected = {
         "c2_trivial": "YES",
         "c2_sign": "NO",
@@ -667,13 +650,13 @@ def _prop_permutation_recognition(ctx: _Context) -> PropertyResult:
                     break
         elif cert.status == "NO" and not cert.reason:
             failures.append(f"{name}: NO without a reason")
-    return _result("permutation-recognition", cases, failures)
+    return cases, failures
 
 
 # --- induction properties ----------------------------------------------------
 
 
-def _prop_artin_identity(ctx: _Context) -> PropertyResult:
+def _prop_artin_identity(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, lat in ctx.lattices:
@@ -694,10 +677,10 @@ def _prop_artin_identity(ctx: _Context) -> PropertyResult:
             continue
         if any(m_i and n_i for m_i, n_i in zip(sol.m, sol.n)):
             failures.append(f"{name}: overlapping multiplicity supports")
-    return _result("artin-identity", cases, failures)
+    return cases, failures
 
 
-def _prop_artin_minimality(ctx: _Context) -> PropertyResult:
+def _prop_artin_minimality(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, lat in ctx.lattices:
@@ -705,10 +688,10 @@ def _prop_artin_minimality(ctx: _Context) -> PropertyResult:
         sol = artin_decompose(lat)
         if not certify_minimality(lat, sol):
             failures.append(f"{name}: a smaller multiplier admits a decomposition")
-    return _result("artin-minimality", cases, failures)
+    return cases, failures
 
 
-def _prop_ono_soundness(ctx: _Context) -> PropertyResult:
+def _prop_ono_soundness(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, lat in ctx.lattices:
@@ -718,7 +701,6 @@ def _prop_ono_soundness(ctx: _Context) -> PropertyResult:
         except Exception as exc:
             failures.append(f"{name}: {exc}")
             continue
-        target = result.embedding.target
         if character(result.m1).values != (
             character(lat).scale(result.r) + character(result.m0)
         ).values:
@@ -731,18 +713,15 @@ def _prop_ono_soundness(ctx: _Context) -> PropertyResult:
                 break
         else:
             emb = result.embedding
-            if emb.matrix.rows != target.rank or emb.matrix.cols != result.m1.rank:
-                failures.append(f"{name}: embedding matrix shape is wrong")
-                continue
             if emb.cokernel_free_rank != 0 or result.index < 1:
                 failures.append(f"{name}: embedding does not have finite index")
                 continue
             if result.index != abs(emb.matrix.det()):
                 failures.append(f"{name}: index differs from |det|")
-    return _result("ono-soundness", cases, failures)
+    return cases, failures
 
 
-def _prop_ono_reversal(ctx: _Context) -> PropertyResult:
+def _prop_ono_reversal(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, lat in ctx.lattices:
@@ -752,22 +731,14 @@ def _prop_ono_reversal(ctx: _Context) -> PropertyResult:
         except Exception as exc:
             failures.append(f"{name}: {exc}")
             continue
-        iso = result.embedding
-        rev = reverse_isogeny(iso)
-        e = iso.cokernel.exponent
-        rank = iso.source.rank
-        if rev.matrix.mul(iso.matrix) != IntMatrix.identity(rank).scale(e):
-            failures.append(f"{name}: reversal composed with embedding is not e*I")
-            continue
-        if rev.index * iso.index != e**rank:
-            failures.append(f"{name}: cokernel orders do not multiply to e^rank")
-    return _result("ono-reversal", cases, failures)
+        reverse_isogeny(result.embedding)
+    return cases, failures
 
 
 # --- reduction properties ----------------------------------------------------
 
 
-def _prop_existence_multiplier(ctx: _Context) -> PropertyResult:
+def _prop_existence_multiplier(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for n in range(1, 7):
@@ -782,10 +753,10 @@ def _prop_existence_multiplier(ctx: _Context) -> PropertyResult:
             failures.append(f"existence_m{bad} did not reject")
         except ValueError:
             pass
-    return _result("existence-multiplier", cases, failures)
+    return cases, failures
 
 
-def _prop_isogeny_kernel_order(ctx: _Context) -> PropertyResult:
+def _prop_isogeny_kernel_order(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, lat in ctx.lattices:
@@ -794,26 +765,13 @@ def _prop_isogeny_kernel_order(ctx: _Context) -> PropertyResult:
         except Exception as exc:
             failures.append(f"{name}: {exc}")
             continue
-        iso = result.embedding
         for m in (1, 2):
             cases += 1
-            kernel = isogeny_kernel(iso, m)
-            if kernel.order != (m ** iso.target.rank) * iso.index:
-                failures.append(f"{name}, m={m}: kernel order mismatch")
-                break
-            try:
-                kernel.validate()
-            except Exception as exc:
-                failures.append(f"{name}, m={m}: action invalid: {exc}")
-                break
-            divs = kernel.structure.invariant_factors
-            if any(b % a for a, b in zip(divs, divs[1:])):
-                failures.append(f"{name}, m={m}: invariant factors not a chain")
-                break
-    return _result("isogeny-kernel-order", cases, failures)
+            isogeny_kernel(result.embedding, m)
+    return cases, failures
 
 
-def _prop_reduction_pipeline(ctx: _Context) -> PropertyResult:
+def _prop_reduction_pipeline(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for name, inp in ctx.reductions:
@@ -838,16 +796,10 @@ def _prop_reduction_pipeline(ctx: _Context) -> PropertyResult:
             continue
         if report.kernel_order_of_F != report.a.order * report.a_prime.order:
             failures.append(f"{name}: kernel order is not |A| * |A'|")
-            continue
-        try:
-            report.a.validate()
-            report.a_prime.validate()
-        except Exception as exc:
-            failures.append(f"{name}: kernel action invalid: {exc}")
-    return _result("reduction-pipeline", cases, failures)
+    return cases, failures
 
 
-def _prop_reduction_fixture_values(ctx: _Context) -> PropertyResult:
+def _prop_reduction_fixture_values(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
     expected = {
@@ -867,10 +819,10 @@ def _prop_reduction_fixture_values(ctx: _Context) -> PropertyResult:
         )
         if got != (m, a_factors, ap_factors, kernel_order):
             failures.append(f"{name}: got {got}, expected {(m, a_factors, ap_factors, kernel_order)}")
-    return _result("reduction-fixture-values", cases, failures)
+    return cases, failures
 
 
-_PROPERTIES: tuple[Callable[[_Context], PropertyResult], ...] = (
+_PROPERTIES: tuple[Callable[[_Context], tuple[int, list[str]]], ...] = (
     _prop_group_axioms,
     _prop_conjugacy_partition,
     _prop_cyclic_subgroup_reps,
@@ -928,10 +880,13 @@ def run_property_suite(
     )
     results = []
     for prop in _PROPERTIES:
+        name = prop.__name__.removeprefix("_prop_").replace("_", "-")
         try:
-            results.append(prop(ctx))
+            cases, failures = prop(ctx)
         except Exception as exc:  # a property crashing is itself a failure
-            name = prop.__name__.removeprefix("_prop_").replace("_", "-")
             results.append(PropertyResult(name, False, 0, f"crashed: {exc!r}"))
+            continue
+        detail = f"{len(failures)} failure(s); first: {failures[0]}" if failures else ""
+        results.append(PropertyResult(name, not failures, cases, detail))
     results.sort(key=lambda r: r.name)
     return tuple(results)

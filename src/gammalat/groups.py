@@ -104,9 +104,6 @@ class FiniteGroup:
         """``by * g * by^-1``."""
         return self.mul(self.mul(by, g), self.inv(by))
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def element_order(self, g: int) -> int:
         k = 1
         x = g

@@ -112,15 +112,6 @@ class IntMatrix:
             out.append(tuple(new_row))
         return IntMatrix(self.rows, other.cols, tuple(out))
 
-    def add(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
-
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(k * x for x in row) for row in self.entries))
 

@@ -245,9 +245,6 @@ def reduce_stabilizer(inp: ReductionInput, *, allow_random: bool = True) -> Redu
     kernel_order = a.order * a_prime.order
     combined_order = semidirect_product(inp.gamma_on_hf).group.order
 
-    if a.order != (m ** iso.target.rank) * iso.index:
-        raise InternalContradiction("kernel order of A violates the determinant factorization")
-
     narrative = (
         NarrativeEntry(
             step=0,

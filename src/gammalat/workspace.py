@@ -244,6 +244,8 @@ def load_workspace(path: str) -> Workspace:
         raise WorkspaceError(f"cannot read workspace {path!r}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise WorkspaceError(f"workspace {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise WorkspaceError(f"workspace {path!r} nests too deeply to parse") from exc
     _require(isinstance(doc, dict), "workspace document must be a JSON object")
     _require("format" in doc, 'workspace is missing the "format" field')
     fmt = doc["format"]

@@ -225,6 +225,28 @@ def test_check_command(capsys):
     assert all(p["passed"] for p in doc["properties"])
 
 
+def test_check_seedless_reports_the_fallback_failures(capsys):
+    """Without the pseudorandom fallback the embedding search gives up on
+    two corpus lattices, so the three properties that need their Ono
+    embeddings fail.  This pins a current limitation: a deterministic
+    construction that cannot fail would make this run pass."""
+    rc, doc = run_json(capsys, "check", "--seedless")
+    assert rc == 1 and doc["passed"] is False
+    detail = (
+        "2 failure(s); first: v4_character: search space too large for deterministic "
+        "enumeration and the pseudorandom fallback is disabled"
+    )
+    failed = [(p["name"], p["cases"], p["detail"]) for p in doc["properties"] if not p["passed"]]
+    assert failed == [
+        ("isogeny-kernel-order", 28, detail),
+        ("ono-reversal", 16, detail),
+        ("ono-soundness", 16, detail),
+    ]
+    rc, out = run(capsys, "--table", "check", "--seedless")
+    assert rc == 1
+    assert out.endswith("28 properties, 1042 cases, FAILURES PRESENT\n")
+
+
 def test_workspace_loads_and_resolves():
     ws = load_workspace(DEMO)
     assert set(ws.groups) == {"s3", "gamma1"}
@@ -305,6 +327,14 @@ def test_workspace_error_paths(tmp_path, capsys):
     )
     with pytest.raises(WorkspaceError):
         load_workspace(str(bad_matrix))
+
+    # Nesting past the parser's recursion limit is an input error, not an
+    # internal one, at the top level and inside a section alike.
+    deep = tmp_path / "deep.json"
+    for text in ("[" * 100_000, '{"format": 1, "groups": ' + "[" * 100_000):
+        deep.write_text(text)
+        rc, doc = run_json(capsys, "--workspace", str(deep), "group-info", "c2")
+        assert (rc, doc["error"]["code"]) == (2, "WorkspaceError")
 
     rc, doc = run_json(capsys, "--workspace", str(tmp_path / "absent.json"), "check")
     assert rc == 2
