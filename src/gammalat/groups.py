@@ -562,13 +562,17 @@ def semidirect_product(action: GroupAction) -> SemidirectProduct:
     """The semidirect product of a validated action.
 
     Memoized per action: equal actions get the one product object, so its
-    group passes ``same_group`` by identity.
+    group passes ``same_group`` by identity.  Raises ClosureTooLarge past
+    DEFAULT_MAX_ORDER elements, before the action is checked or the
+    multiplication table built.
     """
-    action.validate()
     f_grp = action.target
     g_grp = action.actor
     nf, ng = f_grp.order, g_grp.order
     n = nf * ng
+    if n > DEFAULT_MAX_ORDER:
+        raise ClosureTooLarge(f"semidirect product of order {n} exceeds {DEFAULT_MAX_ORDER} elements")
+    action.validate()
 
     def pid(f: int, g: int) -> int:
         return f * ng + g

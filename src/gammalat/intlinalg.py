@@ -27,9 +27,7 @@ __all__ = [
     "multiplier_is_minimal",
     "solve_integer_linear",
     "kernel_basis",
-    "matrix_rank",
     "scaled_inverse",
-    "unimodular_inverse",
     "block_diagonal",
     "bareiss_det",
 ]
@@ -66,10 +64,6 @@ class IntMatrix:
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -136,9 +130,6 @@ class IntMatrix:
         if not self.is_square():
             raise ValueError("determinant requires a square matrix")
         return bareiss_det(self.entries)
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
@@ -414,11 +405,6 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     return SnfDecomposition(um, dm, vm, divisors)
 
 
-def matrix_rank(a: IntMatrix) -> int:
-    """Rank over the rationals (= number of nonzero elementary divisors)."""
-    return len(smith_normal_form(a).elementary_divisors)
-
-
 def cokernel_structure(a: IntMatrix) -> tuple[FiniteAbelianGroup, int]:
     """Structure of ``Z^rows / (column span of a)``.
 
@@ -456,13 +442,37 @@ def _reduce_mod_hnf_rows(x: list[int], h: IntMatrix) -> list[int]:
     return x
 
 
-def _canonicalize_solution(x: Sequence[int], snf: SnfDecomposition) -> tuple[int, ...]:
-    """Reduce a solution modulo the integer kernel read off ``snf`` to a canonical one."""
-    kern = [snf.v.column(j) for j in range(len(snf.elementary_divisors), snf.v.cols)]
-    if not kern:
-        return tuple(x)
-    h, _ = hermite_normal_form(IntMatrix.from_rows(kern, cols=snf.v.cols))
-    return tuple(_reduce_mod_hnf_rows(list(x), h))
+def _least_multiple_in_span(a: IntMatrix, b: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Least ``r >= 1`` with ``r*b`` in the column span of ``a``, and the
+    canonical ``x`` with ``a*x = r*b``.
+
+    With ``u*a*v = d`` the system becomes ``d*y = r*u*b``: a component of
+    ``w = u*b`` past the rank must vanish, and component ``i`` below it needs
+    ``d_i / gcd(d_i, w_i)`` to divide ``r``.  The valid multipliers form an
+    ideal of Z, so the least one is the lcm of these steps.  ``x = v*y`` is
+    reduced modulo the integer kernel of ``a``, the last columns of ``v``,
+    so equal inputs give the identical witness.  Raises NotInRationalSpan
+    if no multiple of ``b`` lies in the span.
+    """
+    snf = smith_normal_form(a)
+    w = snf.u.times_vector(b)
+    divisors = snf.elementary_divisors
+    for i in range(len(divisors), a.rows):
+        if w[i] != 0:
+            raise NotInRationalSpan(f"component {i} obstructs rational solvability")
+    r = 1
+    for d, wi in zip(divisors, w):
+        step = d // gcd(d, wi)
+        r = r * step // gcd(r, step)
+    y = [r * wi // d for d, wi in zip(divisors, w)] + [0] * (a.cols - len(divisors))
+    x = snf.v.times_vector(y)
+    kern = [snf.v.column(j) for j in range(len(divisors), a.cols)]
+    if kern:
+        h, _ = hermite_normal_form(IntMatrix.from_rows(kern, cols=a.cols))
+        x = tuple(_reduce_mod_hnf_rows(list(x), h))
+    if a.times_vector(x) != tuple(r * val for val in b):
+        raise AssertionError("back-substitution verification failed")
+    return r, x
 
 
 def solve_integer_linear(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -473,24 +483,11 @@ def solve_integer_linear(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, 
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    snf = smith_normal_form(a)
-    w = snf.u.times_vector(b)
-    k = len(snf.elementary_divisors)
-    y = [0] * a.cols
-    for i in range(a.rows):
-        if i < k:
-            d = snf.d.entries[i][i]
-            if w[i] % d != 0:
-                return None
-            if i < a.cols:
-                y[i] = w[i] // d
-        elif w[i] != 0:
-            return None
-    x = snf.v.times_vector(y)
-    out = _canonicalize_solution(x, snf)
-    if a.times_vector(out) != tuple(int(val) for val in b):
-        raise AssertionError("integer solve verification failed")
-    return out
+    try:
+        r, x = _least_multiple_in_span(a, [int(val) for val in b])
+    except NotInRationalSpan:
+        return None
+    return x if r == 1 else None
 
 
 def minimal_multiplier(
@@ -499,8 +496,6 @@ def minimal_multiplier(
     """Smallest ``r >= 1`` with ``r*v`` in the integer span of ``basis``.
 
     Returns ``(r, coeffs)`` with ``r*v = sum(coeffs[j] * basis[j])``.
-    The valid multipliers form an ideal of Z, so the minimal positive one
-    divides every other; it is read off the Smith form of the basis matrix.
     ``coeffs`` is canonical (reduced modulo the kernel of the basis matrix).
     Raises NotInRationalSpan if no multiple of ``v`` lies in the span.
     """
@@ -509,31 +504,9 @@ def minimal_multiplier(
     for w in vectors:
         if len(w) != len(target):
             raise ValueError("basis vector length mismatch")
-    if not vectors:
-        if any(target):
-            raise NotInRationalSpan("nonzero vector, empty basis")
-        return 1, ()
     n = len(target)
     bmat = IntMatrix(n, len(vectors), tuple(tuple(w[i] for w in vectors) for i in range(n)))
-    snf = smith_normal_form(bmat)
-    w = snf.u.times_vector(target)
-    k = len(snf.elementary_divisors)
-    r = 1
-    for i in range(n):
-        if i < k:
-            d = snf.d.entries[i][i]
-            step = d // gcd(d, w[i])
-            r = r * step // gcd(r, step)
-        elif w[i] != 0:
-            raise NotInRationalSpan(f"component {i} obstructs rational solvability")
-    y = [0] * bmat.cols
-    for i in range(k):
-        y[i] = r * w[i] // snf.d.entries[i][i]
-    x = snf.v.times_vector(y)
-    coeffs = _canonicalize_solution(x, snf)
-    if bmat.times_vector(coeffs) != tuple(r * x for x in target):
-        raise AssertionError("minimal multiplier verification failed")
-    return r, coeffs
+    return _least_multiple_in_span(bmat, target)
 
 
 def multiplier_is_minimal(a: IntMatrix, v: Sequence[int], r: int) -> bool:
@@ -557,30 +530,24 @@ def multiplier_is_minimal(a: IntMatrix, v: Sequence[int], r: int) -> bool:
     return True
 
 
-def scaled_inverse(a: IntMatrix, e: int) -> IntMatrix:
-    """The integer matrix ``e * a^-1`` for square nonsingular ``a``.
+def scaled_inverse(snf: SnfDecomposition, e: int) -> IntMatrix:
+    """The integer matrix ``e * a^-1``, read off the Smith form ``snf`` of
+    a square nonsingular ``a``.
 
     Requires every elementary divisor of ``a`` to divide ``e`` (equivalently
     ``e`` annihilates the cokernel), which makes the result integral:
     from ``u*a*v = d`` we get ``e*a^-1 = v * (e*d^-1) * u``.
     """
-    if not a.is_square():
+    if not snf.d.is_square():
         raise ValueError("scaled inverse requires a square matrix")
-    n = a.rows
-    if n == 0:
-        return a
-    snf = smith_normal_form(a)
-    if len(snf.elementary_divisors) != n:
+    n = snf.d.rows
+    divisors = snf.elementary_divisors
+    if len(divisors) != n:
         raise ValueError("matrix is singular")
-    for d in snf.elementary_divisors:
+    for d in divisors:
         if e % d != 0:
             raise ValueError(f"divisor {d} does not divide the scale {e}")
     middle = IntMatrix(
-        n, n, tuple(tuple(e // snf.elementary_divisors[i] if i == j else 0 for j in range(n)) for i in range(n))
+        n, n, tuple(tuple(e // divisors[i] if i == j else 0 for j in range(n)) for i in range(n))
     )
     return snf.v.mul(middle).mul(snf.u)
-
-
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix."""
-    return scaled_inverse(a, 1)

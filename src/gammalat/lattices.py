@@ -68,11 +68,12 @@ from .groups import (
 from .intlinalg import (
     FiniteAbelianGroup,
     IntMatrix,
+    SnfDecomposition,
     bareiss_det,
     block_diagonal,
-    cokernel_structure,
     hermite_normal_form,
     kernel_basis,
+    smith_normal_form,
 )
 
 __all__ = [
@@ -327,15 +328,25 @@ class LatticeEmbedding:
     """Equivariant injective integer map between lattices over one group.
 
     ``matrix`` is target.rank x source.rank and commutes with both actions.
-    ``cokernel`` is the torsion of target/image; ``cokernel_free_rank`` its
-    free rank (zero exactly when the ranks agree).
+    ``snf`` is its Smith form, computed once by ``lattice_embedding``; every
+    later answer about the map reads it instead of a Smith form of its own.
+    ``cokernel`` is the torsion of target/image, the elementary divisors
+    > 1; ``cokernel_free_rank`` its free rank (zero exactly when the ranks
+    agree).
     """
 
     source: GammaLattice
     target: GammaLattice
     matrix: IntMatrix
-    cokernel: FiniteAbelianGroup
-    cokernel_free_rank: int
+    snf: SnfDecomposition = field(compare=False)
+
+    @property
+    def cokernel(self) -> FiniteAbelianGroup:
+        return FiniteAbelianGroup(tuple(d for d in self.snf.elementary_divisors if d > 1))
+
+    @property
+    def cokernel_free_rank(self) -> int:
+        return self.target.rank - self.source.rank
 
     @property
     def index(self) -> int:
@@ -349,10 +360,11 @@ def lattice_embedding(
     source: GammaLattice, target: GammaLattice, matrix: IntMatrix
 ) -> LatticeEmbedding:
     """Validated constructor: checks shape, equivariance on all elements,
-    and injectivity, then computes the cokernel.
+    and injectivity, then keeps the Smith form of ``matrix``.
 
-    One Smith form gives both: the map is injective exactly when its rank,
-    ``target.rank - free_rank``, is ``source.rank``.
+    That one Smith form gives both: the map is injective exactly when it
+    has ``source.rank`` elementary divisors, and the divisors > 1 are the
+    cokernel's invariant factors.
     """
     if not same_group(source.group, target.group):
         raise GroupMismatch("embedding endpoints must share the group")
@@ -361,10 +373,10 @@ def lattice_embedding(
     for g in range(source.group.order):
         if matrix.mul(source.matrices[g]) != target.matrices[g].mul(matrix):
             raise InternalContradiction(f"embedding is not equivariant at element {g}")
-    torsion, free_rank = cokernel_structure(matrix)
-    if target.rank - free_rank != source.rank:
+    snf = smith_normal_form(matrix)
+    if len(snf.elementary_divisors) != source.rank:
         raise InternalContradiction("embedding matrix is not injective")
-    return LatticeEmbedding(source, target, matrix, torsion, free_rank)
+    return LatticeEmbedding(source, target, matrix, snf)
 
 
 def intertwiner_basis(m: GammaLattice, n: GammaLattice) -> tuple[IntMatrix, ...]:

@@ -21,7 +21,7 @@ from typing import Optional
 from .errors import GroupMismatch, InternalContradiction, NotFiniteIndex
 from .groups import FiniteGroup, GroupAction, same_group, semidirect_product
 from .induction import OnoResult, ono_construct
-from .intlinalg import FiniteAbelianGroup, IntMatrix, scaled_inverse, smith_normal_form
+from .intlinalg import FiniteAbelianGroup, IntMatrix, scaled_inverse
 from .lattices import GammaLattice, LatticeEmbedding, lattice_embedding
 
 __all__ = [
@@ -142,36 +142,34 @@ def _equal_mod_factors(a: IntMatrix, b: IntMatrix, factors: tuple[int, ...]) -> 
 def isogeny_kernel(iso: LatticeEmbedding, m: int) -> FiniteAbelianWithAction:
     """Kernel data of (multiplication by m) composed with the isogeny.
 
-    On the character side this is the cokernel of m * iso.matrix.  The Smith
-    form diagonalizes the quotient; the target's action descends to it and is
-    expressed on the invariant-factor coordinates through the same change of
-    basis.  The result's order is m^rank * |cokernel of iso|.
+    On the character side this is the cokernel of m * iso.matrix.  Its Smith
+    form is the embedding's own ``iso.snf`` with every divisor times m: the
+    same transforms u and v diagonalize the scaled matrix.  The target's
+    action descends to the quotient and is expressed on the invariant-factor
+    coordinates through that change of basis.  The result's order is
+    m^rank * |cokernel of iso|.
     """
     if m < 1:
         raise ValueError("multiplier must be positive")
     if iso.source.rank != iso.target.rank:
         raise NotFiniteIndex("isogeny data requires equal ranks")
-    scaled = iso.matrix.scale(m)
-    snf = smith_normal_form(scaled)
     rank = iso.target.rank
-    if len(snf.elementary_divisors) != rank:
-        raise NotFiniteIndex("embedding matrix is singular")
-    divisors = snf.elementary_divisors
-    keep = [i for i in range(rank) if divisors[i] > 1]
-    factors = tuple(divisors[i] for i in keep)
-    structure = FiniteAbelianGroup(factors)
+    divisors = iso.snf.elementary_divisors
+    scaled = tuple(m * d for d in divisors)
+    keep = [i for i in range(rank) if scaled[i] > 1]
+    structure = FiniteAbelianGroup(tuple(scaled[i] for i in keep))
     group = iso.target.group
-    u = snf.u
-    # From u * scaled * v = d with d square and nonsingular:
-    # u^-1 = scaled * v * d^-1, and column j divides exactly by d_j.
+    u = iso.snf.u
+    # From u * iso.matrix * v = d with d square and nonsingular:
+    # u^-1 = iso.matrix * v * d^-1, and column j divides exactly by d_j.
     u_inv = IntMatrix.from_rows(
-        [[x // divisors[j] for j, x in enumerate(row)] for row in scaled.mul(snf.v).entries]
+        [[x // divisors[j] for j, x in enumerate(row)] for row in iso.matrix.mul(iso.snf.v).entries]
     )
     mats = []
     for g in range(group.order):
         conj = u.mul(iso.target.matrices[g]).mul(u_inv)
         rows = [
-            [conj.entries[i][j] % divisors[i] for j in keep]
+            [conj.entries[i][j] % scaled[i] for j in keep]
             for i in keep
         ]
         mats.append(IntMatrix.from_rows(rows, cols=len(keep)))
@@ -189,14 +187,14 @@ def reverse_isogeny(iso: LatticeEmbedding) -> LatticeEmbedding:
     """Reverse a finite-index embedding using its cokernel exponent.
 
     For e the exponent of the cokernel, e * iso.matrix^-1 is integral and
-    equivariant; composed with iso it is multiplication by e, and its
-    cokernel order is e^rank / |cokernel of iso|.
+    equivariant, and is read off ``iso.snf``; composed with iso it is
+    multiplication by e, and its cokernel order is e^rank / |cokernel of iso|.
     """
-    if iso.source.rank != iso.target.rank or iso.cokernel_free_rank != 0:
+    if iso.source.rank != iso.target.rank:
         raise NotFiniteIndex("only finite-index embeddings can be reversed")
     e = iso.cokernel.exponent
     rank = iso.source.rank
-    rev_matrix = scaled_inverse(iso.matrix, e)
+    rev_matrix = scaled_inverse(iso.snf, e)
     rev = lattice_embedding(iso.target, iso.source, rev_matrix)
     composed = rev_matrix.mul(iso.matrix)
     if composed != IntMatrix.identity(rank).scale(e):

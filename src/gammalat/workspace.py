@@ -6,7 +6,8 @@ resolved and validated at load time, before any command runs; commands
 then look objects up by name, falling back to the built-in corpus for
 names the file does not define.
 
-Schema (all sections optional, all names must be unique per section)::
+Schema (all sections optional; a key repeated in any one object, such as a
+name defined twice in a section or a section given twice, is rejected)::
 
     {
       "format": 1,
@@ -116,6 +117,16 @@ def _as_section(doc: dict, key: str) -> dict:
             isinstance(section[name], dict), f"{key}/{name}: definition must be an object"
         )
     return section
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for ``json.load``: a repeated key is an error,
+    where a plain load would keep the last value silently."""
+    out: dict = {}
+    for key, value in pairs:
+        _require(key not in out, f"repeated key {key!r} in one JSON object")
+        out[key] = value
+    return out
 
 
 def _parse_int_list(obj: object, where: str) -> list[int]:
@@ -239,7 +250,7 @@ def load_workspace(path: str) -> Workspace:
     or the underlying validator's error on bad definitions."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise WorkspaceError(f"cannot read workspace {path!r}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit

@@ -243,7 +243,7 @@ def reference_embedding_matrix(basis, n: int) -> Optional[list[list[int]]]:
     matrix.  None if nothing invertible turns up."""
     import random
 
-    rows_of = [b.to_lists() for b in basis]
+    rows_of = [[list(row) for row in b.entries] for b in basis]
     k = len(rows_of)
 
     def combine(coeffs):

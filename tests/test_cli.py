@@ -328,6 +328,18 @@ def test_workspace_error_paths(tmp_path, capsys):
     with pytest.raises(WorkspaceError):
         load_workspace(str(bad_matrix))
 
+    # A repeated key is rejected, not resolved to its last value: a name
+    # defined twice in one section, and a section given twice.
+    group = '{"points": 2, "generators": [[1, 0]]}'
+    repeated = tmp_path / "repeated.json"
+    for text in (
+        '{"format": 1, "groups": {"g": %s, "g": %s}}' % (group, group),
+        '{"format": 1, "groups": {"g": %s}, "groups": {"h": %s}}' % (group, group),
+    ):
+        repeated.write_text(text)
+        rc, doc = run_json(capsys, "--workspace", str(repeated), "group-info", "g")
+        assert (rc, doc["error"]["code"]) == (2, "WorkspaceError")
+
     # Nesting past the parser's recursion limit is an input error, not an
     # internal one, at the top level and inside a section alike.
     deep = tmp_path / "deep.json"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gammalat import groups
 from gammalat.corpus import builtin_group
 from gammalat.errors import (
     ClosureTooLarge,
@@ -65,6 +66,24 @@ def test_generator_validation():
     with pytest.raises(ClosureTooLarge):
         # two generators of the full symmetric group on 8 points (order 40320)
         group_from_generators([[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]])
+
+
+def test_semidirect_product_obeys_the_order_cap(monkeypatch):
+    # C2 inverting C7 has order 14; no other test builds this product, so
+    # the memoized cache cannot answer before the cap is checked.
+    c7 = group_from_generators([[1, 2, 3, 4, 5, 6, 0]])
+    c2 = group_from_generators([[1, 0]])
+    inversion = GroupAction.from_generator_images(c2, c7, [[c7.inv(x) for x in range(7)]])
+    monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 13)
+    with pytest.raises(ClosureTooLarge):
+        semidirect_product(inversion)
+    # The cap is checked before the action: a table that is no action at
+    # all still reports the size.
+    collapse = GroupAction(c2, c7, (tuple(range(7)), (0,) * 7))
+    with pytest.raises(ClosureTooLarge):
+        semidirect_product(collapse)
+    monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 14)
+    assert semidirect_product(inversion).group.order == 14
 
 
 def test_composition_convention():

@@ -15,16 +15,21 @@ from gammalat.intlinalg import (
     cokernel_structure,
     hermite_normal_form,
     kernel_basis,
-    matrix_rank,
     minimal_multiplier,
     multiplier_is_minimal,
     scaled_inverse,
     smith_normal_form,
     solve_integer_linear,
-    unimodular_inverse,
 )
 from gammalat.lattices import character
-from oracle import brute_minimal_multiplier, coset_count, det_fraction, in_column_span, matrix_columns
+from oracle import (
+    brute_minimal_multiplier,
+    column_echelon,
+    coset_count,
+    det_fraction,
+    in_column_span,
+    matrix_columns,
+)
 
 
 def rand_matrix(rng, rows, cols, bound=9):
@@ -96,7 +101,7 @@ def test_smith_known_values():
     assert snf.elementary_divisors == (1, 6)
     snf = smith_normal_form(IntMatrix.from_rows([[4, 6], [6, 9]]))
     assert snf.elementary_divisors == (1,)
-    snf = smith_normal_form(IntMatrix.zeros(2, 3))
+    snf = smith_normal_form(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))
     assert snf.elementary_divisors == ()
 
 
@@ -112,7 +117,21 @@ def test_smith_randomized():
         divs = snf.elementary_divisors
         assert all(d > 0 for d in divs)
         assert all(b % d == 0 for d, b in zip(divs, divs[1:]))
-        assert len(divs) == matrix_rank(a)
+        assert len(divs) == len(column_echelon(matrix_columns(a.entries), rows))
+
+
+def test_smith_form_of_a_multiple_keeps_the_transforms():
+    # Kernel data of m times an embedding reads the embedding's own Smith
+    # form with every divisor times m; this holds because scaling changes
+    # neither the pivot choices nor any Euclidean quotient.
+    rng = random.Random(313)
+    for _ in range(100):
+        a = rand_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
+        snf = smith_normal_form(a)
+        for m in (2, 3, 6):
+            scaled = smith_normal_form(a.scale(m))
+            assert (scaled.u, scaled.d, scaled.v) == (snf.u, snf.d.scale(m), snf.v)
+            assert scaled.elementary_divisors == tuple(m * d for d in snf.elementary_divisors)
 
 
 def test_cokernel_known_values():
@@ -169,7 +188,7 @@ def test_kernel_basis_members_annihilate():
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         a = rand_matrix(rng, rows, cols, bound=5)
         basis = kernel_basis(a)
-        assert len(basis) == cols - matrix_rank(a)
+        assert len(basis) == cols - len(column_echelon(matrix_columns(a.entries), rows))
         for v in basis:
             assert a.times_vector(v) == tuple(0 for _ in range(rows))
 
@@ -198,6 +217,9 @@ def test_minimal_multiplier_known():
     assert coeffs == (1, 1)
     r, _ = minimal_multiplier([0, 0], [[1, 0]])
     assert r == 1
+    assert minimal_multiplier([0, 0], []) == (1, ())
+    with pytest.raises(NotInRationalSpan):
+        minimal_multiplier([0, 1], [])
 
 
 def test_minimal_multiplier_randomized_is_minimal():
@@ -210,7 +232,7 @@ def test_minimal_multiplier_randomized_is_minimal():
         v = [rng.randint(-4, 4) for _ in range(n)]
         try:
             r, coeffs = minimal_multiplier(v, basis)
-        except Exception:
+        except NotInRationalSpan:
             continue
         cases += 1
         combo = [sum(c * basis[j][i] for j, c in enumerate(coeffs)) for i in range(n)]
@@ -222,13 +244,15 @@ def test_minimal_multiplier_randomized_is_minimal():
 
 def test_scaled_inverse_and_unimodular_inverse():
     a = IntMatrix.from_rows([[1, -1], [1, 1]])
-    b = scaled_inverse(a, 2)
+    b = scaled_inverse(smith_normal_form(a), 2)
     assert b.entries == ((1, 1), (-1, 1))
     assert a.mul(b) == IntMatrix.identity(2).scale(2)
     u = IntMatrix.from_rows([[1, 1], [0, 1]])
-    assert u.mul(unimodular_inverse(u)).is_identity()
+    assert u.mul(scaled_inverse(smith_normal_form(u), 1)).is_identity()
     with pytest.raises(ValueError):
-        scaled_inverse(IntMatrix.from_rows([[2, 0], [0, 2]]), 1)
+        scaled_inverse(smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 2]])), 1)
+    with pytest.raises(ValueError):
+        scaled_inverse(smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 0]])), 1)
 
 
 def _assert_only_minimal_multiplier_passes(v, basis, r):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gammalat import intlinalg, lattices, reduction
 from gammalat.corpus import builtin_group, builtin_lattice, builtin_reduction, builtin_reductions
 from gammalat.errors import GroupMismatch, NotFiniteIndex
 from gammalat.groups import GroupAction, trivial_group
@@ -63,6 +64,29 @@ def test_reverse_isogeny_identity():
     assert rev.index * iso.index == e ** 2
     assert rev.source == iso.target
     assert rev.target == iso.source
+
+
+def test_kernel_and_reversal_reuse_the_embedding_smith_form(monkeypatch):
+    iso = ono_construct(builtin_lattice("s3_standard")).embedding
+    # Count Smith forms computed through every module that holds the function.
+    calls = []
+    original = intlinalg.smith_normal_form
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    for module in (intlinalg, lattices, reduction):
+        if hasattr(module, "smith_normal_form"):
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+    for m in (1, 2, 3):
+        isogeny_kernel(iso, m)
+    assert calls == []
+    rev = reverse_isogeny(iso)
+    # The one Smith form is the reversal's own, which it keeps.
+    assert calls == [rev.matrix]
+    isogeny_kernel(rev, 2)
+    assert calls == [rev.matrix]
 
 
 def test_reverse_isogeny_requires_finite_index():
