@@ -109,7 +109,6 @@ _EXPORTS = {
         "zero_lattice",
     ),
     "reduction": (
-        "FiniteAbelianWithAction",
         "ReductionInput",
         "ReductionReport",
         "existence_m",

@@ -58,9 +58,9 @@ def _blocks(parts: Sequence[str]) -> str:
 
 def _lattice_table(m: GammaLattice, title: str) -> str:
     parts = [f"{title}: rank {m.rank} over a group of order {m.group.order}"]
-    for gid in m.group.generator_ids:
+    for gid, a in zip(m.group.generator_ids, m.generators):
         parts.append(f"action of generator {m.group.label(gid)}:")
-        parts.append(format_matrix(m.matrices[gid]))
+        parts.append(format_matrix(a))
     return _blocks(parts)
 
 

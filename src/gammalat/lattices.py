@@ -1,10 +1,12 @@
 """Integer lattices with finite group actions.
 
 A lattice here is a free Z-module of finite rank on which a finite group
-acts by unimodular integer matrices.  This module builds them (from
-generator matrices, as induced/permutation lattices, by direct sum,
-restriction, twisting, dualizing), computes their rational characters,
-solves for equivariant maps, and recognizes permutation lattices.
+acts by unimodular integer matrices; the same type, given invariant
+factors, holds a finite module Z^k / diag(d), such as the reduction's
+kernel data.  This module builds lattices (from generator matrices, as
+induced/permutation lattices, by direct sum, restriction, twisting,
+dualizing), computes their rational characters, solves for equivariant
+maps, and recognizes permutation lattices.
 
 Equivariant maps out of a permutation lattice come from Frobenius
 reciprocity: such a lattice is a sum of coset lattices Z[G/Stab(x)], one
@@ -35,9 +37,9 @@ needed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from itertools import product as iter_product
 from math import comb
@@ -112,51 +114,86 @@ _ORBIT_SEARCH_BUDGET = 200000
 
 @dataclass(frozen=True)
 class GammaLattice:
-    """Free Z-module of finite rank with a group acting by integer matrices.
+    """A finite group acting by integer matrices on Z^rank (a lattice,
+    ``factors`` None) or on Z^rank / diag(factors) (a finite module, whose
+    matrices have row i read and stored modulo ``factors[i]``).
 
-    ``matrices[g]`` is the action of element id g; the identity must act as
-    the identity matrix.  Constructors in this module guarantee the
-    homomorphism property; ``validate`` rechecks it.
+    ``generators[k]`` is the action of ``group.generator_ids[k]``; the
+    action ``matrices[g]`` of each element id g is derived from them on
+    demand, along the group's breadth-first words.  ``validate`` checks the
+    homomorphism law.  ``character``, ``intertwiner_basis``,
+    ``is_permutation_lattice``, ``dual`` and the sums take lattices only.
     """
 
     group: FiniteGroup
     rank: int
-    matrices: tuple[IntMatrix, ...]
+    generators: tuple[IntMatrix, ...]
+    factors: Optional[tuple[int, ...]] = None
     name: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
-        if len(self.matrices) != self.group.order:
-            raise ValueError("need one action matrix per group element")
-        for m in self.matrices:
+        if len(self.generators) != len(self.group.generator_ids):
+            raise ValueError("need one action matrix per group generator")
+        for m in self.generators:
             if m.rows != self.rank or m.cols != self.rank:
                 raise ValueError("action matrix has the wrong shape")
-        if not self.matrices[0].is_identity():
-            raise NotAHomomorphism("identity element must act as the identity matrix")
+        if self.factors is not None:
+            if len(self.factors) != self.rank:
+                raise ValueError("need one invariant factor per coordinate")
+            object.__setattr__(self, "generators", tuple(map(self._reduce, self.generators)))
+
+    def _reduce(self, m: IntMatrix) -> IntMatrix:
+        """Row i of ``m`` modulo ``factors[i]``; ``m`` itself for a lattice."""
+        if self.factors is None:
+            return m
+        rows = [[x % d for x in row] for row, d in zip(m.entries, self.factors)]
+        return IntMatrix.from_rows(rows, cols=self.rank)
+
+    @cached_property
+    def matrices(self) -> tuple[IntMatrix, ...]:
+        mats = [IntMatrix.identity(self.rank)] * self.group.order
+        for g, parent, k in bfs_words(self.group):
+            mats[g] = self._reduce(mats[parent].mul(self.generators[k]))
+        return tuple(mats)
+
+    @property
+    def structure(self) -> FiniteAbelianGroup:
+        """The finite module's group, Z^rank / diag(factors)."""
+        return FiniteAbelianGroup(self.factors)
+
+    @property
+    def order(self) -> int:
+        return self.structure.order
 
     def validate(self) -> None:
         """Check that the action is a homomorphism: M(gh) = M(g)M(h).
 
         The identity acts as the identity and the generators generate, so
         M(g * s) = M(g)M(s) for every element g and generator s implies it
-        for all pairs (by induction on the word length of h).  Only on a
-        failure are all pairs scanned, to name the first failing pair.
+        for all pairs (by induction on the word length of h), compared
+        modulo the factors.  Only on a failure are all pairs scanned, to
+        name the first failing pair.  Last, each generator must act as
+        given, which can fail where a generator id repeats or is the
+        identity.
         """
-        group, mats = self.group, self.matrices
-        if all(
-            mats[group.mul(g, s)] == mats[g].mul(mats[s])
+        group, mats, reduce = self.group, self.matrices, self._reduce
+        if not all(
+            mats[group.mul(g, s)] == reduce(mats[g].mul(mats[s]))
             for s in group.generator_ids
             for g in range(group.order)
         ):
-            return
-        for g in range(group.order):
-            for h in range(group.order):
-                if mats[group.mul(g, h)] != mats[g].mul(mats[h]):
-                    raise NotAHomomorphism(f"action fails to multiply at pair ({g}, {h})")
+            for g in range(group.order):
+                for h in range(group.order):
+                    if mats[group.mul(g, h)] != reduce(mats[g].mul(mats[h])):
+                        raise NotAHomomorphism(f"action fails to multiply at pair ({g}, {h})")
+        for k, gid in enumerate(group.generator_ids):
+            if mats[gid] != self.generators[k]:
+                raise NotAHomomorphism(f"generator matrix {k} conflicts with the extension")
 
     def with_name(self, name: str) -> "GammaLattice":
-        return GammaLattice(self.group, self.rank, self.matrices, name)
+        return replace(self, name=name)
 
 
 @dataclass(frozen=True)
@@ -208,8 +245,8 @@ def lattice_from_action(
     One rank x rank matrix per ``group.generator_ids`` entry, in order.
     The extension follows the breadth-first words of the group; the result
     must be a homomorphism (``GammaLattice.validate``; NotAHomomorphism with
-    a witness pair) and every generator matrix must be unimodular
-    (NotUnimodular).
+    a witness pair or the conflicting generator) and every generator matrix
+    must be unimodular (NotUnimodular).
     """
     gens = list(generator_matrices)
     if len(gens) != len(group.generator_ids):
@@ -219,15 +256,8 @@ def lattice_from_action(
             raise NotAHomomorphism(f"generator matrix {k} is not {rank}x{rank}")
         if abs(m.det()) != 1:
             raise NotUnimodular(f"generator matrix {k} has determinant {m.det()}")
-
-    mats = [IntMatrix.identity(rank)] * group.order
-    for g, parent, k in bfs_words(group):
-        mats[g] = mats[parent].mul(gens[k])
-    lattice = GammaLattice(group, rank, tuple(mats), name)
+    lattice = GammaLattice(group, rank, tuple(gens), name=name)
     lattice.validate()
-    for k, gid in enumerate(group.generator_ids):
-        if lattice.matrices[gid] != gens[k]:
-            raise NotAHomomorphism(f"generator matrix {k} conflicts with the extension")
     return lattice
 
 
@@ -250,25 +280,24 @@ def character(m: GammaLattice) -> RationalCharacter:
 def direct_sum(m: GammaLattice, n: GammaLattice, name: Optional[str] = None) -> GammaLattice:
     if not same_group(m.group, n.group):
         raise GroupMismatch("direct summands must share the group")
-    mats = tuple(block_diagonal([m.matrices[g], n.matrices[g]]) for g in range(m.group.order))
-    return GammaLattice(m.group, m.rank + n.rank, mats, name)
+    gens = tuple(map(block_diagonal, zip(m.generators, n.generators)))
+    return GammaLattice(m.group, m.rank + n.rank, gens, name=name)
 
 
 def power(m: GammaLattice, r: int) -> GammaLattice:
     if r < 0:
         raise ValueError("power must be nonnegative")
-    mats = tuple(block_diagonal([m.matrices[g]] * r) for g in range(m.group.order))
-    return GammaLattice(m.group, m.rank * r, mats)
+    gens = tuple(block_diagonal([a] * r) for a in m.generators)
+    return GammaLattice(m.group, m.rank * r, gens)
 
 
 def zero_lattice(group: FiniteGroup) -> GammaLattice:
-    empty = IntMatrix.identity(0)
-    return GammaLattice(group, 0, tuple(empty for _ in range(group.order)))
+    return trivial_lattice(group, 0)
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GammaLattice:
-    ident = IntMatrix.identity(rank)
-    return GammaLattice(group, rank, tuple(ident for _ in range(group.order)))
+    gens = (IntMatrix.identity(rank),) * len(group.generator_ids)
+    return GammaLattice(group, rank, gens)
 
 
 def induced_lattice(group: FiniteGroup, delta: Sequence[int]) -> GammaLattice:
@@ -288,21 +317,21 @@ def _induced_cached(group: FiniteGroup, delta: tuple[int, ...]) -> GammaLattice:
     for idx, coset in enumerate(cosets):
         for x in coset:
             coset_of[x] = idx
-    mats = []
-    for g in range(group.order):
+    gens = []
+    for g in group.generator_ids:
         rows = [[0] * rank for _ in range(rank)]
         for j, coset in enumerate(cosets):
             rows[coset_of[group.mul(g, coset[0])]][j] = 1
-        mats.append(IntMatrix.from_rows(rows, cols=rank))
-    return GammaLattice(group, rank, tuple(mats))
+        gens.append(IntMatrix.from_rows(rows, cols=rank))
+    return GammaLattice(group, rank, tuple(gens))
 
 
 def restrict_action(m: GammaLattice, hom: GroupHom) -> GammaLattice:
     """Pull the action back along a verified homomorphism into m's group."""
     if not same_group(hom.target, m.group):
         raise GroupMismatch("homomorphism target is not the lattice's group")
-    mats = tuple(m.matrices[hom.apply(h)] for h in range(hom.source.order))
-    return GammaLattice(hom.source, m.rank, mats)
+    gens = tuple(m.matrices[hom.apply(h)] for h in hom.source.generator_ids)
+    return GammaLattice(hom.source, m.rank, gens)
 
 
 def twist(m: GammaLattice, x: Cocycle) -> GammaLattice:
@@ -319,8 +348,8 @@ def twist(m: GammaLattice, x: Cocycle) -> GammaLattice:
 
 def dual(m: GammaLattice) -> GammaLattice:
     """Contragredient lattice: g acts by the transpose of the inverse."""
-    mats = tuple(m.matrices[m.group.inv(g)].transpose() for g in range(m.group.order))
-    return GammaLattice(m.group, m.rank, mats)
+    gens = tuple(m.matrices[m.group.inv(s)].transpose() for s in m.group.generator_ids)
+    return GammaLattice(m.group, m.rank, gens)
 
 
 @dataclass(frozen=True)
@@ -359,8 +388,9 @@ class LatticeEmbedding:
 def lattice_embedding(
     source: GammaLattice, target: GammaLattice, matrix: IntMatrix
 ) -> LatticeEmbedding:
-    """Validated constructor: checks shape, equivariance on all elements,
-    and injectivity, then keeps the Smith form of ``matrix``.
+    """Validated constructor: checks shape, equivariance on the generators
+    (which implies it on every element), and injectivity, then keeps the
+    Smith form of ``matrix``.
 
     That one Smith form gives both: the map is injective exactly when it
     has ``source.rank`` elementary divisors, and the divisors > 1 are the
@@ -370,9 +400,9 @@ def lattice_embedding(
         raise GroupMismatch("embedding endpoints must share the group")
     if matrix.rows != target.rank or matrix.cols != source.rank:
         raise ValueError("embedding matrix has the wrong shape")
-    for g in range(source.group.order):
-        if matrix.mul(source.matrices[g]) != target.matrices[g].mul(matrix):
-            raise InternalContradiction(f"embedding is not equivariant at element {g}")
+    for gid, a, b in zip(source.group.generator_ids, source.generators, target.generators):
+        if matrix.mul(a) != b.mul(matrix):
+            raise InternalContradiction(f"embedding is not equivariant at element {gid}")
     snf = smith_normal_form(matrix)
     if len(snf.elementary_divisors) != source.rank:
         raise InternalContradiction("embedding matrix is not injective")
@@ -401,7 +431,7 @@ def intertwiner_basis(m: GammaLattice, n: GammaLattice) -> tuple[IntMatrix, ...]
     nvars = n.rank * m.rank
     if nvars == 0:
         return ()
-    if all(m.matrices[g].is_permutation_matrix() for g in m.group.generator_ids):
+    if all(a.is_permutation_matrix() for a in m.generators):
         solutions = _permutation_intertwiners(m, n)
     else:
         solutions = kernel_basis(_intertwiner_constraints(m, n))
@@ -424,9 +454,9 @@ def _intertwiner_constraints(m: GammaLattice, n: GammaLattice) -> IntMatrix:
     """E * act_m(g) = act_n(g) * E on the generators, over E flattened row-major."""
     nvars = n.rank * m.rank
     rows = []
-    for gid in m.group.generator_ids:
-        a = m.matrices[gid].entries
-        b = n.matrices[gid].entries
+    for gen_m, gen_n in zip(m.generators, n.generators):
+        a = gen_m.entries
+        b = gen_n.entries
         # Constraint (i, j): sum_q E[i][q] a[q][j] - sum_p b[i][p] E[p][j] = 0.
         for i in range(n.rank):
             for j in range(m.rank):
@@ -936,7 +966,7 @@ def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> Permutation
         raise ValueError("coord_bound must be positive")
     if m.rank == 0:
         return PermutationCertificate("YES", (), "zero lattice is the empty permutation lattice")
-    if all(m.matrices[g].is_permutation_matrix() for g in m.group.generator_ids):
+    if all(a.is_permutation_matrix() for a in m.generators):
         return PermutationCertificate(
             "YES", _standard_basis(m.rank), "action matrices are permutation matrices"
         )

@@ -10,7 +10,8 @@ and the three computed ones exactly.
 Kernels of torus isogenies are represented throughout by the cokernel of
 the corresponding character-lattice embedding, with the action transported
 through the Smith change of basis; this dual bookkeeping keeps every object
-an exact integer computation.
+an exact integer computation.  A and A' are finite modules: a GammaLattice
+with invariant factors, held by the matrices of the group's generators.
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import GroupMismatch, InternalContradiction, NotFiniteIndex
+from .errors import GroupMismatch, InternalContradiction, NotAHomomorphism, NotFiniteIndex
 from .groups import FiniteGroup, GroupAction, same_group, semidirect_product
 from .induction import OnoResult, ono_construct
-from .intlinalg import FiniteAbelianGroup, IntMatrix, scaled_inverse
+from .intlinalg import IntMatrix, scaled_inverse
 from .lattices import GammaLattice, LatticeEmbedding, lattice_embedding
 
 __all__ = [
     "ReductionInput",
-    "FiniteAbelianWithAction",
     "NarrativeEntry",
     "ReductionReport",
     "reduction_input",
@@ -93,61 +93,16 @@ def existence_m(n: int, d: int) -> int:
     return n * d
 
 
-@dataclass(frozen=True)
-class FiniteAbelianWithAction:
-    """Finite abelian group in invariant-factor form with a group action.
-
-    ``action[g]`` is a k x k integer matrix acting on coordinates modulo the
-    invariant factors; entry (i, j) is stored reduced modulo factor i.
-    """
-
-    structure: FiniteAbelianGroup
-    acting_group: FiniteGroup
-    action: tuple[IntMatrix, ...]
-
-    @property
-    def order(self) -> int:
-        return self.structure.order
-
-    def validate(self) -> None:
-        """Check the action is a homomorphism into the automorphisms."""
-        factors = self.structure.invariant_factors
-        k = len(factors)
-        if len(self.action) != self.acting_group.order:
-            raise ValueError("need one action matrix per group element")
-        for mat in self.action:
-            if mat.rows != k or mat.cols != k:
-                raise ValueError("action matrix has the wrong shape")
-        for g in range(self.acting_group.order):
-            for h in range(self.acting_group.order):
-                prod = self.action[g].mul(self.action[h])
-                expect = self.action[self.acting_group.mul(g, h)]
-                if not _equal_mod_factors(prod, expect, factors):
-                    raise ValueError(f"action fails to multiply at ({g}, {h})")
-        ident = IntMatrix.identity(k)
-        for g in range(self.acting_group.order):
-            inv = self.acting_group.inv(g)
-            if not _equal_mod_factors(self.action[g].mul(self.action[inv]), ident, factors):
-                raise ValueError(f"element {g} does not act invertibly")
-
-
-def _equal_mod_factors(a: IntMatrix, b: IntMatrix, factors: tuple[int, ...]) -> bool:
-    for i, d in enumerate(factors):
-        for j in range(len(factors)):
-            if (a.entries[i][j] - b.entries[i][j]) % d != 0:
-                return False
-    return True
-
-
-def isogeny_kernel(iso: LatticeEmbedding, m: int) -> FiniteAbelianWithAction:
+def isogeny_kernel(iso: LatticeEmbedding, m: int) -> GammaLattice:
     """Kernel data of (multiplication by m) composed with the isogeny.
 
     On the character side this is the cokernel of m * iso.matrix.  Its Smith
     form is the embedding's own ``iso.snf`` with every divisor times m: the
     same transforms u and v diagonalize the scaled matrix.  The target's
-    action descends to the quotient and is expressed on the invariant-factor
-    coordinates through that change of basis.  The result's order is
-    m^rank * |cokernel of iso|.
+    action descends to the quotient; its generator matrices are conjugated
+    by u and restricted to the coordinates whose scaled divisor exceeds 1.
+    The result is a finite module over the target's group with those
+    divisors as factors, and its order is m^rank * |cokernel of iso|.
     """
     if m < 1:
         raise ValueError("multiplier must be positive")
@@ -157,24 +112,21 @@ def isogeny_kernel(iso: LatticeEmbedding, m: int) -> FiniteAbelianWithAction:
     divisors = iso.snf.elementary_divisors
     scaled = tuple(m * d for d in divisors)
     keep = [i for i in range(rank) if scaled[i] > 1]
-    structure = FiniteAbelianGroup(tuple(scaled[i] for i in keep))
-    group = iso.target.group
     u = iso.snf.u
     # From u * iso.matrix * v = d with d square and nonsingular:
     # u^-1 = iso.matrix * v * d^-1, and column j divides exactly by d_j.
     u_inv = IntMatrix.from_rows(
         [[x // divisors[j] for j, x in enumerate(row)] for row in iso.matrix.mul(iso.snf.v).entries]
     )
-    mats = []
-    for g in range(group.order):
-        conj = u.mul(iso.target.matrices[g]).mul(u_inv)
-        rows = [
-            [conj.entries[i][j] % scaled[i] for j in keep]
-            for i in keep
-        ]
-        mats.append(IntMatrix.from_rows(rows, cols=len(keep)))
-    result = FiniteAbelianWithAction(structure, group, tuple(mats))
-    result.validate()
+    gens = []
+    for gen in iso.target.generators:
+        conj = u.mul(gen).mul(u_inv).entries
+        gens.append(IntMatrix.from_rows([[conj[i][j] for j in keep] for i in keep], cols=len(keep)))
+    result = GammaLattice(iso.target.group, len(keep), tuple(gens), tuple(scaled[i] for i in keep))
+    try:
+        result.validate()
+    except NotAHomomorphism as exc:
+        raise InternalContradiction(f"kernel action: {exc}") from exc
     expected = (m ** rank) * iso.index
     if result.order != expected:
         raise InternalContradiction(
@@ -216,17 +168,19 @@ class NarrativeEntry:
 class ReductionReport:
     """Assembled pipeline output.
 
-    ``kernel_order_of_F`` is |A| * |A'|; the narrative has exactly five
-    entries, steps 0 and 1 symbolic, steps 2 through 4 computed.
+    ``a`` and ``a_prime`` are the finite modules A and A' (GammaLattices
+    with invariant factors).  ``kernel_order_of_F`` is |A| * |A'|; the
+    narrative has exactly five entries, steps 0 and 1 symbolic, steps 2
+    through 4 computed.
     """
 
     input: ReductionInput
     ono: OnoResult
     m: int
-    a: FiniteAbelianWithAction
+    a: GammaLattice
     ambient_ono: OnoResult
     reversed_embedding: LatticeEmbedding
-    a_prime: FiniteAbelianWithAction
+    a_prime: GammaLattice
     kernel_order_of_F: int
     narrative: tuple[NarrativeEntry, ...]
 

@@ -32,7 +32,7 @@ from .lattices import (
 
 if TYPE_CHECKING:
     from .induction import ArtinSolution, OnoResult
-    from .reduction import FiniteAbelianWithAction, NarrativeEntry, ReductionReport
+    from .reduction import NarrativeEntry, ReductionReport
 
 __all__ = [
     "FORMAT_VERSION",
@@ -115,7 +115,7 @@ def encode_lattice(m: GammaLattice, name: Optional[str] = None) -> dict:
         "rank": m.rank,
         "group_order": big(m.group.order),
         "generator_ids": list(m.group.generator_ids),
-        "generator_matrices": [encode_matrix(m.matrices[g]) for g in m.group.generator_ids],
+        "generator_matrices": [encode_matrix(a) for a in m.generators],
         "character": encode_character(character(m)),
     }
     label = name if name is not None else m.name
@@ -178,11 +178,13 @@ def encode_ono(result: OnoResult) -> dict:
     }
 
 
-def encode_abelian_with_action(a: FiniteAbelianWithAction) -> dict:
+def encode_abelian_with_action(a: GammaLattice) -> dict:
+    """A finite module: its group, and the action of every element in id
+    order (derived from the generators)."""
     return {
         "structure": encode_abelian(a.structure),
-        "acting_group_order": big(a.acting_group.order),
-        "action": [encode_matrix(mat) for mat in a.action],
+        "acting_group_order": big(a.group.order),
+        "action": [encode_matrix(mat) for mat in a.matrices],
     }
 
 

@@ -141,6 +141,7 @@ def _parse_matrix(obj: object, where: str) -> IntMatrix:
         _require(key in obj, f"{where}: matrix is missing {key!r}")
     rows = _as_int(obj["rows"], f"{where}/rows")
     cols = _as_int(obj["cols"], f"{where}/cols")
+    _require(rows >= 0 and cols >= 0, f"{where}: matrix dimensions must be >= 0")
     entries = obj["entries"]
     _require(isinstance(entries, list), f"{where}/entries: expected a list of rows")
     parsed = [_parse_int_list(row, f"{where}/entries") for row in entries]

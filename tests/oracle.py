@@ -414,3 +414,40 @@ def reference_homomorphism_witness(lattice) -> Optional[str]:
             if mats[group.mul(g, h)] != mats[g].mul(mats[h]):
                 return f"action fails to multiply at pair ({g}, {h})"
     return None
+
+
+def _rational_inverse(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix by Gauss-Jordan over Q."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        pivot = aug[c][c]
+        aug[c] = [x / pivot for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def reference_kernel_matrices(iso, m: int) -> list[list[list[int]]]:
+    """The action on the kernel data of m times ``iso``, element by element:
+    u * N(g) * u^-1 for every g, with u the left Smith transform of
+    iso.matrix and N the target's action, restricted to the coordinates
+    whose scaled divisor m * d_i exceeds 1, row i reduced modulo m * d_i."""
+    u = iso.snf.u.entries
+    u_inv = _rational_inverse(u)
+    n = len(u)
+    scaled = [m * d for d in iso.snf.elementary_divisors]
+    keep = [i for i in range(n) if scaled[i] > 1]
+    out = []
+    for a in iso.target.matrices:
+        conj = [
+            [sum(u[i][p] * a.entries[p][q] * u_inv[q][j] for p in range(n) for q in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert all(x.denominator == 1 for row in conj for x in row)
+        out.append([[int(conj[i][j]) % scaled[i] for j in keep] for i in keep])
+    return out

@@ -327,6 +327,25 @@ def test_workspace_error_paths(tmp_path, capsys):
     )
     with pytest.raises(WorkspaceError):
         load_workspace(str(bad_matrix))
+    # Negative dimensions are input errors, whatever the entries say.
+    for rows, cols in ((0, -1), (-1, 0)):
+        bad_matrix.write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "lattices": {
+                        "x": {
+                            "group": "c2",
+                            "rank": 0,
+                            "generator_matrices": [{"rows": rows, "cols": cols, "entries": []}],
+                        }
+                    },
+                }
+            )
+        )
+        rc, doc = run_json(capsys, "--workspace", str(bad_matrix), "group-info", "c2")
+        assert (rc, doc["error"]["code"]) == (2, "WorkspaceError")
+        assert "dimensions must be >= 0" in doc["error"]["message"]
 
     # A repeated key is rejected, not resolved to its last value: a name
     # defined twice in one section, and a section given twice.
@@ -386,6 +405,35 @@ def test_workspace_error_paths(tmp_path, capsys):
     assert doc["error"] == {
         "code": "UnknownName",
         "message": "lattices/bad: no action named 'nope' in the workspace",
+    }
+
+
+def test_workspace_identity_generator_conflict(tmp_path, capsys):
+    """Over C2 acting on the trivial group, the semidirect product's first
+    generator is the identity, which acts as the identity whatever matrix
+    is given for it."""
+    doc = {
+        "format": 1,
+        "groups": {"gamma1": {"points": 1, "generators": [[0]]}},
+        "actions": {"onto_triv": {"actor": "c2", "target": "gamma1", "generator_images": [[0]]}},
+        "lattices": {
+            "x": {
+                "group": "semidirect:onto_triv",
+                "rank": 1,
+                "generator_matrices": [
+                    {"rows": 1, "cols": 1, "entries": [[-1]]},
+                    {"rows": 1, "cols": 1, "entries": [[1]]},
+                ],
+            }
+        },
+    }
+    path = tmp_path / "conflict.json"
+    path.write_text(json.dumps(doc))
+    rc, out = run_json(capsys, "--workspace", str(path), "check")
+    assert rc == 2
+    assert out["error"] == {
+        "code": "NotAHomomorphism",
+        "message": "generator matrix 0 conflicts with the extension",
     }
 
 

@@ -177,9 +177,13 @@ def _ono_pair(lat):
 def test_validate_names_the_pair_scan_witness():
     """Checking generators only still reports the first failing pair."""
     good = builtin_lattice("s3_standard")
-    mats = list(good.matrices)
-    for x, y in ((1, 2), (5, 3), (4, 1)):
-        bad = GammaLattice(good.group, good.rank, tuple(mats[:x] + [mats[y]] + mats[x + 1 :]))
+    mats = good.matrices
+    # Generator tuples that break a relation of S3: generator k set to the
+    # matrix of another element.
+    for k, y in ((0, 2), (0, 5), (1, 3)):
+        gens = list(good.generators)
+        gens[k] = mats[y]
+        bad = GammaLattice(good.group, good.rank, tuple(gens))
         expected = reference_homomorphism_witness(bad)
         assert expected is not None
         with pytest.raises(NotAHomomorphism) as info:
@@ -190,6 +194,20 @@ def test_validate_names_the_pair_scan_witness():
         lattice_from_action(builtin_group("c2"), 2, [IntMatrix.from_rows([[0, 1], [1, 1]])])
     assert str(info.value) == "action fails to multiply at pair (1, 1)"
     assert reference_homomorphism_witness(good) is None
+
+
+def test_finite_module_validates_modulo_its_factors():
+    """C2 acting on Z/4 by 3 is an action (9 = 1 mod 4); C3 acting by 3 is
+    not (27 = 3 mod 4)."""
+    three = IntMatrix.from_rows([[3]])
+    GammaLattice(builtin_group("c2"), 1, (three,), (4,)).validate()
+    with pytest.raises(NotAHomomorphism):
+        GammaLattice(builtin_group("c3"), 1, (three,), (4,)).validate()
+    # Generators are stored reduced, and so is every derived matrix.
+    module = GammaLattice(builtin_group("c2"), 1, (IntMatrix.from_rows([[-5]]),), (4,))
+    assert module.generators[0] == three
+    assert module.matrices == (IntMatrix.identity(1), three)
+    assert (module.structure.invariant_factors, module.order) == ((4,), 4)
 
 
 def test_row_block_det_matches_bareiss():

@@ -3,7 +3,13 @@
 import pytest
 
 from gammalat import intlinalg, lattices, reduction
-from gammalat.corpus import builtin_group, builtin_lattice, builtin_reduction, builtin_reductions
+from gammalat.corpus import (
+    builtin_group,
+    builtin_lattice,
+    builtin_lattices,
+    builtin_reduction,
+    builtin_reductions,
+)
 from gammalat.errors import GroupMismatch, NotFiniteIndex
 from gammalat.groups import GroupAction, trivial_group
 from gammalat.induction import ono_construct
@@ -16,6 +22,7 @@ from gammalat.reduction import (
     reduction_input,
     reverse_isogeny,
 )
+from oracle import reference_kernel_matrices
 
 
 def sign_embedding():
@@ -41,7 +48,7 @@ def test_isogeny_kernel_orders_and_structure():
     assert a2.structure.invariant_factors == (2, 4)
     assert a2.order == 8
     a2.validate()
-    assert a2.acting_group.order == 2
+    assert a2.group.order == 2
     with pytest.raises(ValueError):
         isogeny_kernel(iso, 0)
 
@@ -151,13 +158,27 @@ def test_reduce_sign_galois_fixture():
 def test_kernel_action_is_transported_group_action():
     report = reduce_stabilizer(builtin_reduction("sign_component"))
     a = report.a
-    assert len(a.action) == a.acting_group.order
+    assert len(a.matrices) == a.group.order
     a.validate()
     # the nontrivial component acts nontrivially on Z/2 x Z/4
-    nontrivial = a.action[1]
-    identity = a.action[0]
+    nontrivial = a.matrices[1]
+    identity = a.matrices[0]
     assert identity.is_identity()
     assert nontrivial != identity
+
+
+def test_kernel_matrices_match_per_element_conjugation():
+    """The element matrices derived from the kernel's generators are the
+    conjugated target matrices of every element, reduced, for the Ono
+    embedding of every corpus lattice and its reversal."""
+    lats = builtin_lattices()
+    assert len(lats) == 16
+    for lat in lats:
+        iso = ono_construct(lat).embedding
+        for emb in (iso, reverse_isogeny(iso)):
+            for m in (1, 2, 3):
+                got = [[list(row) for row in a.entries] for a in isogeny_kernel(emb, m).matrices]
+                assert got == reference_kernel_matrices(emb, m), (lat.name, m)
 
 
 def test_reduction_ono_packages_the_embedding():
