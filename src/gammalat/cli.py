@@ -33,6 +33,7 @@ from .serialize import (
     format_table,
 )
 from .workspace import (
+    _DECIMAL,
     Workspace,
     empty_workspace,
     load_workspace,
@@ -214,7 +215,9 @@ def cmd_check(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str
 
 
 def positive_int(text: str) -> int:
-    """argparse type for integers >= 1; argparse exits 2 on anything else."""
+    """argparse type for integers >= 1 in workspace notation; argparse exits 2 otherwise."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(text)
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")

@@ -20,12 +20,12 @@ is a direct sum, so the basis splits into blocks supported on disjoint
 rows, and the determinant of a combination is a Laplace expansion along
 those row blocks: the signed minors of the blocks fixed so far, on every
 column subset, are shared by all settings of the later blocks, and the
-last block costs one dot product per candidate.  With a single block, or
-where an operation count favours it, the one coefficient box is instead
-walked in reflected Gray-code order, so each candidate differs from the
-last by one basis matrix, with a Bareiss determinant per candidate.
-Either way the same candidates meet the same total order, so the answer
-is the same.
+last block costs one dot product per candidate.  Each block's settings are
+walked in reflected Gray-code order, so each differs from the last by one
+basis matrix.  Where an operation count says splitting does not pay, one
+merged block holds every row and basis member, and each candidate costs
+one Bareiss determinant.  Either way the same candidates meet the same
+total order, so the answer is the same.
 
 All searches are deterministic: fixed candidate sets, a total order on
 candidates, and a fixed-seed pseudorandom fallback for the one search whose
@@ -40,11 +40,11 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from itertools import product as iter_product
 from math import comb
 from operator import add, mul, sub
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     CharacterMismatch,
@@ -538,41 +538,6 @@ def _smaller_key(
     return key if best is None or key < best else best
 
 
-def _box_minimum(nonzeros: list[list[tuple[int, int]]], n: int, bound: int) -> Optional[tuple]:
-    """The least key of the combinations sum c_j * basis_j with c in
-    [-bound, bound]^k minus 0.
-
-    The box is walked in reflected Gray-code order (coefficient 0 moving
-    fastest), so each step adds or subtracts one basis matrix's nonzero
-    entries.  Of each pair c, -c only the one whose first nonzero
-    coefficient is positive is evaluated, standing for both.
-    """
-    k = len(nonzeros)
-    coeffs = [-bound] * k
-    steps = [1] * k
-    flat = [0] * (n * n)
-    for nz in nonzeros:
-        for idx, val in nz:
-            flat[idx] -= bound * val
-    best = None
-    while True:
-        for lead in coeffs:
-            if lead:
-                break
-        if lead > 0:
-            best = _smaller_key(flat, n, best, paired=True)
-        j = 0
-        while j < k and not -bound <= coeffs[j] + steps[j] <= bound:
-            steps[j] = -steps[j]
-            j += 1
-        if j == k:
-            return best
-        step = steps[j]
-        coeffs[j] += step
-        for idx, val in nonzeros[j]:
-            flat[idx] += step * val
-
-
 # -- Row-block Laplace expansion ----------------------------------------------
 #
 # A column subset is a bitmask; the subsets of one size are listed in
@@ -623,6 +588,8 @@ def _laplace_step(
 
 def _maximal_minors(rows: Sequence[Sequence[int]], n: int) -> list[int]:
     """The r x r minors of an r x n matrix, aligned with _subsets(n, r)."""
+    if len(rows) == n:
+        return [bareiss_det(rows)]
     minors = [1]
     for p, row in enumerate(rows):
         minors = _laplace_step(minors, _laplace_moves(n, p, 1), row, comb(n, p + 1))
@@ -707,6 +674,45 @@ def _expansion_pays(blocks: list[tuple[tuple[int, ...], tuple[int, ...]]], n: in
     return cost < walk
 
 
+def _block_settings(
+    nonzeros: list[list[tuple[int, int]]],
+    n: int,
+    block: tuple[tuple[int, ...], tuple[int, ...]],
+    bound: int,
+    first: bool,
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """The block's coefficient vectors c in [-bound, bound]^members whose
+    part (its rows of sum c_j * basis_j) has full row rank, each with the
+    part's maximal minors; with ``first`` only one of each pair +-c, the
+    one whose first nonzero coefficient is positive.  The box is walked in
+    reflected Gray-code order, each step adding or subtracting one basis
+    matrix's nonzero entries."""
+    rows, members = block
+    at = {r: p for p, r in enumerate(rows)}
+    moves = [[(at[idx // n], idx % n, val) for idx, val in nonzeros[j]] for j in members]
+    coeffs = [-bound] * len(members)
+    steps = [1] * len(members)
+    part = [[0] * n for _ in rows]
+    for p, col, val in chain.from_iterable(moves):
+        part[p][col] -= bound * val
+    while True:
+        lead = next(filter(None, coeffs), 0)
+        if lead > 0 or (lead and not first):
+            minors = _maximal_minors(part, n)
+            if any(minors):
+                yield tuple(coeffs), minors
+        for j, c in enumerate(coeffs):
+            if -bound <= c + steps[j] <= bound:
+                break
+            steps[j] = -steps[j]
+        else:
+            return
+        step = steps[j]
+        coeffs[j] += step
+        for p, col, val in moves[j]:
+            part[p][col] += step * val
+
+
 def _block_minimum(
     nonzeros: list[list[tuple[int, int]]],
     n: int,
@@ -714,56 +720,45 @@ def _block_minimum(
     bound: int,
 ) -> Optional[tuple]:
     """The least key over [-bound, bound]^k minus 0, by Laplace expansion
-    along the row blocks.
+    along ``blocks``, which hold every member on disjoint rows.
 
-    A candidate is invertible only if each block's part is, so each block's
-    settings are its nonzero coefficient vectors of full row rank (the
-    first block's with a positive first nonzero coefficient, one of each
-    pair +-E), each with its maximal minors computed once.  Blocks are
-    fixed one at a time: the signed minors of the blocks fixed so far, on
-    every column subset, are shared by every setting of the later blocks,
-    and the last block's minors meet them in one dot product.
+    A candidate is invertible only if each block's part is, so only the
+    settings of full row rank are combined, the first block's standing for
+    both of each pair +-E.  Blocks are fixed one at a time: the signed
+    minors of the blocks fixed so far, on every column subset, are shared
+    by every (stored) setting of the later blocks, and the last block's
+    minors meet them in one dot product.  A single block's one minor is
+    the determinant, and its settings are consumed as they are walked.
     """
-    choices = []
-    for i, (rows, members) in enumerate(blocks):
-        options = []
-        for coeffs in iter_product(range(-bound, bound + 1), repeat=len(members)):
-            lead = next((c for c in coeffs if c), 0)
-            if lead == 0 or (i == 0 and lead < 0):
-                continue
-            part = {r: [0] * n for r in rows}
-            for c, j in zip(coeffs, members):
-                if c:
-                    for idx, val in nonzeros[j]:
-                        part[idx // n][idx % n] += c * val
-            minors = _maximal_minors([part[r] for r in rows], n)
-            if any(minors):
-                options.append((tuple(part.items()), minors))
-        choices.append(options)
-
+    settings = [_block_settings(nonzeros, n, b, bound, i == 0) for i, b in enumerate(blocks)]
+    if len(blocks) > 1:
+        settings = [list(s) for s in settings]
+    order = [j for _, members in blocks for j in members]
     best = None
     last = len(blocks) - 1
     width = len(blocks[last][0])
 
-    def descend(i: int, prefix: list[int], size: int, parts: tuple) -> None:
+    def descend(i: int, prefix: list[int], size: int, coeffs: tuple[int, ...]) -> None:
         nonlocal best
         if i == last:
             fold = [0] * comb(n, width)
             for v, ((s, _, sign),) in zip(prefix, _laplace_moves(n, size, width)):
                 fold[s] = sign * v
-            for part, minors in choices[i]:
+            for tail, minors in settings[i]:
                 det = sum(map(mul, fold, minors))
                 if det and (best is None or abs(det) <= best[0]):
-                    by_row = dict(parts + part)
-                    flat = [x for r in range(n) for x in by_row[r]]
+                    flat = [0] * (n * n)
+                    for c, j in zip(coeffs + tail, order):
+                        for idx, val in nonzeros[j]:
+                            flat[idx] += c * val
                     best = _smaller_key(flat, n, best, paired=True, det=det)
             return
         r = len(blocks[i][0])
         moves = _laplace_moves(n, size, r)
-        for part, minors in choices[i]:
+        for head, minors in settings[i]:
             grown = _laplace_step(prefix, moves, minors, comb(n, size + r))
             if any(grown):
-                descend(i + 1, grown, size + r, parts + part)
+                descend(i + 1, grown, size + r, coeffs + head)
 
     descend(0, [_order_sign([r for rows, _ in blocks for r in rows])], 0, ())
     return best
@@ -785,13 +780,13 @@ def equivariant_finite_index_embedding(
 
     m2 is a direct sum, and Hom(m1, N1 + N2) = Hom(m1, N1) + Hom(m1, N2),
     so the Hermite-form basis splits into blocks supported on disjoint rows
-    (read off the basis itself).  With two or more blocks, and when an
-    operation count says it is cheaper, the box is searched by Laplace
-    expansion along the row blocks (_block_minimum).  Otherwise the box is
-    walked once in reflected Gray-code order, one basis matrix added per
-    step, evaluating one of each pair +-E with a Bareiss determinant.  If
-    even the smallest box exceeds the budget, or no candidate is
-    invertible, a fixed-seed pseudorandom phase takes over (disabled by
+    (read off the basis itself).  The box is searched by Laplace expansion
+    along those blocks (_block_minimum), each block's box walked in
+    reflected Gray-code order.  When an operation count says splitting does
+    not pay, one merged block holds every row and member, and the whole box
+    is walked once with a Bareiss determinant per pair +-E.  If even the
+    smallest box exceeds the budget, or no candidate is invertible, a
+    fixed-seed pseudorandom phase takes over (disabled by
     ``allow_random=False``, in which case exhaustion raises
     NoInvertibleIntertwiner).
     """
@@ -816,10 +811,9 @@ def equivariant_finite_index_embedding(
     bound = max((b for b in _SHELL_BOUNDS if (2 * b + 1) ** k <= _SHELL_BUDGET), default=0)
     if bound:
         blocks = _row_blocks(nonzeros, n)
-        if _expansion_pays(blocks, n, bound):
-            best = _block_minimum(nonzeros, n, blocks, bound)
-        else:
-            best = _box_minimum(nonzeros, n, bound)
+        if not _expansion_pays(blocks, n, bound):
+            blocks = [(tuple(range(n)), tuple(range(k)))]
+        best = _block_minimum(nonzeros, n, blocks, bound)
     if best is None:
         if bound and not allow_random:
             raise NoInvertibleIntertwiner("deterministic search exhausted without an invertible map")

@@ -120,6 +120,7 @@ def test_parser_wiring():
     assert (args.run, args.coord_bound, args.seedless) == (cmd_check, 2, False)
     args = parse(["check", "--seedless", "--coord-bound", "3"])
     assert (args.run, args.coord_bound, args.seedless) == (cmd_check, 3, True)
+    assert parse(["check", "--coord-bound", "+2"]).coord_bound == 2
     for argv in (["group-info", "s3"], ["artin", "c2_sign"]):
         args = parse(argv)
         assert not hasattr(args, "seedless") and not hasattr(args, "coord_bound")
@@ -473,9 +474,12 @@ def test_twist_coord_bound_below_one_is_a_usage_error(capsys):
         code, err = _usage_error(capsys, "twist", "c3_augmentation", "x", "--coord-bound", bad)
         assert code == 2
         assert "--coord-bound: must be >= 1" in err
-    code, err = _usage_error(capsys, "twist", "c3_augmentation", "x", "--coord-bound", "abc")
-    assert code == 2
-    assert "invalid positive_int value: 'abc'" in err
+    # Only an optional sign and ASCII digits, as in workspace files; int()
+    # alone would take the last three as 10, 3 and 3.
+    for bad in ("abc", "1_0", " 3 ", "\u0663"):
+        code, err = _usage_error(capsys, "twist", "c3_augmentation", "x", "--coord-bound", bad)
+        assert code == 2
+        assert f"invalid positive_int value: {bad!r}" in err
 
 
 def test_check_coord_bound_below_one_is_a_usage_error(capsys):

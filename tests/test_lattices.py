@@ -260,7 +260,8 @@ def _row_block_basis(rng, shape, lead="random"):
 
 def test_block_search_matches_reference():
     """The row-block expansion finds exactly the matrix the product-order
-    reference search finds, with 2 to 4 blocks over ranks 2 to 6."""
+    reference search finds, with 2 to 4 blocks over ranks 2 to 6, and so
+    does the walk of the same box as one merged block."""
     rng = random.Random(5)
     cases = [
         ([(1, 1), (1, 1)], "random"),
@@ -285,13 +286,18 @@ def test_block_search_matches_reference():
         assert sorted((len(rows), len(members)) for rows, members in blocks) == sorted(shape)
         k = len(basis)
         bound = max(b for b in (1, 2, 3, 6, 12, 24) if (2 * b + 1) ** k <= 20000)
-        best = _block_minimum(nonzeros, n, blocks, bound)
         expected = reference_embedding_matrix(basis, n)
-        if best is None:
-            assert expected is None, (shape, lead)
-        else:
-            found += 1
-            assert [list(best[3][i * n : (i + 1) * n]) for i in range(n)] == expected, (shape, lead)
+        found += expected is not None
+        # Split along the row blocks, and merged into one block of all rows
+        # and members, which is how the search walks a box that does not
+        # pay to split.
+        for split in (blocks, [(tuple(range(n)), tuple(range(k)))]):
+            best = _block_minimum(nonzeros, n, split, bound)
+            if best is None:
+                assert expected is None, (shape, lead, len(split))
+            else:
+                matrix = [list(best[3][i * n : (i + 1) * n]) for i in range(n)]
+                assert matrix == expected, (shape, lead, len(split))
     # The two structurally singular leading blocks find nothing; the
     # comparison is not vacuous for the others.
     assert found >= len(cases) - 3
