@@ -9,14 +9,17 @@ lists, reports) canonical.
 Also here: group actions by automorphisms, semidirect products, 1-cocycles
 for the twisting construction, and the twisted sections they induce.
 Semidirect products are memoized like the derived tables: one per action.
+Every law check (associativity, commutativity, the homomorphism,
+automorphism and cocycle laws, and the lattice law in ``lattices``) runs
+through ``first_failure``, on the generator edges of the Cayley graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Iterable, Optional, Sequence
+from itertools import permutations, product
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     ClosureTooLarge,
@@ -28,6 +31,7 @@ from .errors import (
 
 __all__ = [
     "FiniteGroup",
+    "first_failure",
     "GroupAction",
     "GroupHom",
     "SemidirectProduct",
@@ -81,6 +85,9 @@ class FiniteGroup:
             for x in row:
                 if not 0 <= x < n:
                     raise ValueError(f"table entry {x} out of range")
+        for s in self.generator_ids:
+            if not 0 <= s < n:
+                raise ValueError(f"generator id {s} out of range")
         if len(self.inv_table) != n:
             raise ValueError("inverse table has the wrong shape")
         for g in range(n):
@@ -118,24 +125,40 @@ class FiniteGroup:
         return str(g)
 
     def is_abelian(self) -> bool:
-        return all(
-            self.mul_table[a][b] == self.mul_table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        """ab = ba for all a and b."""
+        mt = self.mul_table
+        return first_failure(self, lambda a, b: mt[a][b] == mt[b][a]) is None
 
     def validate(self) -> None:
-        """Exhaustive associativity check on top of the constructor checks."""
-        n = self.order
+        """Associativity, (ab)c = a(bc), on top of the constructor checks."""
         mt = self.mul_table
-        for a in range(n):
-            for b in range(n):
-                ab = mt[a][b]
-                row_ab = mt[ab]
-                row_b = mt[b]
-                for c in range(n):
-                    if row_ab[c] != mt[a][row_b[c]]:
-                        raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+        bad = first_failure(self, lambda a, b, c: mt[mt[a][b]][c] == mt[a][mt[b][c]], arity=3)
+        if bad is not None:
+            raise ValueError(f"associativity fails at {bad}")
+
+
+def first_failure(group: FiniteGroup, law: Callable[..., bool], arity: int = 2) -> Optional[tuple]:
+    """The first ``arity``-tuple of element ids, in ascending order, at which
+    ``law`` fails; None if there is none.  Only the edges of the Cayley
+    graph, the tuples whose last entry is a generator (the identity if there
+    are none), are checked, unless one fails: then all tuples are scanned.
+
+    The edges suffice, on associative tables.  If f(gs) = f(g)f(s) for every
+    g and generator s, then f(g(h's)) = f((gh')s) = f(gh')f(s) =
+    f(g)f(h')f(s) = f(g)f(h's), so the law holds for all h by induction on
+    word length (``FiniteGroup`` checks that the generators generate).  The base case f(e) = 1 holds by
+    construction (row 0 of an action, matrix 0 of a lattice, the
+    ``images[0]`` test of a ``GroupHom``) or from the edge at g = e when f(s)
+    is invertible.  Associativity: (ab)(c's) = ((ab)c')s = (a(bc'))s =
+    a((bc')s) = a(b(c's)).  An element that commutes with every generator
+    commutes with everything.  The cocycle law is the homomorphism law of
+    g -> (x_g, g) into the semidirect product.
+    """
+    ids = range(group.order)
+    gens = group.generator_ids or (0,)
+    if all(law(*t, s) for t in product(ids, repeat=arity - 1) for s in gens):
+        return None
+    return next(t for t in product(ids, repeat=arity) if not law(*t))
 
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -450,12 +473,10 @@ class GroupHom:
                 raise NotAHomomorphism(f"image {x} out of range")
         if self.images[0] != 0:
             raise NotAHomomorphism("identity does not map to identity")
-        for a in range(self.source.order):
-            for b in range(self.source.order):
-                if self.images[self.source.mul(a, b)] != self.target.mul(
-                    self.images[a], self.images[b]
-                ):
-                    raise NotAHomomorphism(f"multiplicativity fails at ({a}, {b})")
+        images, src, tgt = self.images, self.source.mul_table, self.target.mul_table
+        bad = first_failure(self.source, lambda a, b: images[src[a][b]] == tgt[images[a]][images[b]])
+        if bad is not None:
+            raise NotAHomomorphism(f"multiplicativity fails at {bad}")
 
     def apply(self, g: int) -> int:
         return self.images[g]
@@ -502,7 +523,7 @@ class GroupAction:
         """Extend automorphisms given on ``actor.generator_ids`` to all of actor.
 
         The extension follows the breadth-first words of the actor; the result
-        is validated exhaustively.
+        is validated.
         """
         if len(images) != len(actor.generator_ids):
             raise NotAHomomorphism("need one automorphism per actor generator")
@@ -518,23 +539,20 @@ class GroupAction:
         return action
 
     def validate(self) -> None:
-        """Check that every row is an automorphism and the map is a hom."""
-        n = self.target.order
-        for g, row in enumerate(self.table):
-            if sorted(row) != list(range(n)):
+        """Each row is a bijective automorphism, row by row in id order, and
+        the table is a homomorphism: table[gh] = table[g] o table[h]."""
+        table, ft, gt = self.table, self.target.mul_table, self.actor.mul_table
+        for g, row in enumerate(table):
+            if sorted(row) != list(range(self.target.order)):
                 raise NotAHomomorphism(f"actor element {g} does not act bijectively")
-            for a in range(n):
-                for b in range(n):
-                    if row[self.target.mul(a, b)] != self.target.mul(row[a], row[b]):
-                        raise NotAHomomorphism(
-                            f"actor element {g} does not act by an automorphism at ({a}, {b})"
-                        )
-        for g in range(self.actor.order):
-            for h in range(self.actor.order):
-                gh = self.actor.mul(g, h)
-                for f in range(n):
-                    if self.table[gh][f] != self.table[g][self.table[h][f]]:
-                        raise NotAHomomorphism(f"action is not a homomorphism at ({g}, {h})")
+            bad = first_failure(self.target, lambda a, b: row[ft[a][b]] == ft[row[a]][row[b]])
+            if bad is not None:
+                raise NotAHomomorphism(f"actor element {g} does not act by an automorphism at {bad}")
+        bad = first_failure(
+            self.actor, lambda g, h: table[gt[g][h]] == tuple(map(table[g].__getitem__, table[h]))
+        )
+        if bad is not None:
+            raise NotAHomomorphism(f"action is not a homomorphism at {bad}")
 
 
 @dataclass(frozen=True)
@@ -634,21 +652,14 @@ class CocycleCheck:
 
 
 def validate_cocycle(x: Cocycle) -> CocycleCheck:
-    """Check the cocycle law at every pair; report the first violation.
-
-    Pairs are scanned in ascending (g, h) order, so the witness is canonical.
-    The identity condition ``x_e = e`` is implied by the law at (0, 0).
-    """
-    act = x.base
-    f_grp = act.target
-    g_grp = act.actor
-    for g in range(g_grp.order):
-        for h in range(g_grp.order):
-            lhs = x.values[g_grp.mul(g, h)]
-            rhs = f_grp.mul(x.values[g], act.act(g, x.values[h]))
-            if lhs != rhs:
-                return CocycleCheck(False, (g, h))
-    return CocycleCheck(True, None)
+    """The cocycle law x_(gh) = x_g * act(g, x_h), with the first failing
+    pair (g, h) in ascending order as the witness."""
+    values, table = x.values, x.base.table
+    ft, gt = x.base.target.mul_table, x.base.actor.mul_table
+    bad = first_failure(
+        x.base.actor, lambda g, h: values[gt[g][h]] == ft[values[g]][table[g][values[h]]]
+    )
+    return CocycleCheck(bad is None, bad)
 
 
 def twisted_section(x: Cocycle) -> GroupHom:
@@ -682,22 +693,17 @@ def enumerate_cocycles(action: GroupAction) -> tuple[Cocycle, ...]:
 def automorphisms(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All automorphisms as image tuples, lexicographically sorted.
 
-    Brute force over permutations fixing the identity; intended for the
-    small groups used in twisting sweeps (order <= 8).
+    Brute force over permutations fixing the identity, keeping those with
+    phi(ab) = phi(a)phi(b); intended for the small groups used in twisting
+    sweeps (order <= 8).
     """
     if group.order > 8:
         raise ValueError("automorphism enumeration is limited to order <= 8")
-    n = group.order
+    mt = group.mul_table
     out = []
-    from itertools import permutations
-
-    for rest in permutations(range(1, n)):
+    for rest in permutations(range(1, group.order)):
         phi = (0,) + rest
-        if all(
-            phi[group.mul(a, b)] == group.mul(phi[a], phi[b])
-            for a in range(n)
-            for b in range(n)
-        ):
+        if first_failure(group, lambda a, b: phi[mt[a][b]] == mt[phi[a]][phi[b]]) is None:
             out.append(phi)
     return tuple(sorted(out))
 

@@ -60,6 +60,7 @@ from .groups import (
     GroupHom,
     bfs_words,
     conjugacy_classes,
+    first_failure,
     fixed_coset_counts,
     left_cosets,
     same_group,
@@ -142,6 +143,7 @@ class GammaLattice:
         if self.factors is not None:
             if len(self.factors) != self.rank:
                 raise ValueError("need one invariant factor per coordinate")
+            FiniteAbelianGroup(self.factors)  # each factor >= 2, a divisibility chain
             object.__setattr__(self, "generators", tuple(map(self._reduce, self.generators)))
 
     def _reduce(self, m: IntMatrix) -> IntMatrix:
@@ -168,27 +170,16 @@ class GammaLattice:
         return self.structure.order
 
     def validate(self) -> None:
-        """Check that the action is a homomorphism: M(gh) = M(g)M(h).
-
-        The identity acts as the identity and the generators generate, so
-        M(g * s) = M(g)M(s) for every element g and generator s implies it
-        for all pairs (by induction on the word length of h), compared
-        modulo the factors.  Only on a failure are all pairs scanned, to
-        name the first failing pair.  Last, each generator must act as
-        given, which can fail where a generator id repeats or is the
-        identity.
+        """The action is a homomorphism, M(gh) = M(g)M(h) modulo the
+        factors, with the first failing pair as the witness.  Then each
+        generator must act as given, which can fail where a generator id
+        repeats or is the identity.
         """
-        group, mats, reduce = self.group, self.matrices, self._reduce
-        if not all(
-            mats[group.mul(g, s)] == reduce(mats[g].mul(mats[s]))
-            for s in group.generator_ids
-            for g in range(group.order)
-        ):
-            for g in range(group.order):
-                for h in range(group.order):
-                    if mats[group.mul(g, h)] != reduce(mats[g].mul(mats[h])):
-                        raise NotAHomomorphism(f"action fails to multiply at pair ({g}, {h})")
-        for k, gid in enumerate(group.generator_ids):
+        mt, mats, reduce = self.group.mul_table, self.matrices, self._reduce
+        bad = first_failure(self.group, lambda g, h: mats[mt[g][h]] == reduce(mats[g].mul(mats[h])))
+        if bad is not None:
+            raise NotAHomomorphism(f"action fails to multiply at pair {bad}")
+        for k, gid in enumerate(self.group.generator_ids):
             if mats[gid] != self.generators[k]:
                 raise NotAHomomorphism(f"generator matrix {k} conflicts with the extension")
 

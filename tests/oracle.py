@@ -368,11 +368,11 @@ def reference_permutation_search(m, coord_bound: int):
     return search(0, 0)
 
 
-# -- Reference group closure and homomorphism check ---------------------------
+# -- Reference group closure and law checks -----------------------------------
 #
-# The multiplication table by composing every pair of permutations, and the
-# homomorphism check over every pair of elements, as they stood before the
-# library read the table off its closure and checked only generators.
+# The multiplication table by composing every pair of permutations, and law
+# checks over every tuple of elements, as they stood before the library read
+# the table off its closure and checked laws on generator edges only.
 
 
 def reference_group_tables(perms):
@@ -405,15 +405,21 @@ def reference_group_tables(perms):
     return mul_table, tuple(inv_table), tuple(index[g] for g in gens), tuple(words)
 
 
+def full_scan_failure(order: int, law, arity: int = 2) -> Optional[tuple[int, ...]]:
+    """The first ``arity``-tuple of ids in 0..order-1, in ascending order,
+    at which ``law`` fails, scanning every tuple; None when there is none."""
+    for t in iter_product(range(order), repeat=arity):
+        if not law(*t):
+            return t
+    return None
+
+
 def reference_homomorphism_witness(lattice) -> Optional[str]:
     """The message naming the first pair (g, h), in id order, with
     M(gh) != M(g)M(h); None when there is none."""
     group, mats = lattice.group, lattice.matrices
-    for g in range(group.order):
-        for h in range(group.order):
-            if mats[group.mul(g, h)] != mats[g].mul(mats[h]):
-                return f"action fails to multiply at pair ({g}, {h})"
-    return None
+    bad = full_scan_failure(group.order, lambda g, h: mats[group.mul(g, h)] == mats[g].mul(mats[h]))
+    return None if bad is None else "action fails to multiply at pair ({}, {})".format(*bad)
 
 
 def _rational_inverse(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:

@@ -1,9 +1,12 @@
 """Finite groups from generators, subgroup machinery, semidirect products."""
 
+import random
+from itertools import permutations, product
+
 import pytest
 
 from gammalat import groups
-from gammalat.corpus import builtin_group
+from gammalat.corpus import builtin_group, builtin_groups
 from gammalat.errors import (
     ClosureTooLarge,
     InvalidCocycle,
@@ -13,6 +16,8 @@ from gammalat.errors import (
 )
 from gammalat.groups import (
     Cocycle,
+    CocycleCheck,
+    FiniteGroup,
     GroupAction,
     GroupHom,
     all_actions,
@@ -31,7 +36,7 @@ from gammalat.groups import (
     twisted_section,
     validate_cocycle,
 )
-from oracle import reference_all_subgroups, reference_group_tables
+from oracle import full_scan_failure, reference_all_subgroups, reference_group_tables
 
 
 def s3():
@@ -66,6 +71,10 @@ def test_generator_validation():
     with pytest.raises(ClosureTooLarge):
         # two generators of the full symmetric group on 8 points (order 40320)
         group_from_generators([[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]])
+    c2 = builtin_group("c2")
+    for ids in ((-1,), (5,)):
+        with pytest.raises(ValueError, match=f"generator id {ids[0]} out of range"):
+            FiniteGroup(2, c2.mul_table, c2.inv_table, ids)
 
 
 def test_semidirect_product_obeys_the_order_cap(monkeypatch):
@@ -116,6 +125,35 @@ def test_group_hom_validation():
         GroupHom(c2, c4, (0, 1))
     with pytest.raises(NotAHomomorphism):
         GroupHom(c2, c4, (1, 0))
+    # Random image tables, and the maps g -> (x_g, g) into a semidirect
+    # product for random x, fail at the pair a scan of all pairs names.
+    rng = random.Random(14)
+    c3, v4 = builtin_group("c3"), builtin_group("v4")
+    cases = []
+    for source, target in ((s3(), s3()), (s3(), c2), (v4, c4), (v4, v4)):
+        for _ in range(200):
+            tail = tuple(rng.randrange(target.order) for _ in range(source.order - 1))
+            cases.append((source, target, (0,) + tail))
+    for actor, f_grp in ((c2, c3), (s3(), v4)):
+        action = next(a for a in all_actions(actor, f_grp) if not a.is_trivial())
+        prod = semidirect_product(action)
+        for _ in range(200):
+            xs = (0,) + tuple(rng.randrange(f_grp.order) for _ in range(actor.order - 1))
+            images = tuple(prod.pair_id(xs[g], g) for g in range(actor.order))
+            cases.append((actor, prod.group, images))
+    homs = 0
+    for source, target, images in cases:
+        smt, tmt = source.mul_table, target.mul_table
+        law = lambda a, b: images[smt[a][b]] == tmt[images[a]][images[b]]
+        bad = full_scan_failure(source.order, law)
+        if bad is None:
+            GroupHom(source, target, images)
+            homs += 1
+            continue
+        with pytest.raises(NotAHomomorphism) as info:
+            GroupHom(source, target, images)
+        assert str(info.value) == "multiplicativity fails at ({}, {})".format(*bad)
+    assert 0 < homs < len(cases)
 
 
 def test_automorphisms_counts():
@@ -123,6 +161,14 @@ def test_automorphisms_counts():
     assert len(automorphisms(builtin_group("c4"))) == 2
     assert len(automorphisms(builtin_group("v4"))) == 6
     assert len(automorphisms(trivial_group())) == 1
+    for name, group in builtin_groups():
+        mt, n = group.mul_table, group.order
+        expected = [
+            phi
+            for phi in ((0,) + rest for rest in permutations(range(1, n)))
+            if full_scan_failure(n, lambda a, b: phi[mt[a][b]] == mt[phi[a]][phi[b]]) is None
+        ]
+        assert automorphisms(group) == tuple(expected), name
 
 
 def test_all_actions_counts():
@@ -193,6 +239,20 @@ def test_cocycle_validation():
         twisted_section(bad)
     with pytest.raises(ValueError):
         Cocycle(trivial_action, (0, 9))
+    # Every value tuple over small actions, identity value included.
+    c4, v4 = builtin_group("c4"), builtin_group("v4")
+    pairs = ((c2, c3), (c2, c4), (c2, v4), (s3(), c2), (s3(), c3), (v4, c2))
+    for action in (a for actor, target in pairs for a in all_actions(actor, target)):
+        gamma, f_grp = action.actor, action.target
+        gmt, fmt = gamma.mul_table, f_grp.mul_table
+        found = []
+        for values in product(range(f_grp.order), repeat=gamma.order):
+            law = lambda g, h: values[gmt[g][h]] == fmt[values[g]][action.table[g][values[h]]]
+            bad = full_scan_failure(gamma.order, law)
+            assert validate_cocycle(Cocycle(action, values)) == CocycleCheck(bad is None, bad)
+            if bad is None:
+                found.append(values)
+        assert [x.values for x in enumerate_cocycles(action)] == found
 
 
 def test_action_from_generator_images_rejects_non_action():
@@ -263,3 +323,87 @@ def test_group_tables_match_reference():
             assert group.mul_table == builtin_group(name).mul_table
     assert group_from_generators(gens["a5"]).order == 60
     assert group_from_generators(gens["s5"]).order == 120
+
+
+# A loop of order 5 (a Latin square with identity 0, each element its own
+# inverse) that is not associative; generators 1 and 2.
+LOOP_ROWS = ("01234", "10342", "24013", "32401", "43120")
+
+
+def test_associativity_names_the_full_scan_witness():
+    """Every relabelling of the loop fails validate at the triple a scan of
+    all triples names first."""
+    rows = [[int(c) for c in row] for row in LOOP_ROWS]
+    for rest in permutations(range(1, 5)):
+        relabel = (0,) + rest
+        table = [[0] * 5 for _ in range(5)]
+        for a, b in product(range(5), repeat=2):
+            table[relabel[a]][relabel[b]] = relabel[rows[a][b]]
+        mt = tuple(map(tuple, table))
+        loop = FiniteGroup(5, mt, tuple(range(5)), (relabel[1], relabel[2]))
+        bad = full_scan_failure(5, lambda a, b, c: mt[mt[a][b]][c] == mt[a][mt[b][c]], arity=3)
+        with pytest.raises(ValueError) as info:
+            loop.validate()
+        assert str(info.value) == "associativity fails at ({}, {}, {})".format(*bad)
+
+
+def test_is_abelian_matches_a_full_scan():
+    # C2 x S3 with the central involution as its first generator.
+    c2_s3 = group_from_generators([[0, 1, 2, 4, 3], [1, 0, 2, 3, 4], [1, 2, 0, 3, 4]])
+    s4 = group_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]])
+    for group in (*(g for _, g in builtin_groups()), s4, c2_s3):
+        mt = group.mul_table
+        bad = full_scan_failure(group.order, lambda a, b: mt[a][b] == mt[b][a])
+        assert group.is_abelian() == (bad is None)
+    assert not c2_s3.is_abelian()
+
+
+def _full_scan_action_message(action):
+    """What validate reports, from scans of every pair; None for an action."""
+    n, table = action.target.order, action.table
+    fmt, gmt = action.target.mul_table, action.actor.mul_table
+    for g, row in enumerate(table):
+        if sorted(row) != list(range(n)):
+            return f"actor element {g} does not act bijectively"
+        bad = full_scan_failure(n, lambda a, b: row[fmt[a][b]] == fmt[row[a]][row[b]])
+        if bad is not None:
+            return "actor element {} does not act by an automorphism at ({}, {})".format(g, *bad)
+    law = lambda g, h: all(table[gmt[g][h]][f] == table[g][table[h][f]] for f in range(n))
+    bad = full_scan_failure(action.actor.order, law)
+    return None if bad is None else "action is not a homomorphism at ({}, {})".format(*bad)
+
+
+def test_action_check_names_the_full_scan_witness():
+    """Random tables: rows that are automorphisms, permutations or neither,
+    and tables extended from random generator automorphisms along the
+    breadth-first words."""
+    rng = random.Random(14)
+    c3, c4, v4 = (builtin_group(name) for name in ("c3", "c4", "v4"))
+    outcomes = set()
+    for actor, target in ((s3(), c3), (s3(), v4), (v4, v4), (v4, c4)):
+        n, auts = target.order, automorphisms(target)
+        for trial in range(300):
+            rows = [tuple(range(n))] * actor.order
+            if trial % 2:
+                gens = [rng.choice(auts) for _ in actor.generator_ids]
+                for g, parent, k in bfs_words(actor):
+                    rows[g] = tuple(rows[parent][i] for i in gens[k])
+            else:
+                for g in range(1, actor.order):
+                    roll = rng.random()
+                    if roll < 0.8:
+                        rows[g] = rng.choice(auts)
+                    elif roll < 0.95:
+                        rows[g] = tuple(rng.sample(range(n), n))
+                    else:
+                        rows[g] = tuple(rng.randrange(n) for _ in range(n))
+            action = GroupAction(actor, target, tuple(rows))
+            expected = _full_scan_action_message(action)
+            outcomes.add(expected and expected.split(" at ")[0].split()[-1])
+            if expected is None:
+                action.validate()
+                continue
+            with pytest.raises(NotAHomomorphism) as info:
+                action.validate()
+            assert str(info.value) == expected
+    assert outcomes == {None, "bijectively", "automorphism", "homomorphism"}

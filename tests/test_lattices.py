@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
@@ -189,11 +190,36 @@ def test_validate_names_the_pair_scan_witness():
         with pytest.raises(NotAHomomorphism) as info:
             bad.validate()
         assert str(info.value) == expected
+    # The same for every generator of every corpus lattice and of S4's
+    # standard lattice, set to each element's matrix in turn.
+    broken = 0
+    for lat in [*builtin_lattices(), _s4_standard()]:
+        for k, y in iter_product(range(len(lat.generators)), range(lat.group.order)):
+            gens = list(lat.generators)
+            gens[k] = lat.matrices[y]
+            other = GammaLattice(lat.group, lat.rank, tuple(gens))
+            expected = reference_homomorphism_witness(other)
+            if expected is None:
+                other.validate()
+                continue
+            broken += 1
+            with pytest.raises(NotAHomomorphism) as info:
+                other.validate()
+            assert str(info.value) == expected
+    assert broken > 0
     # The generator of C2 extended by words, but squaring to something else.
     with pytest.raises(NotAHomomorphism) as info:
         lattice_from_action(builtin_group("c2"), 2, [IntMatrix.from_rows([[0, 1], [1, 1]])])
     assert str(info.value) == "action fails to multiply at pair (1, 1)"
     assert reference_homomorphism_witness(good) is None
+
+
+def test_finite_module_factors_form_a_divisibility_chain():
+    c2 = builtin_group("c2")
+    for factors in ((1,), (-4,), (0,), (2, 3)):
+        gens = (IntMatrix.identity(len(factors)),)
+        with pytest.raises(ValueError, match="invariant factor"):
+            GammaLattice(c2, len(factors), gens, factors)
 
 
 def test_finite_module_validates_modulo_its_factors():
