@@ -1,8 +1,8 @@
 """Exact integer computations with finite group actions on lattices.
 
-The package works entirely over the integers and rationals: finite groups
-as explicit multiplication tables, lattices as unimodular integer matrix
-actions, Hermite and Smith normal forms, induced-lattice decompositions,
+The package works entirely over the integers: finite groups as explicit
+multiplication tables, lattices as unimodular integer matrix actions,
+Hermite and Smith normal forms, induced-lattice decompositions,
 finite-index equivariant embeddings, cocycle twisting over semidirect
 products, and the stabilizer-reduction pipeline that extracts finite
 kernel data from those embeddings.

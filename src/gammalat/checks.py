@@ -232,10 +232,10 @@ def _prop_fixed_coset_character(ctx: _Context) -> tuple[int, list[str]]:
                     if direct != counts[cls_idx]:
                         failures.append(f"{name}/{rep}: count differs at element {g}")
                         break
-            chi = character(induced_lattice(group, rep)).integer_values()
+            chi = character(induced_lattice(group, rep)).values
             if chi != counts:
                 failures.append(f"{name}/{rep}: induced character differs from coset counts")
-            chi2 = induced_trivial_character(group, rep).integer_values()
+            chi2 = induced_trivial_character(group, rep).values
             if chi2 != counts:
                 failures.append(f"{name}/{rep}: induced-trivial character differs")
     return cases, failures
@@ -456,8 +456,7 @@ def _prop_minimal_multiplier(ctx: _Context) -> tuple[int, list[str]]:
         if combo != [r * x for x in v]:
             failures.append(f"certificate fails: v={v} basis={basis}")
             break
-        bmat = IntMatrix.from_rows([[w[i] for w in basis] for i in range(n)], cols=k)
-        if not multiplier_is_minimal(bmat, v, r):
+        if not multiplier_is_minimal(v, basis, r):
             failures.append(f"r={r} is not minimal: v={v} basis={basis}")
     return cases, failures
 

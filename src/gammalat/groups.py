@@ -162,8 +162,10 @@ def first_failure(group: FiniteGroup, law: Callable[..., bool], arity: int = 2) 
 
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Structural identity: equal order and multiplication table."""
-    return a is b or (a.order == b.order and a.mul_table == b.mul_table)
+    """Structural identity: equal multiplication table and generator ids,
+    since generator-held data (lattice matrices, action images) is matched
+    by position."""
+    return a is b or (a.mul_table == b.mul_table and a.generator_ids == b.generator_ids)
 
 
 def _check_permutation(perm: Sequence[int], npoints: int, which: int) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import InternalContradiction, NotInRationalSpan
 from .groups import FiniteGroup, cyclic_subgroup_class_reps, fixed_coset_counts
-from .intlinalg import IntMatrix, minimal_multiplier, multiplier_is_minimal
+from .intlinalg import minimal_multiplier, multiplier_is_minimal
 from .lattices import (
     GammaLattice,
     LatticeEmbedding,
@@ -81,9 +81,9 @@ def artin_decompose(m: GammaLattice) -> ArtinSolution:
     splits the canonical coefficient vector by sign.  The rational span
     always contains chi, so failure indicates an internal bug.
     """
-    chi = character(m).integer_values()
+    chi = character(m).values
     reps = cyclic_subgroup_class_reps(m.group)
-    basis = [induced_trivial_character(m.group, rep).integer_values() for rep in reps]
+    basis = [induced_trivial_character(m.group, rep).values for rep in reps]
     try:
         r, coeffs = minimal_multiplier(chi, basis)
     except NotInRationalSpan as exc:
@@ -99,12 +99,9 @@ def artin_decompose(m: GammaLattice) -> ArtinSolution:
 def certify_minimality(m: GammaLattice, solution: ArtinSolution) -> bool:
     """Check that no multiplier r' < solution.r admits an integer solution
     (by testing r/p for each prime p dividing r)."""
-    chi = character(m).integer_values()
-    basis = [induced_trivial_character(m.group, rep).integer_values() for rep in solution.reps]
-    bmat = IntMatrix.from_rows(
-        [[w[i] for w in basis] for i in range(len(chi))], cols=len(basis)
-    )
-    return multiplier_is_minimal(bmat, chi, solution.r)
+    chi = character(m).values
+    basis = [induced_trivial_character(m.group, rep).values for rep in solution.reps]
+    return multiplier_is_minimal(chi, basis, solution.r)
 
 
 def build_multiplicity_lattice(

@@ -490,6 +490,17 @@ def solve_integer_linear(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, 
     return x if r == 1 else None
 
 
+def _span_system(
+    v: Sequence[int], basis: Sequence[Sequence[int]]
+) -> tuple[IntMatrix, tuple[int, ...]]:
+    """The matrix whose columns are ``basis``, and ``v`` as a tuple."""
+    target = tuple(int(x) for x in v)
+    if any(len(w) != len(target) for w in basis):
+        raise ValueError("basis vector length mismatch")
+    rows = [[w[i] for w in basis] for i in range(len(target))]
+    return IntMatrix.from_rows(rows, cols=len(basis)), target
+
+
 def minimal_multiplier(
     v: Sequence[int], basis: Sequence[Sequence[int]]
 ) -> tuple[int, tuple[int, ...]]:
@@ -499,19 +510,12 @@ def minimal_multiplier(
     ``coeffs`` is canonical (reduced modulo the kernel of the basis matrix).
     Raises NotInRationalSpan if no multiple of ``v`` lies in the span.
     """
-    target = tuple(int(x) for x in v)
-    vectors = [tuple(int(x) for x in w) for w in basis]
-    for w in vectors:
-        if len(w) != len(target):
-            raise ValueError("basis vector length mismatch")
-    n = len(target)
-    bmat = IntMatrix(n, len(vectors), tuple(tuple(w[i] for w in vectors) for i in range(n)))
-    return _least_multiple_in_span(bmat, target)
+    return _least_multiple_in_span(*_span_system(v, basis))
 
 
-def multiplier_is_minimal(a: IntMatrix, v: Sequence[int], r: int) -> bool:
-    """True when ``(r/p)*v`` is outside the column span of ``a`` for every
-    prime ``p`` dividing ``r``.
+def multiplier_is_minimal(v: Sequence[int], basis: Sequence[Sequence[int]], r: int) -> bool:
+    """True when ``(r/p)*v`` is outside the integer span of ``basis`` for
+    every prime ``p`` dividing ``r``.
 
     For a valid multiplier ``r`` this certifies that no smaller one exists:
     the valid multipliers form an ideal, so a valid ``r' < r`` would make
@@ -519,10 +523,11 @@ def multiplier_is_minimal(a: IntMatrix, v: Sequence[int], r: int) -> bool:
     """
     if r < 1:
         raise ValueError("multiplier must be positive")
+    a, target = _span_system(v, basis)
     rest, p = r, 2
     while rest > 1:
         if rest % p == 0:
-            if solve_integer_linear(a, [r // p * x for x in v]) is not None:
+            if solve_integer_linear(a, [r // p * x for x in target]) is not None:
                 return False
             while rest % p == 0:
                 rest //= p

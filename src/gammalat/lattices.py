@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from itertools import product as iter_product
 from math import comb
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -59,6 +58,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     bfs_words,
+    class_index_map,
     conjugacy_classes,
     first_failure,
     fixed_coset_counts,
@@ -189,40 +189,31 @@ class GammaLattice:
 
 @dataclass(frozen=True)
 class RationalCharacter:
-    """Class function with rational values, one per conjugacy class.
+    """Character of M (x) Q: one value per conjugacy class, in the group's
+    canonical class order.
 
-    Values follow the canonical class order of the group.  Characters of
-    lattices are integer-valued; ``integer_values`` extracts them.
+    The values are integers, since every character here is a trace of
+    integer matrices or a count of fixed cosets.
     """
 
     group: FiniteGroup
-    values: tuple[Fraction, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(index, self.values)))
         if len(self.values) != len(conjugacy_classes(self.group)):
             raise ValueError("need one value per conjugacy class")
 
     def __add__(self, other: "RationalCharacter") -> "RationalCharacter":
         if not same_group(self.group, other.group):
             raise GroupMismatch("cannot add characters over different groups")
-        return RationalCharacter(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
+        return RationalCharacter(self.group, tuple(map(add, self.values, other.values)))
 
     def scale(self, k: int) -> "RationalCharacter":
         return RationalCharacter(self.group, tuple(k * v for v in self.values))
 
-    def value_at(self, g: int) -> Fraction:
-        from .groups import class_index_map
-
+    def value_at(self, g: int) -> int:
         return self.values[class_index_map(self.group)[g]]
-
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.values)
-
-    def integer_values(self) -> tuple[int, ...]:
-        if not self.is_integral():
-            raise ValueError("character has non-integer values")
-        return tuple(int(v) for v in self.values)
 
 
 def lattice_from_action(
@@ -264,7 +255,7 @@ def character(m: GammaLattice) -> RationalCharacter:
         traces = {m.matrices[g].trace() for g in cls}
         if len(traces) != 1:
             raise InternalContradiction(f"trace is not constant on class {cls}")
-        values.append(Fraction(traces.pop()))
+        values.append(traces.pop())
     return RationalCharacter(m.group, tuple(values))
 
 
@@ -955,7 +946,7 @@ def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> Permutation
         return PermutationCertificate(
             "YES", _standard_basis(m.rank), "action matrices are permutation matrices"
         )
-    chi = character(m).integer_values()
+    chi = character(m).values
     for idx, value in enumerate(chi):
         if value < 0:
             return PermutationCertificate(

@@ -12,7 +12,6 @@ from the same data.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .groups import (
@@ -38,7 +37,6 @@ __all__ = [
     "FORMAT_VERSION",
     "canonical_json",
     "big",
-    "encode_fraction",
     "encode_matrix",
     "encode_abelian",
     "encode_character",
@@ -68,10 +66,6 @@ def big(n: int) -> str:
     return str(int(n))
 
 
-def encode_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def encode_matrix(m: IntMatrix) -> dict:
     return {
         "rows": m.rows,
@@ -88,7 +82,7 @@ def encode_abelian(g: FiniteAbelianGroup) -> dict:
 
 
 def encode_character(chi: RationalCharacter) -> dict:
-    return {"values": [encode_fraction(v) for v in chi.values]}
+    return {"values": [big(v) for v in chi.values]}
 
 
 def encode_group_info(group: FiniteGroup, name: Optional[str] = None) -> dict:

@@ -129,6 +129,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
+def _name(entry: dict, key: str, where: str) -> str:
+    """The reference ``entry[key]``, which must be a string."""
+    name = entry[key]
+    _require(isinstance(name, str), f"{where}/{key}: expected a name")
+    return name
+
+
 def _parse_int_list(obj: object, where: str) -> list[int]:
     _require(isinstance(obj, list), f"{where}: expected a list")
     return [_as_int(x, where) for x in obj]  # type: ignore[union-attr]
@@ -182,8 +189,8 @@ def _load_actions(section: dict, ws: Workspace) -> None:
         where = f"actions/{name}"
         for key in ("actor", "target", "generator_images"):
             _require(key in entry, f"{where}: missing {key!r}")
-        actor = resolve_group(ws, str(entry["actor"]))
-        target = resolve_group(ws, str(entry["target"]))
+        actor = resolve_group(ws, _name(entry, "actor", where))
+        target = resolve_group(ws, _name(entry, "target", where))
         images_obj = entry["generator_images"]
         _require(isinstance(images_obj, list), f"{where}/generator_images: expected a list")
         images = [_parse_int_list(img, f"{where}/generator_images") for img in images_obj]
@@ -195,8 +202,7 @@ def _load_lattices(section: dict, ws: Workspace) -> None:
         where = f"lattices/{name}"
         for key in ("group", "rank", "generator_matrices"):
             _require(key in entry, f"{where}: missing {key!r}")
-        group_name = entry["group"]
-        _require(isinstance(group_name, str), f"{where}/group: expected a name")
+        group_name = _name(entry, "group", where)
         if group_name.startswith("semidirect:"):
             action_name = group_name[len("semidirect:") :]
             if action_name not in ws.actions:
@@ -217,7 +223,7 @@ def _load_cocycles(section: dict, ws: Workspace) -> None:
         where = f"cocycles/{name}"
         for key in ("action", "values"):
             _require(key in entry, f"{where}: missing {key!r}")
-        action = resolve_action(ws, str(entry["action"]))
+        action = resolve_action(ws, _name(entry, "action", where))
         values = _parse_int_list(entry["values"], f"{where}/values")
         try:
             cocycle = Cocycle(action, tuple(values))
@@ -234,11 +240,11 @@ def _load_reductions(section: dict, ws: Workspace) -> None:
         where = f"reductions/{name}"
         for key in ("hf", "gamma", "action", "t_hat", "gtor_hat"):
             _require(key in entry, f"{where}: missing {key!r}")
-        hf = resolve_group(ws, str(entry["hf"]))
-        gamma = resolve_group(ws, str(entry["gamma"]))
-        action = resolve_action(ws, str(entry["action"]))
-        t_hat = resolve_lattice(ws, str(entry["t_hat"]))
-        gtor_hat = resolve_lattice(ws, str(entry["gtor_hat"]))
+        hf = resolve_group(ws, _name(entry, "hf", where))
+        gamma = resolve_group(ws, _name(entry, "gamma", where))
+        action = resolve_action(ws, _name(entry, "action", where))
+        t_hat = resolve_lattice(ws, _name(entry, "t_hat", where))
+        gtor_hat = resolve_lattice(ws, _name(entry, "gtor_hat", where))
         d = _as_int(entry["d"], f"{where}/d") if "d" in entry else None
         _require(d is None or d >= 1, f"{where}: d must be >= 1")
         from .reduction import reduction_input

@@ -53,9 +53,9 @@ def test_criterion_1_induction_identity_with_minimal_multiplier():
             failures.append(f"{lat.name}: r={sol.r} exceeds the group order")
         if not certify_minimality(lat, sol):
             failures.append(f"{lat.name}: some r' < r admits a decomposition")
-        chi = character(lat).integer_values()
+        chi = character(lat).values
         induced = [
-            induced_trivial_character(lat.group, rep).integer_values() for rep in sol.reps
+            induced_trivial_character(lat.group, rep).values for rep in sol.reps
         ]
         brute = brute_minimal_multiplier(chi, induced)
         if brute is None or brute[0] != sol.r:

@@ -408,6 +408,24 @@ def test_workspace_error_paths(tmp_path, capsys):
         "message": "lattices/bad: no action named 'nope' in the workspace",
     }
 
+    # A reference to another definition is a string, never a number, null
+    # or a list turned into one.
+    for section, name, key, value in (
+        ("actions", "inv3", "actor", 5),
+        ("reductions", "demo_component", "gamma", None),
+        ("cocycles", "twist_inv3", "action", ["a"]),
+    ):
+        with open(DEMO, encoding="utf-8") as fh:
+            demo = json.load(fh)
+        demo[section][name][key] = value
+        odd.write_text(json.dumps(demo))
+        rc, doc = run_json(capsys, "--workspace", str(odd), "check")
+        assert rc == 2
+        assert doc["error"] == {
+            "code": "WorkspaceError",
+            "message": f"{section}/{name}/{key}: expected a name",
+        }
+
 
 def test_workspace_identity_generator_conflict(tmp_path, capsys):
     """Over C2 acting on the trivial group, the semidirect product's first
@@ -436,6 +454,31 @@ def test_workspace_identity_generator_conflict(tmp_path, capsys):
         "code": "NotAHomomorphism",
         "message": "generator matrix 0 conflicts with the extension",
     }
+
+
+def test_workspace_torus_lattice_needs_the_products_generators(tmp_path, capsys):
+    """S3 acting on a one-point group has a product with the table of S3
+    but one more generator; a torus lattice declared over plain S3 gives
+    matrices for the wrong generators."""
+    one = {"rows": 1, "cols": 1, "entries": [[1]]}
+    empty = {"rows": 0, "cols": 0, "entries": []}
+    doc = {
+        "format": 1,
+        "groups": {"gamma1": {"points": 1, "generators": [[0]]}},
+        "actions": {"on_point": {"actor": "s3", "target": "gamma1", "generator_images": [[0], [0]]}},
+        "lattices": {
+            "t": {"group": "s3", "rank": 1, "generator_matrices": [one, one]},
+            "z": {"group": "s3", "rank": 0, "generator_matrices": [empty, empty]},
+        },
+        "reductions": {
+            "r": {"hf": "gamma1", "gamma": "s3", "action": "on_point", "t_hat": "t", "gtor_hat": "z"}
+        },
+    }
+    path = tmp_path / "plain_s3.json"
+    path.write_text(json.dumps(doc))
+    rc, out = run_json(capsys, "--workspace", str(path), "reduce", "r")
+    assert rc == 2
+    assert out["error"]["code"] == "GroupMismatch"
 
 
 def _load_demo_with(tmp_path, capsys, section, name, key, value):
@@ -549,7 +592,7 @@ def test_cli_import_leaves_unused_layers_unloaded():
     code = (
         "import sys, gammalat.cli; "
         "print(sorted(m for m in sys.modules if m in "
-        "('gammalat.checks', 'gammalat.reduction', 'gammalat.corpus')))"
+        "('gammalat.checks', 'gammalat.reduction', 'gammalat.corpus', 'fractions')))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
@@ -560,7 +603,8 @@ def test_cli_import_leaves_unused_layers_unloaded():
 
 def test_builtin_ono_leaves_reduction_unloaded():
     """A builtin lattice name reaches the corpus, which loads the reduction
-    layer only when a reduction fixture is asked for."""
+    layer only when a reduction fixture is asked for.  Characters are
+    integers, so rendering one loads no rational arithmetic."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gammalat.__file__)))
     code = (
         "import io, sys, contextlib\n"
@@ -568,7 +612,7 @@ def test_builtin_ono_leaves_reduction_unloaded():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['ono', 'c2_sign']) == 0\n"
         "print(sorted(m for m in sys.modules if m in "
-        "('gammalat.checks', 'gammalat.reduction', 'gammalat.corpus')))"
+        "('gammalat.checks', 'gammalat.reduction', 'gammalat.corpus', 'fractions')))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(

@@ -71,9 +71,9 @@ def test_artin_identity_and_minimality_whole_corpus():
 def test_artin_r_matches_brute_force():
     for lat in builtin_lattices():
         sol = artin_decompose(lat)
-        chi = character(lat).integer_values()
+        chi = character(lat).values
         induced = [
-            induced_trivial_character(lat.group, rep).integer_values()
+            induced_trivial_character(lat.group, rep).values
             for rep in cyclic_subgroup_class_reps(lat.group)
         ]
         brute = brute_minimal_multiplier(chi, induced)
@@ -86,7 +86,7 @@ def test_build_multiplicity_lattice():
     reps = cyclic_subgroup_class_reps(c2)
     lat = build_multiplicity_lattice(c2, reps, (2, 1))
     assert lat.rank == 2 * 2 + 1 * 1
-    assert character(lat).integer_values() == (5, 1)
+    assert character(lat).values == (5, 1)
     empty = build_multiplicity_lattice(c2, reps, (0, 0))
     assert empty.rank == 0
 

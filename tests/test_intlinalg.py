@@ -258,18 +258,16 @@ def test_scaled_inverse_and_unimodular_inverse():
 def _assert_only_minimal_multiplier_passes(v, basis, r):
     """``r`` is the minimal multiplier of ``v``; every valid multiplier is a
     multiple of it, and only ``r`` itself may pass ``multiplier_is_minimal``."""
-    n = len(v)
-    a = IntMatrix.from_rows([[w[i] for w in basis] for i in range(n)], cols=len(basis))
-    assert multiplier_is_minimal(a, v, r)
+    assert multiplier_is_minimal(v, basis, r)
     for k in range(2, 8):
-        assert not multiplier_is_minimal(a, v, k * r)
+        assert not multiplier_is_minimal(v, basis, k * r)
 
 
 def test_multiplier_is_minimal_on_corpus_characters_against_brute_force():
     for lat in builtin_lattices():
-        chi = character(lat).integer_values()
+        chi = character(lat).values
         induced = [
-            induced_trivial_character(lat.group, rep).integer_values()
+            induced_trivial_character(lat.group, rep).values
             for rep in cyclic_subgroup_class_reps(lat.group)
         ]
         brute = brute_minimal_multiplier(chi, induced)

@@ -21,7 +21,9 @@ from gammalat.groups import (
     all_subgroups,
     enumerate_cocycles,
     group_from_generators,
+    same_group,
     semidirect_product,
+    trivial_group,
 )
 from gammalat.induction import artin_decompose, build_multiplicity_lattice
 from gammalat.intlinalg import IntMatrix, bareiss_det
@@ -68,11 +70,11 @@ def test_lattice_from_action_rejects_non_unimodular():
 
 
 def test_character_values():
-    assert character(builtin_lattice("s3_standard")).integer_values() == (2, -1, 0)
-    assert character(builtin_lattice("c2_sign")).integer_values() == (1, -1)
-    assert character(builtin_lattice("v4_character")).integer_values() == (1, -1, 1, -1)
-    assert character(builtin_lattice("c4_gaussian")).integer_values() == (2, 0, -2, 0)
-    reg = character(builtin_lattice("c3_regular")).integer_values()
+    assert character(builtin_lattice("s3_standard")).values == (2, -1, 0)
+    assert character(builtin_lattice("c2_sign")).values == (1, -1)
+    assert character(builtin_lattice("v4_character")).values == (1, -1, 1, -1)
+    assert character(builtin_lattice("c4_gaussian")).values == (2, 0, -2, 0)
+    reg = character(builtin_lattice("c3_regular")).values
     assert reg == (3, 0, 0)
 
 
@@ -80,7 +82,7 @@ def test_character_class_function_laws():
     for lat in builtin_lattices():
         chi = character(lat)
         assert chi.values[0] == lat.rank
-        assert chi.is_integral()
+        assert all(type(v) is int for v in chi.values)
         for g in range(lat.group.order):
             assert chi.value_at(g) == lat.matrices[g].trace()
 
@@ -88,8 +90,8 @@ def test_character_class_function_laws():
 def test_character_arithmetic():
     a = character(builtin_lattice("c2_sign"))
     b = character(builtin_lattice("c2_trivial"))
-    assert (a + b).values == (Fraction(2), Fraction(0))
-    assert a.scale(3).values == (Fraction(3), Fraction(-3))
+    assert (a + b).values == (2, 0)
+    assert a.scale(3).values == (3, -3)
     with pytest.raises(GroupMismatch):
         a + character(builtin_lattice("c3_regular"))
 
@@ -98,15 +100,35 @@ def test_direct_sum_power_zero_trivial():
     c2 = builtin_group("c2")
     s = direct_sum(builtin_lattice("c2_sign"), builtin_lattice("c2_trivial"))
     assert s.rank == 2
-    assert character(s).integer_values() == (2, 0)
+    assert character(s).values == (2, 0)
     p = power(builtin_lattice("c2_sign"), 3)
     assert p.rank == 3
-    assert character(p).integer_values() == (3, -3)
+    assert character(p).values == (3, -3)
     assert zero_lattice(c2).rank == 0
     assert trivial_lattice(c2, 2).matrices[1].is_identity()
     assert power(builtin_lattice("c2_sign"), 0).rank == 0
     with pytest.raises(GroupMismatch):
         direct_sum(builtin_lattice("c2_sign"), builtin_lattice("c3_regular"))
+
+
+def test_same_group_compares_generator_ids():
+    """C2 and C2 acting on the trivial group have one table, but the
+    product's generators are (identity, a): generator matrices, matched by
+    position, mean different things over the two groups."""
+    c2 = builtin_group("c2")
+    prod = semidirect_product(GroupAction.trivial(c2, trivial_group())).group
+    assert prod.mul_table == c2.mul_table and prod.generator_ids != c2.generator_ids
+    assert not same_group(c2, prod)
+    one, minus = IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[-1]])
+    sign = lattice_from_action(prod, 1, [one, minus])
+    assert character(sign).values == (1, -1)
+    with pytest.raises(GroupMismatch):
+        direct_sum(builtin_lattice("c2_sign"), sign)
+    for source in (trivial_lattice(c2), builtin_lattice("c2_sign")):
+        with pytest.raises(GroupMismatch):
+            lattice_embedding(source, sign, one)
+    assert character(direct_sum(sign, sign)).values == (2, -2)
+    assert lattice_embedding(sign, sign, one).index == 1
 
 
 def test_induced_lattice_counts_fixed_cosets():
@@ -115,7 +137,7 @@ def test_induced_lattice_counts_fixed_cosets():
     assert lat.rank == 3
     for g in range(6):
         assert lat.matrices[g].is_permutation_matrix()
-    assert character(lat).integer_values() == (3, 0, 1)
+    assert character(lat).values == (3, 0, 1)
     for g in range(6):
         assert permutation_fixed_points(
             [list(row) for row in lat.matrices[g].entries]
@@ -483,4 +505,9 @@ def test_twist_demo_cocycle():
 def test_rational_character_validation():
     c2 = builtin_group("c2")
     with pytest.raises(ValueError):
-        RationalCharacter(c2, (Fraction(1),))
+        RationalCharacter(c2, (1,))
+    # Values are integers: a rational or float value is rejected even when
+    # it is integral.
+    for value in (Fraction(1), Fraction(1, 2), 1.0):
+        with pytest.raises(TypeError):
+            RationalCharacter(c2, (1, value))

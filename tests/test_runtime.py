@@ -1,5 +1,6 @@
 """The runtime stays stdlib-only: gammalat imports nothing outside the
-standard library, so it runs wherever Python 3.10+ does."""
+standard library, so it runs wherever Python 3.10+ does.  It also imports
+nothing it does not use."""
 
 import ast
 import sys
@@ -8,12 +9,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "gammalat"
 
 
-def test_runtime_imports_only_the_standard_library():
+def _trees():
     modules = sorted(SRC.glob("*.py"))
     assert modules
-    outside = []
     for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_runtime_imports_only_the_standard_library():
+    outside = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -24,3 +30,19 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} imports {name}")
     assert not outside, outside
+
+
+def test_every_import_is_used():
+    """Each name a module imports, apart from ``annotations``, appears as a
+    name in that module's code."""
+    unused = []
+    for path, tree in _trees():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound != "annotations" and bound not in used:
+                    unused.append(f"{path.name}:{node.lineno} imports {alias.name} unused")
+    assert not unused, unused
