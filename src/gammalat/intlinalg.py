@@ -30,6 +30,9 @@ __all__ = [
     "scaled_inverse",
     "block_diagonal",
     "bareiss_det",
+    "det_width",
+    "pack_row",
+    "packed_det",
 ]
 
 
@@ -132,44 +135,73 @@ class IntMatrix:
         return bareiss_det(self.entries)
 
 
-def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square list of rows by fraction-free (Bareiss)
-    elimination; the rows are read, never modified.
+def det_width(rows: Iterable[Sequence[int]]) -> int:
+    """The digit width w for packing ``rows`` (see ``pack_row``): the least
+    w with 2^(w-1) above Hadamard's bound, the product of the norms of the
+    nonzero rows.
 
-    Each step eliminates the leading column and keeps only the remaining
-    columns, so the working rows shrink by one entry per step.  A row whose
-    leading entry is already zero only needs rescaling, if that.
+    Every minor of the rows, and of any matrix whose entries are bounded
+    entrywise by theirs in absolute value, is at most that bound.
+    """
+    square = 1
+    for row in rows:
+        norm = sum(x * x for x in row)
+        if norm:
+            square *= norm
+    return (square.bit_length() + 1) // 2 + 1
+
+
+def pack_row(row: Sequence[int], width: int) -> int:
+    """``row`` as one integer, entry j the signed digit of weight
+    2^(width*j).  Packing is linear, so packed rows add and scale as the
+    rows do."""
+    packed = 0
+    for x in reversed(row):
+        packed = (packed << width) + x
+    return packed
+
+
+def packed_det(rows: Sequence[int], width: int) -> int:
+    """Determinant of the square matrix whose rows are packed at ``width``
+    (``pack_row``), by fraction-free (Bareiss) elimination; ``width`` must
+    come from ``det_width`` of the matrix or of an entrywise bound on it.
+
+    Every entry of every step is a minor of the matrix, so each digit lies
+    in [-2^(width-1), 2^(width-1)) and the leading one is read off the low
+    bits.  A step is one ``((row*pivot - lead*top) // prev) >> width`` per
+    row: every digit of the difference is divisible by ``prev``, so the
+    division is exact digit by digit, and the leading digit is zero, so the
+    shift drops it.  The rows are read, never modified.
     """
     n = len(rows)
     if n == 0:
         return 1
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
     work = list(rows)
     sign = 1
     prev = 1
     for _ in range(n - 1):
-        if work[0][0] == 0:
-            for i in range(1, len(work)):
-                if work[i][0] != 0:
-                    work[0], work[i] = work[i], work[0]
-                    sign = -sign
-                    break
-            else:
+        leads = [((x + half) & mask) - half for x in work]
+        if not leads[0]:
+            i = next((i for i, c in enumerate(leads) if c), 0)
+            if not i:
                 return 0
+            work[0], work[i] = work[i], work[0]
+            leads[0], leads[i] = leads[i], leads[0]
+            sign = -sign
         top = work[0]
-        pivot = top[0]
-        rest = top[1:]
-        reduced = []
-        for row in work[1:]:
-            c = row[0]
-            if c:
-                reduced.append([(a * pivot - c * b) // prev for a, b in zip(row[1:], rest)])
-            elif pivot == prev:
-                reduced.append(row[1:])
-            else:
-                reduced.append([a * pivot // prev for a in row[1:]])
-        work = reduced
+        pivot = leads[0]
+        work = [((x * pivot - c * top) // prev) >> width for x, c in zip(work[1:], leads[1:])]
         prev = pivot
-    return sign * work[0][0]
+    return sign * work[0]
+
+
+def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square list of rows: ``packed_det`` of the rows
+    packed at their own ``det_width``."""
+    width = det_width(rows)
+    return packed_det([pack_row(row, width) for row in rows], width)
 
 
 def block_diagonal(blocks: Iterable[IntMatrix]) -> IntMatrix:

@@ -23,9 +23,12 @@ column subset, are shared by all settings of the later blocks, and the
 last block costs one dot product per candidate.  Each block's settings are
 walked in reflected Gray-code order, so each differs from the last by one
 basis matrix.  Where an operation count says splitting does not pay, one
-merged block holds every row and basis member, and each candidate costs
-one Bareiss determinant.  Either way the same candidates meet the same
-total order, so the answer is the same.
+merged block holds every row and basis member.  Its rows are then packed,
+each into one integer whose digits are its entries, so a Gray step adds
+or subtracts one pre-packed basis matrix row by row, and a candidate costs
+one fraction-free (Bareiss) elimination on the packed rows: n^2/2
+big-integer operations instead of n^3/3 entry by entry.  Either way the
+same candidates meet the same total order, so the answer is the same.
 
 All searches are deterministic: fixed candidate sets, a total order on
 candidates, and a fixed-seed pseudorandom fallback for the one search whose
@@ -72,10 +75,12 @@ from .intlinalg import (
     FiniteAbelianGroup,
     IntMatrix,
     SnfDecomposition,
-    bareiss_det,
     block_diagonal,
+    det_width,
     hermite_normal_form,
     kernel_basis,
+    pack_row,
+    packed_det,
     smith_normal_form,
 )
 
@@ -236,8 +241,9 @@ def lattice_from_action(
     for k, m in enumerate(gens):
         if m.rows != rank or m.cols != rank:
             raise NotAHomomorphism(f"generator matrix {k} is not {rank}x{rank}")
-        if abs(m.det()) != 1:
-            raise NotUnimodular(f"generator matrix {k} has determinant {m.det()}")
+        det = m.det()
+        if abs(det) != 1:
+            raise NotUnimodular(f"generator matrix {k} has determinant {det}")
     lattice = GammaLattice(group, rank, tuple(gens), name=name)
     lattice.validate()
     return lattice
@@ -453,33 +459,51 @@ def _intertwiner_constraints(m: GammaLattice, n: GammaLattice) -> IntMatrix:
 
 def _permutation_intertwiners(m: GammaLattice, n: GammaLattice) -> list[list[int]]:
     """Flattened Z-basis of Hom_G(m, n) for m acting by permutation matrices,
-    one block per orbit of m's basis vectors (Frobenius reciprocity)."""
-    # images[g][j] = g*j: column j of a permutation matrix has its 1 in row g*j.
-    images = []
-    for a in m.matrices:
+    one block per orbit of m's basis vectors (Frobenius reciprocity).
+
+    Column y of the intertwiner from v in n^Stab(x) is n(g) * v for any g
+    with g*x = y, since v is fixed by Stab(x).  So each orbit is walked
+    over the generators from x, and each new column is n(s) times the
+    column it was reached from, applied through the nonzero entries of n(s).
+    """
+    # moves[k][j] = s_k * j: column j of a permutation matrix has its 1 in row s_k * j.
+    moves = []
+    for a in m.generators:
         img = [0] * m.rank
         for i, row in enumerate(a.entries):
             img[row.index(1)] = i
-        images.append(img)
+        moves.append(img)
+    # images[g][j] = g * j, along the breadth-first words g = parent * s_k.
+    images = [list(range(m.rank))] * m.group.order
+    for g, parent, k in bfs_words(m.group):
+        images[g] = [images[parent][j] for j in moves[k]]
+    actions = [[[(j, a) for j, a in enumerate(row) if a] for row in b.entries] for b in n.generators]
     fixed_by_stabilizer: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     placed = [False] * m.rank
     out = []
     for x in range(m.rank):
         if placed[x]:
             continue
-        # The first element (in id order) carrying x to each point of its orbit.
-        carry: dict[int, int] = {}
-        for g, img in enumerate(images):
-            carry.setdefault(img[x], g)
-        for y in carry:
-            placed[y] = True
+        # The orbit of x as a tree: each point after x with the point and
+        # generator it is first reached from.
+        tree = [(x, x, -1)]
+        placed[x] = True
+        for y, _, _ in tree:
+            for k, img in enumerate(moves):
+                if not placed[img[y]]:
+                    placed[img[y]] = True
+                    tree.append((img[y], y, k))
         stab = tuple(g for g, img in enumerate(images) if g and img[x] == x)
         if stab not in fixed_by_stabilizer:
             fixed_by_stabilizer[stab] = _fixed_sublattice(n, stab)
         for v in fixed_by_stabilizer[stab]:
+            columns = {x: v}
+            for y, parent, k in tree[1:]:
+                w = columns[parent]
+                columns[y] = [sum(a * w[j] for j, a in row) for row in actions[k]]
             flat = [0] * (n.rank * m.rank)
-            for y, g in carry.items():
-                for i, c in enumerate(n.matrices[g].times_vector(v)):
+            for y, column in columns.items():
+                for i, c in enumerate(column):
                     flat[i * m.rank + y] = c
             out.append(flat)
     return out
@@ -496,22 +520,17 @@ def _fixed_sublattice(n: GammaLattice, elements: Sequence[int]) -> tuple[tuple[i
     return kernel_basis(IntMatrix.from_rows(rows, cols=n.rank))
 
 
-def _smaller_key(
-    flat: list[int], n: int, best: Optional[tuple], paired: bool, det: Optional[int] = None
-) -> Optional[tuple]:
-    """The smaller of ``best`` and the key of the n x n candidate ``flat``.
+def _smaller_key(flat: list[int], n: int, best: Optional[tuple], paired: bool, det: int) -> Optional[tuple]:
+    """The smaller of ``best`` and the key of the n x n candidate ``flat``,
+    whose determinant ``det`` is nonzero.
 
     The key is (|det|, sum of absolute entries, -trace, flattened entries);
-    singular candidates have none.  It is only built when |det| does not
-    exceed the best |det| so far.  With ``paired`` the candidate stands for
-    both E and -E, which share |det| and the entry sum, and the key is that
-    of whichever is smaller: the positive trace, or on a zero trace the
-    negative first nonzero entry.  A known ``det`` saves the elimination.
+    callers build ``flat`` only when |det| does not exceed the best |det| so
+    far.  With ``paired`` the candidate stands for both E and -E, which
+    share |det| and the entry sum, and the key is that of whichever is
+    smaller: the positive trace, or on a zero trace the negative first
+    nonzero entry.
     """
-    if det is None:
-        det = bareiss_det([flat[i * n : (i + 1) * n] for i in range(n)])
-    if det == 0 or (best is not None and abs(det) > best[0]):
-        return best
     trace = sum(flat[i * (n + 1)] for i in range(n))
     sign = 1
     if paired and (trace or -next(x for x in flat if x)) < 0:
@@ -570,8 +589,6 @@ def _laplace_step(
 
 def _maximal_minors(rows: Sequence[Sequence[int]], n: int) -> list[int]:
     """The r x r minors of an r x n matrix, aligned with _subsets(n, r)."""
-    if len(rows) == n:
-        return [bareiss_det(rows)]
     minors = [1]
     for p, row in enumerate(rows):
         minors = _laplace_step(minors, _laplace_moves(n, p, 1), row, comb(n, p + 1))
@@ -619,13 +636,20 @@ def _row_blocks(
     return sorted(((tuple(sorted(r)), tuple(sorted(m))) for r, m in blocks), key=lambda b: b[1])
 
 
-# Operation counts in units of one Laplace move, which costs about what one
-# Bareiss multiply-subtract does: a term of the last block's dot product, and
-# the fixed cost per candidate of either method.  Timed on the corpus
-# searches and on synthetic row-block bases, the expansion got through 0.8
-# to 5.6 times as many units per second as the walk (about 2 in the median),
-# so the count leans to the walk.  S4 standard, the shape at 0.8, counts
-# 1.15M units against the walk's 0.64M, and takes 0.22 s against 0.15 s.
+# Operation counts in units of one Laplace move: a term of the last block's
+# dot product, and the fixed cost per candidate of either method.  The walk
+# counts n^3/3 units per candidate, one per multiply-subtract of an entrywise
+# Bareiss elimination; its packed elimination does n^2/2 big-integer
+# operations instead.  Timed (medians of 7, Python 3.11 on a 2-vCPU VM), the
+# expansion gets through 1.45 times as many units per second as the packed
+# walk at n = 12 (2.85 with the entrywise elimination) and 2.2 to 4.5 times
+# at n <= 6, where per-candidate overhead dominates, so the count leans to
+# the walk.  S4 standard (n = 12, k = 7, row blocks of 3, 3 and 6 rows at
+# bound 1) counts 1.15M expansion units against the walk's 0.64M; the walk,
+# which the count picks, takes 0.095 s against 0.118 s (0.19 s against
+# 0.12 s before packing).  Every corpus search the count gives to the
+# expansion runs 5 to 14 times faster there.  So no choice would change for
+# the better, and the terms stay.
 _DOT_TERM_COST = 0.25
 _CANDIDATE_COST = 8
 
@@ -656,6 +680,27 @@ def _expansion_pays(blocks: list[tuple[tuple[int, ...], tuple[int, ...]]], n: in
     return cost < walk
 
 
+def _packed_moves(
+    nonzeros: list[list[tuple[int, int]]], n: int, members: Sequence[int], bound: int
+) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The digit width of every candidate sum c_j * basis_j over ``members``
+    with |c_j| <= bound, fixed once from the entrywise bound bound * sum_j
+    |basis_j|, and each member's nonzero rows packed at it (``pack_row``)
+    as (row, packed row) pairs."""
+    total = [[0] * n for _ in range(n)]
+    for j in members:
+        for idx, val in nonzeros[j]:
+            total[idx // n][idx % n] += bound * abs(val)
+    width = det_width(total)
+    moves = []
+    for j in members:
+        rows: dict[int, list[int]] = {}
+        for idx, val in nonzeros[j]:
+            rows.setdefault(idx // n, [0] * n)[idx % n] = val
+        moves.append([(r, pack_row(row, width)) for r, row in rows.items()])
+    return width, moves
+
+
 def _block_settings(
     nonzeros: list[list[tuple[int, int]]],
     n: int,
@@ -668,21 +713,35 @@ def _block_settings(
     part's maximal minors; with ``first`` only one of each pair +-c, the
     one whose first nonzero coefficient is positive.  The box is walked in
     reflected Gray-code order, each step adding or subtracting one basis
-    matrix's nonzero entries."""
+    matrix on the block's rows.  A block of all n rows is held as packed
+    rows, and its one minor is their ``packed_det``; a smaller block is held
+    entry by entry, and its minors come from _maximal_minors."""
     rows, members = block
-    at = {r: p for p, r in enumerate(rows)}
-    moves = [[(at[idx // n], idx % n, val) for idx, val in nonzeros[j]] for j in members]
+    if len(rows) == n:
+        width, moves = _packed_moves(nonzeros, n, members, bound)
+        part = [0] * n
+
+        def minors() -> list[int]:
+            return [packed_det(part, width)]
+
+    else:
+        at = {r: p for p, r in enumerate(rows)}
+        moves = [[(at[idx // n] * n + idx % n, val) for idx, val in nonzeros[j]] for j in members]
+        part = [0] * (len(rows) * n)
+
+        def minors() -> list[int]:
+            return _maximal_minors([part[p * n : (p + 1) * n] for p in range(len(rows))], n)
+
     coeffs = [-bound] * len(members)
     steps = [1] * len(members)
-    part = [[0] * n for _ in rows]
-    for p, col, val in chain.from_iterable(moves):
-        part[p][col] -= bound * val
+    for cell, val in chain.from_iterable(moves):
+        part[cell] -= bound * val
     while True:
         lead = next(filter(None, coeffs), 0)
         if lead > 0 or (lead and not first):
-            minors = _maximal_minors(part, n)
-            if any(minors):
-                yield tuple(coeffs), minors
+            found = minors()
+            if any(found):
+                yield tuple(coeffs), found
         for j, c in enumerate(coeffs):
             if -bound <= c + steps[j] <= bound:
                 break
@@ -691,8 +750,8 @@ def _block_settings(
             return
         step = steps[j]
         coeffs[j] += step
-        for p, col, val in moves[j]:
-            part[p][col] += step * val
+        for cell, val in moves[j]:
+            part[cell] += step * val
 
 
 def _block_minimum(
@@ -766,11 +825,16 @@ def equivariant_finite_index_embedding(
     along those blocks (_block_minimum), each block's box walked in
     reflected Gray-code order.  When an operation count says splitting does
     not pay, one merged block holds every row and member, and the whole box
-    is walked once with a Bareiss determinant per pair +-E.  If even the
-    smallest box exceeds the budget, or no candidate is invertible, a
-    fixed-seed pseudorandom phase takes over (disabled by
-    ``allow_random=False``, in which case exhaustion raises
-    NoInvertibleIntertwiner).
+    is walked once as packed rows, with one packed elimination
+    (``intlinalg.packed_det``) per pair +-E.  If even the smallest box
+    exceeds the budget, or no candidate is invertible, a fixed-seed
+    pseudorandom phase takes over (disabled by ``allow_random=False``, in
+    which case exhaustion raises NoInvertibleIntertwiner).  It sums
+    pre-packed basis rows, takes the determinant first, and builds a
+    candidate's entries only when its |det| does not exceed the best so
+    far.  Each search fixes its digit width once, from Hadamard's bound on
+    the coefficient bound times sum_j |B_j| entrywise, which bounds every
+    minor of every candidate.
     """
     global RANDOM_FALLBACK_COUNT
     if not same_group(m1.group, m2.group):
@@ -806,14 +870,22 @@ def equivariant_finite_index_embedding(
             )
         RANDOM_FALLBACK_COUNT += 1
         rng = random.Random(0)
+        width, moves = _packed_moves(nonzeros, n, range(k), _RANDOM_COEFF_BOUND)
         for _ in range(_RANDOM_ATTEMPTS):
             coeffs = [rng.randint(-_RANDOM_COEFF_BOUND, _RANDOM_COEFF_BOUND) for _ in range(k)]
-            flat = [0] * (n * n)
-            for c, nz in zip(coeffs, nonzeros):
+            rows = [0] * n
+            for c, packed in zip(coeffs, moves):
                 if c:
-                    for idx, val in nz:
-                        flat[idx] += c * val
-            best = _smaller_key(flat, n, best, paired=False)
+                    for r, x in packed:
+                        rows[r] += c * x
+            det = packed_det(rows, width)
+            if det and (best is None or abs(det) <= best[0]):
+                flat = [0] * (n * n)
+                for c, nz in zip(coeffs, nonzeros):
+                    if c:
+                        for idx, val in nz:
+                            flat[idx] += c * val
+                best = _smaller_key(flat, n, best, paired=False, det=det)
         if best is None:
             raise NoInvertibleIntertwiner("pseudorandom search found no invertible intertwiner")
     flat = best[3]

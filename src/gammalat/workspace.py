@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from .errors import InvalidCocycle, UnknownName, WorkspaceError
+from .errors import GammalatError, InvalidCocycle, UnknownName, WorkspaceError
 from .groups import (
     Cocycle,
     FiniteGroup,
@@ -119,6 +120,16 @@ def _as_section(doc: dict, key: str) -> dict:
     return section
 
 
+@contextmanager
+def _defining(where: str) -> Iterator[None]:
+    """Prefix ``where``, the definition being built, to any error its
+    constructor raises; the error keeps its class."""
+    try:
+        yield
+    except GammalatError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """``object_pairs_hook`` for ``json.load``: a repeated key is an error,
     where a plain load would keep the last value silently."""
@@ -180,7 +191,8 @@ def _load_groups(section: dict) -> dict[str, FiniteGroup]:
                 f"{where}/labels: expected one string per generator",
             )
             letters = [str(s) for s in labels_obj]
-        out[name] = group_from_generators(gens, generator_letters=letters)
+        with _defining(where):
+            out[name] = group_from_generators(gens, generator_letters=letters)
     return out
 
 
@@ -194,7 +206,8 @@ def _load_actions(section: dict, ws: Workspace) -> None:
         images_obj = entry["generator_images"]
         _require(isinstance(images_obj, list), f"{where}/generator_images: expected a list")
         images = [_parse_int_list(img, f"{where}/generator_images") for img in images_obj]
-        ws.actions[name] = GroupAction.from_generator_images(actor, target, images)
+        with _defining(where):
+            ws.actions[name] = GroupAction.from_generator_images(actor, target, images)
 
 
 def _load_lattices(section: dict, ws: Workspace) -> None:
@@ -215,7 +228,8 @@ def _load_lattices(section: dict, ws: Workspace) -> None:
         mats_obj = entry["generator_matrices"]
         _require(isinstance(mats_obj, list), f"{where}/generator_matrices: expected a list")
         mats = [_parse_matrix(mat, f"{where}/generator_matrices") for mat in mats_obj]
-        ws.lattices[name] = lattice_from_action(group, rank, mats, name)
+        with _defining(where):
+            ws.lattices[name] = lattice_from_action(group, rank, mats, name)
 
 
 def _load_cocycles(section: dict, ws: Workspace) -> None:
@@ -249,12 +263,14 @@ def _load_reductions(section: dict, ws: Workspace) -> None:
         _require(d is None or d >= 1, f"{where}: d must be >= 1")
         from .reduction import reduction_input
 
-        ws.reductions[name] = reduction_input(hf, gamma, action, t_hat, gtor_hat, d)
+        with _defining(where):
+            ws.reductions[name] = reduction_input(hf, gamma, action, t_hat, gtor_hat, d)
 
 
 def load_workspace(path: str) -> Workspace:
     """Parse and validate a workspace file; raises WorkspaceError/UnknownName
-    or the underlying validator's error on bad definitions."""
+    or, on a bad definition, the underlying validator's error with the
+    definition's ``<section>/<name>: `` prefixed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=_unique_keys)

@@ -452,7 +452,32 @@ def test_workspace_identity_generator_conflict(tmp_path, capsys):
     assert rc == 2
     assert out["error"] == {
         "code": "NotAHomomorphism",
-        "message": "generator matrix 0 conflicts with the extension",
+        "message": "lattices/x: generator matrix 0 conflicts with the extension",
+    }
+
+
+def test_workspace_lattice_error_names_the_lattice(tmp_path, capsys):
+    """An error raised while a definition is built names it, and keeps its
+    class and exit code; the whole workspace is built on load, so any
+    command reports it."""
+    doc = {
+        "format": 1,
+        "groups": {"c2g": {"points": 2, "generators": [[1, 0]]}},
+        "lattices": {
+            "bad": {
+                "group": "c2g",
+                "rank": 1,
+                "generator_matrices": [{"rows": 1, "cols": 1, "entries": [[2]]}],
+            }
+        },
+    }
+    path = tmp_path / "bad_lattice.json"
+    path.write_text(json.dumps(doc))
+    rc, out = run_json(capsys, "--workspace", str(path), "group-info", "c2g")
+    assert rc == 2
+    assert out["error"] == {
+        "code": "NotUnimodular",
+        "message": "lattices/bad: generator matrix 0 has determinant 2",
     }
 
 
@@ -476,9 +501,13 @@ def test_workspace_torus_lattice_needs_the_products_generators(tmp_path, capsys)
     }
     path = tmp_path / "plain_s3.json"
     path.write_text(json.dumps(doc))
-    rc, out = run_json(capsys, "--workspace", str(path), "reduce", "r")
-    assert rc == 2
-    assert out["error"]["code"] == "GroupMismatch"
+    for command in (["reduce", "r"], ["group-info", "gamma1"]):
+        rc, out = run_json(capsys, "--workspace", str(path), *command)
+        assert rc == 2
+        assert out["error"] == {
+            "code": "GroupMismatch",
+            "message": "reductions/r: torus lattice is not defined over the semidirect product",
+        }
 
 
 def _load_demo_with(tmp_path, capsys, section, name, key, value):

@@ -11,12 +11,16 @@ from gammalat.induction import induced_trivial_character
 from gammalat.intlinalg import (
     FiniteAbelianGroup,
     IntMatrix,
+    bareiss_det,
     block_diagonal,
     cokernel_structure,
     hermite_normal_form,
+    det_width,
     kernel_basis,
     minimal_multiplier,
     multiplier_is_minimal,
+    pack_row,
+    packed_det,
     scaled_inverse,
     smith_normal_form,
     solve_integer_linear,
@@ -68,6 +72,67 @@ def test_det_against_rational_elimination():
         n = rng.randint(1, 5)
         a = rand_matrix(rng, n, n)
         assert a.det() == det_fraction(a.entries)
+
+
+def test_packed_det_against_rational_elimination():
+    """The packed elimination on random matrices of order 0 to 9: sparse
+    ones whose leading entries vanish (row swaps), zero rows, repeated
+    rows, and entries up to 10^6.  A width from a looser entrywise bound
+    gives the same determinant."""
+    rng = random.Random(16)
+    for _ in range(600):
+        n = rng.randint(0, 9)
+        bound = rng.choice([1, 3, 100, 10**6])
+        density = rng.choice([0.3, 0.7, 1.0])
+        rows = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n > 1:
+            edit = rng.randrange(4)
+            if edit == 1:
+                rows[rng.randrange(n)] = [0] * n
+            elif edit == 2:
+                rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+            elif edit == 3:
+                rows[0][0] = 0
+        det = det_fraction(rows)
+        assert bareiss_det(rows) == det, rows
+        loose = det_width([[bound] * n] * n)
+        assert packed_det([pack_row(row, loose) for row in rows], loose) == det, rows
+
+
+def _hadamard(order: int) -> list[list[int]]:
+    rows = [[1]]
+    while len(rows) < order:
+        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
+    return rows
+
+
+def test_packed_det_at_hadamards_bound():
+    """Hadamard matrices meet Hadamard's bound, |det| = n^(n/2), the tight
+    edge of the width rule; so do their row swaps and negations.  Bordered
+    by an identity block, which leaves the bound alone, their determinant
+    is an inner minor of the elimination, whose digit is read off."""
+    rng = random.Random(8)
+    for order in (1, 2, 4, 8):
+        h = _hadamard(order)
+        det = int(det_fraction(h))
+        assert abs(det) == order ** (order // 2)
+        for trial in range(21):
+            rows = [list(r) for r in h]
+            sign = 1
+            if trial:
+                i, j = rng.randrange(order), rng.randrange(order)
+                if i != j:
+                    rows[i], rows[j] = rows[j], rows[i]
+                    sign = -sign
+                for r in rng.sample(range(order), rng.randint(0, order)):
+                    rows[r] = [-x for x in rows[r]]
+                    sign = -sign
+            assert bareiss_det(rows) == sign * det
+            bordered = block_diagonal([IntMatrix.from_rows(rows), IntMatrix.identity(2)])
+            assert bareiss_det(bordered.entries) == sign * det
 
 
 def test_hermite_small_cases():

@@ -45,7 +45,7 @@ from gammalat.lattices import (
     twist,
     zero_lattice,
 )
-from gammalat.lattices import _block_minimum, _row_block_det, _row_blocks
+from gammalat.lattices import _block_minimum, _block_settings, _row_block_det, _row_blocks
 from oracle import (
     det_fraction,
     permutation_fixed_points,
@@ -349,6 +349,36 @@ def test_block_search_matches_reference():
     # The two structurally singular leading blocks find nothing; the
     # comparison is not vacuous for the others.
     assert found >= len(cases) - 3
+
+
+def test_full_block_settings_carry_their_determinants():
+    """A block of all rows is walked as packed rows: every setting it yields
+    has the determinant of its candidate, and it yields exactly the
+    invertible candidates (one of each pair +-c for the first block)."""
+    rng = random.Random(16)
+    for shape, bound in (([(2, 1), (1, 2)], 3), ([(2, 2), (2, 2)], 2), ([(1, 1), (3, 2)], 2)):
+        basis, n = _row_block_basis(rng, shape)
+        assert any(x < 0 for b in basis for row in b.entries for x in row)
+        k = len(basis)
+        nonzeros = [
+            [(i * n + j, x) for i, row in enumerate(b.entries) for j, x in enumerate(row) if x]
+            for b in basis
+        ]
+        block = (tuple(range(n)), tuple(range(k)))
+        for first in (True, False):
+            expected = {}
+            for coeffs in iter_product(range(-bound, bound + 1), repeat=k):
+                lead = next(filter(None, coeffs), 0)
+                if lead > 0 or (lead and not first):
+                    rows = [
+                        [sum(c * b.entries[i][j] for c, b in zip(coeffs, basis)) for j in range(n)]
+                        for i in range(n)
+                    ]
+                    if bareiss_det(rows):
+                        expected[coeffs] = [bareiss_det(rows)]
+            found = dict(_block_settings(nonzeros, n, block, bound, first))
+            assert found == expected
+            assert expected
 
 
 def test_intertwiners_and_embedding_match_reference():
