@@ -15,7 +15,9 @@ sublattice N^H.  So the intertwiner basis is assembled orbit by orbit from
 small fixed-vector kernels, instead of from one constraint system over all
 rank(M) * rank(N) unknowns, which remains the path for any other source.
 The finite-index embedding then picks, among small integer combinations of
-that basis, the invertible one minimizing a fixed total order.  Its target
+that basis, the invertible one minimizing a fixed total order.  The
+identity is the least of any invertible matrix, so where it intertwines
+and lies in the searched box, it is the answer unsearched.  Its target
 is a direct sum, so the basis splits into blocks supported on disjoint
 rows, and the determinant of a combination is a Laplace expansion along
 those row blocks: the signed minors of the blocks fixed so far, on every
@@ -68,6 +70,7 @@ from .groups import (
     left_cosets,
     same_group,
     semidirect_product,
+    subgroup_closure,
     subgroup_conjugacy_reps,
     twisted_section,
 )
@@ -405,10 +408,10 @@ def intertwiner_basis(m: GammaLattice, n: GammaLattice) -> tuple[IntMatrix, ...]
     Z[G/Stab(x)], x the smallest point of the orbit.  Frobenius reciprocity
     gives Hom_G(Z[G/Stab(x)], n) = n^Stab(x), so each Z-basis vector v of
     the fixed sublattice (the integer kernel of the stacked n(s) - I over
-    s in Stab(x)) yields one intertwiner, whose column g*x is n(g) * v and
-    whose other columns are zero.  Any other ``m`` takes the integer kernel
-    of the linear constraints on the generators (which imply the constraint
-    for every element).
+    generators s of Stab(x)) yields one intertwiner, whose column g*x is
+    n(g) * v and whose other columns are zero.  Any other ``m`` takes the
+    integer kernel of the linear constraints on the generators (which imply
+    the constraint for every element).
 
     Both describe the same saturated Z-lattice, and the flattened solutions
     are canonicalized by their Hermite form, so the basis is unique and
@@ -495,7 +498,7 @@ def _permutation_intertwiners(m: GammaLattice, n: GammaLattice) -> list[list[int
                     tree.append((img[y], y, k))
         stab = tuple(g for g, img in enumerate(images) if g and img[x] == x)
         if stab not in fixed_by_stabilizer:
-            fixed_by_stabilizer[stab] = _fixed_sublattice(n, stab)
+            fixed_by_stabilizer[stab] = _fixed_sublattice(n, _generating_subset(m.group, stab))
         for v in fixed_by_stabilizer[stab]:
             columns = {x: v}
             for y, parent, k in tree[1:]:
@@ -509,8 +512,22 @@ def _permutation_intertwiners(m: GammaLattice, n: GammaLattice) -> list[list[int
     return out
 
 
+def _generating_subset(group: FiniteGroup, elements: Sequence[int]) -> list[int]:
+    """The elements, in order, that do not lie in the subgroup generated by
+    those kept before them; together they generate what all the listed
+    elements generate."""
+    kept: list[int] = []
+    closure = frozenset((0,))
+    for g in elements:
+        if g not in closure:
+            kept.append(g)
+            closure = subgroup_closure(group, kept)
+    return kept
+
+
 def _fixed_sublattice(n: GammaLattice, elements: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Z-basis of the vectors of n fixed by every listed element."""
+    """Z-basis of the vectors of n fixed by every listed element, which are
+    those fixed by the subgroup the elements generate."""
     if not elements:
         return tuple(tuple(1 if i == j else 0 for j in range(n.rank)) for i in range(n.rank))
     rows = []
@@ -805,6 +822,26 @@ def _block_minimum(
     return best
 
 
+def _hermite_coordinates(nonzeros: list[list[tuple[int, int]]], flat: list[int]) -> Optional[list[int]]:
+    """The integer coordinates of ``flat`` in the Hermite-form basis given
+    by its members' nonzeros, or None if it is no integer combination of
+    them.  Each member's pivot, its first nonzero entry, is zero in every
+    later member, so the coordinates follow one at a time along the pivots,
+    each member's multiple subtracted from the rest as it is found."""
+    rest = list(flat)
+    coords = []
+    for nz in nonzeros:
+        pivot, lead = nz[0]
+        c, r = divmod(rest[pivot], lead)
+        if r:
+            return None
+        if c:
+            for idx, val in nz:
+                rest[idx] -= c * val
+        coords.append(c)
+    return None if any(rest) else coords
+
+
 def equivariant_finite_index_embedding(
     m1: GammaLattice, m2: GammaLattice, *, allow_random: bool = True
 ) -> LatticeEmbedding:
@@ -818,6 +855,14 @@ def equivariant_finite_index_embedding(
     entries).  That is a total order, and E and -E share their key, so the
     choice depends neither on the order of enumeration nor on which of
     each pair +-E is evaluated.
+
+    The order has a floor: an invertible integer matrix has |det| >= 1, a
+    nonzero entry in every row (so an entry sum >= n) and a trace at most
+    its entry sum, with equality throughout only for the identity.  So
+    where m1 and m2 have the same generator matrices, the identity
+    intertwines them, and if its coordinates in the Hermite-form basis
+    (read off along the pivots) lie in the box, it is the answer and the
+    box is not walked.  An empty box holds no identity.
 
     m2 is a direct sum, and Hom(m1, N1 + N2) = Hom(m1, N1) + Hom(m1, N2),
     so the Hermite-form basis splits into blocks supported on disjoint rows
@@ -855,6 +900,11 @@ def equivariant_finite_index_embedding(
 
     best = None
     bound = max((b for b in _SHELL_BOUNDS if (2 * b + 1) ** k <= _SHELL_BUDGET), default=0)
+    if m1.generators == m2.generators:
+        identity = IntMatrix.identity(n)
+        coords = _hermite_coordinates(nonzeros, list(chain.from_iterable(identity.entries)))
+        if coords is not None and all(abs(c) <= bound for c in coords):
+            return lattice_embedding(m1, m2, identity)
     if bound:
         blocks = _row_blocks(nonzeros, n)
         if not _expansion_pays(blocks, n, bound):
@@ -1051,8 +1101,13 @@ def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> Permutation
     head_sums = [_partial_column_sums(cols[:split], coords, rank) for cols in columns]
     tail_sums = [_partial_column_sums(cols[split:], coords, rank) for cols in columns]
     tails = list(iter_product(coords, repeat=rank - split))
+    # An orbit's permutation character at g counts the points g fixes:
+    # |orbit| * |g^G meet Stab(v)| / |g^G|, from the stabilizer met on the way.
+    class_of = class_index_map(m.group)
+    class_sizes = [len(cls) for cls in conjugacy_classes(m.group)]
     any_left_box = False
     orbits: list[tuple[tuple[int, ...], ...]] = []
+    orbit_chars: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for h, head in enumerate(iter_product(coords, repeat=split)):
         parts = [(hs[h], ts) for hs, ts in zip(head_sums, tail_sums)]
@@ -1062,22 +1117,22 @@ def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> Permutation
                 continue
             orbit = set()
             stays = True
-            for head_part, ts in parts:
+            fixed = [0] * len(class_sizes)
+            for g, (head_part, ts) in enumerate(parts):
                 img = tuple(map(add, head_part, ts[t]))
                 if min(img) < lo or max(img) > hi:
                     stays = False
                     any_left_box = True
                 else:
                     orbit.add(img)
+                    if img == vec:
+                        fixed[class_of[g]] += 1
             seen |= orbit
             seen.add(vec)
             if stays:
                 orbits.append(tuple(sorted(orbit)))
+                orbit_chars.append(tuple(len(orbit) * f // size for f, size in zip(fixed, class_sizes)))
 
-    class_reps = [m.matrices[cls[0]] for cls in conjugacy_classes(m.group)]
-    orbit_chars = [
-        tuple(sum(a.times_vector(v) == v for v in orb) for a in class_reps) for orb in orbits
-    ]
     chosen: list[tuple[int, ...]] = []
 
     def search(

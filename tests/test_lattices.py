@@ -6,6 +6,7 @@ from itertools import product as iter_product
 
 import pytest
 
+import gammalat.lattices as lattices_mod
 from gammalat.corpus import builtin_group, builtin_lattice, builtin_lattices
 from gammalat.errors import (
     CharacterMismatch,
@@ -23,6 +24,7 @@ from gammalat.groups import (
     group_from_generators,
     same_group,
     semidirect_product,
+    subgroup_closure,
     trivial_group,
 )
 from gammalat.induction import artin_decompose, build_multiplicity_lattice
@@ -45,7 +47,14 @@ from gammalat.lattices import (
     twist,
     zero_lattice,
 )
-from gammalat.lattices import _block_minimum, _block_settings, _row_block_det, _row_blocks
+from gammalat.lattices import (
+    _block_minimum,
+    _block_settings,
+    _generating_subset,
+    _hermite_coordinates,
+    _row_block_det,
+    _row_blocks,
+)
 from oracle import (
     det_fraction,
     permutation_fixed_points,
@@ -393,6 +402,119 @@ def test_intertwiners_and_embedding_match_reference():
         assert chosen == reference_embedding_matrix(basis, m1.rank)
     sign, trivial = builtin_lattice("c2_sign"), builtin_lattice("c2_trivial")
     assert intertwiner_basis(sign, trivial) == reference_intertwiner_basis(sign, trivial) == ()
+
+
+def _identity_pairs():
+    """Every corpus search whose source is its target: the Ono pairs of the
+    trivial and regular lattices, and c3_augmentation onto itself."""
+    names = ("c2_trivial", "c2_regular", "c3_regular", "c4_regular", "v4_regular")
+    pairs = [_ono_pair(builtin_lattice(name)) for name in names]
+    pairs.append((builtin_lattice("c3_augmentation"), builtin_lattice("c3_augmentation")))
+    for m1, m2 in pairs:
+        assert m1.generators == m2.generators
+    return pairs
+
+
+def _search_box(m1, m2):
+    """The nonzeros of the intertwiner basis and the box the search walks."""
+    basis = intertwiner_basis(m1, m2)
+    n = m1.rank
+    nonzeros = [
+        [(i * n + j, x) for i, row in enumerate(b.entries) for j, x in enumerate(row) if x]
+        for b in basis
+    ]
+    bounds = lattices_mod._SHELL_BOUNDS
+    bound = max((b for b in bounds if (2 * b + 1) ** len(basis) <= lattices_mod._SHELL_BUDGET), default=0)
+    return nonzeros, n, bound
+
+
+def test_identity_floor_answers_without_the_walk(monkeypatch):
+    """Where the source is the target and the identity lies in the box, its
+    key (|det| 1, entry sum n, trace n) is the least there is, so the search
+    returns it without walking the box."""
+
+    def walk(*args):
+        raise AssertionError("the box walk ran")
+
+    monkeypatch.setattr(lattices_mod, "_block_minimum", walk)
+    for m1, m2 in _identity_pairs():
+        emb = equivariant_finite_index_embedding(m1, m2)
+        assert emb.matrix == IntMatrix.identity(m1.rank)
+        assert emb.index == 1
+
+
+def test_box_walk_reaches_the_identity_floor():
+    """The walk over the same box, split along the row blocks and merged
+    into one block, finds the identity's key on these bases too."""
+    for m1, m2 in _identity_pairs():
+        nonzeros, n, bound = _search_box(m1, m2)
+        assert bound > 0
+        identity = tuple(int(i == j) for i in range(n) for j in range(n))
+        merged = [(tuple(range(n)), tuple(range(len(nonzeros))))]
+        for blocks in (_row_blocks(nonzeros, n), merged):
+            assert _block_minimum(nonzeros, n, blocks, bound) == (1, n, -n, identity)
+
+
+def test_identity_floor_needs_a_nonempty_box():
+    """With no box (k = 16 basis matrices for a rank-4 trivial action), the
+    source equal to the target still takes the seeded pseudorandom phase."""
+    m = trivial_lattice(builtin_group("c2"), 4)
+    nonzeros, _, bound = _search_box(m, m)
+    assert (len(nonzeros), bound) == (16, 0)
+    before = lattices_mod.RANDOM_FALLBACK_COUNT
+    emb = equivariant_finite_index_embedding(m, m)
+    assert lattices_mod.RANDOM_FALLBACK_COUNT == before + 1
+    assert emb.matrix.entries == ((2, 3, 0, 0), (2, 3, 3, 1), (2, 1, -1, 0), (1, -1, -1, 0))
+    with pytest.raises(NoInvertibleIntertwiner):
+        equivariant_finite_index_embedding(m, m, allow_random=False)
+
+
+def test_hermite_coordinates_back_substitute_along_the_pivots():
+    """A Hermite basis of 4 x 4 matrices (pivots at entries 0, 5, 10, 11,
+    15; the three members before pivot 11, of lead 3, reduced to 2 there)
+    holds the identity at coordinates (1, 1, 1, -2, 1).  A flat matrix off
+    the span has no coordinates."""
+    nonzeros = [[(0, 1), (11, 2)], [(5, 1), (11, 2)], [(10, 1), (11, 2)], [(11, 3)], [(15, 1)]]
+    identity = [int(i == j) for i in range(4) for j in range(4)]
+    assert _hermite_coordinates(nonzeros, identity) == [1, 1, 1, -2, 1]
+    assert _hermite_coordinates(nonzeros, [0] * 16) == [0] * 5
+    assert _hermite_coordinates(nonzeros, [int(i == 11) for i in range(16)]) is None
+    assert _hermite_coordinates(nonzeros, [int(i == 1) for i in range(16)]) is None
+
+
+def test_identity_outside_the_box_takes_the_walk(monkeypatch):
+    """The floor answers only when the identity lies in the box.  Every
+    corpus End ring holds it at coordinates in {-1, 0, 1}, inside any box,
+    so its coordinates are reported scaled past the bound here; the walk
+    then runs, and finds the identity by itself."""
+    walks = []
+    block_minimum = lattices_mod._block_minimum
+    hermite_coordinates = lattices_mod._hermite_coordinates
+
+    def walk(*args):
+        walks.append(args)
+        return block_minimum(*args)
+
+    monkeypatch.setattr(lattices_mod, "_block_minimum", walk)
+    monkeypatch.setattr(
+        lattices_mod,
+        "_hermite_coordinates",
+        lambda nonzeros, flat: [25 * c for c in hermite_coordinates(nonzeros, flat)],
+    )
+    m1, m2 = _ono_pair(builtin_lattice("c3_regular"))
+    emb = equivariant_finite_index_embedding(m1, m2)
+    assert len(walks) == 1
+    assert emb.matrix == IntMatrix.identity(3)
+
+
+def test_generating_subset_generates_the_subgroup():
+    for name in ("s3", "c6", "v4"):
+        group = builtin_group(name)
+        for sub in all_subgroups(group):
+            kept = _generating_subset(group, sub[1:])
+            assert subgroup_closure(group, kept) == frozenset(sub)
+            for i, g in enumerate(kept):
+                assert g not in subgroup_closure(group, kept[:i])
 
 
 def test_canonical_embedding_sign_case():
