@@ -9,17 +9,20 @@ sign produces two permutation lattices M1 and M0 with
     r * character(M) + character(M0) = character(M1),
 
 and an explicit equivariant finite-index embedding M1 -> M^r + M0 realizes
-the identity on the nose.
+the identity on the nose.  A group's induced-character matrix is factored
+once per (group, reps) and cached: r, the combination and the certificate
+that r is minimal are all read off that one Smith form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import InternalContradiction, NotInRationalSpan
-from .groups import FiniteGroup, cyclic_subgroup_class_reps, fixed_coset_counts
-from .intlinalg import minimal_multiplier, multiplier_is_minimal
+from .groups import FiniteGroup, conjugacy_classes, cyclic_subgroup_class_reps, fixed_coset_counts
+from .intlinalg import SnfDecomposition, column_matrix, smith_normal_form
 from .lattices import (
     GammaLattice,
     LatticeEmbedding,
@@ -46,6 +49,15 @@ def induced_trivial_character(group: FiniteGroup, delta: Sequence[int]) -> Ratio
     """Character of the coset space Z[G/delta]: fixed cosets per class."""
     counts = fixed_coset_counts(group, tuple(sorted(set(int(x) for x in delta))))
     return RationalCharacter(group, counts)
+
+
+@lru_cache(maxsize=None)
+def _induced_character_snf(group: FiniteGroup, reps: tuple[tuple[int, ...], ...]) -> SnfDecomposition:
+    """Smith form of the matrix whose columns are the induced-trivial
+    characters of ``reps``, shared by artin_decompose and
+    certify_minimality."""
+    basis = [induced_trivial_character(group, rep).values for rep in reps]
+    return smith_normal_form(column_matrix(basis, len(conjugacy_classes(group))))
 
 
 @dataclass(frozen=True)
@@ -83,9 +95,8 @@ def artin_decompose(m: GammaLattice) -> ArtinSolution:
     """
     chi = character(m).values
     reps = cyclic_subgroup_class_reps(m.group)
-    basis = [induced_trivial_character(m.group, rep).values for rep in reps]
     try:
-        r, coeffs = minimal_multiplier(chi, basis)
+        r, coeffs = _induced_character_snf(m.group, reps).least_multiple(chi)
     except NotInRationalSpan as exc:
         raise InternalContradiction(
             "lattice character escaped the rational span of the induced-trivial "
@@ -97,11 +108,11 @@ def artin_decompose(m: GammaLattice) -> ArtinSolution:
 
 
 def certify_minimality(m: GammaLattice, solution: ArtinSolution) -> bool:
-    """Check that no multiplier r' < solution.r admits an integer solution
-    (by testing r/p for each prime p dividing r)."""
+    """Check that solution.r is the least valid multiplier: r * chi is an
+    integer combination of the induced-trivial characters of solution.reps
+    and (r/p) * chi is not, for each prime p dividing r."""
     chi = character(m).values
-    basis = [induced_trivial_character(m.group, rep).values for rep in solution.reps]
-    return multiplier_is_minimal(chi, basis, solution.r)
+    return _induced_character_snf(m.group, solution.reps).is_least_multiple(chi, solution.r)
 
 
 def build_multiplicity_lattice(

@@ -1,7 +1,10 @@
 """Exact integer linear algebra.
 
-Hermite and Smith normal forms with their unimodular transforms, cokernel
-structure, integer linear solving, and minimal-multiplier computations.
+Hermite and Smith normal forms with their unimodular transforms.  A Smith
+form keeps its matrix and answers every question about it: kernel,
+cokernel structure, integer solving, least multiples in the column span
+and scaled inverses.  So one factorization serves a matrix asked many
+times, and each of the free functions below factors its matrix once.
 Everything runs on Python's arbitrary-precision integers; no floating
 point is used anywhere.  All outputs are canonical: the same input always
 produces the identical object, so downstream reports are reproducible
@@ -11,6 +14,7 @@ byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -27,7 +31,7 @@ __all__ = [
     "multiplier_is_minimal",
     "solve_integer_linear",
     "kernel_basis",
-    "scaled_inverse",
+    "column_matrix",
     "block_diagonal",
     "bareiss_det",
     "det_width",
@@ -262,16 +266,129 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """Smith normal form ``u * a * v = d`` with unimodular ``u`` and ``v``.
+    """Smith normal form ``u * a * v = d`` of the kept matrix ``a``, with
+    ``u`` and ``v`` unimodular, and every answer about ``a`` read off it.
 
     ``elementary_divisors`` are the nonzero diagonal entries of ``d``
-    (including any 1s), positive and each dividing the next.
+    (including any 1s), positive and each dividing the next; there are
+    rank(a) of them.  No answer factors ``a`` again, and the Hermite form
+    of the kernel, which makes every solution canonical, is built once, by
+    the first solve that needs it.
     """
 
+    a: IntMatrix
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
     elementary_divisors: tuple[int, ...]
+
+    @property
+    def kernel(self) -> tuple[tuple[int, ...], ...]:
+        """Basis of the integer kernel ``{x : a*x = 0}`` (a saturated
+        lattice): the columns of ``v`` past the rank."""
+        return tuple(self.v.column(j) for j in range(len(self.elementary_divisors), self.a.cols))
+
+    @property
+    def cokernel(self) -> tuple[FiniteAbelianGroup, int]:
+        """Structure of ``Z^rows / (column span of a)`` as ``(torsion,
+        free_rank)``: the elementary divisors > 1, and ``rows - rank``."""
+        torsion = FiniteAbelianGroup(tuple(d for d in self.elementary_divisors if d > 1))
+        return torsion, self.a.rows - len(self.elementary_divisors)
+
+    @cached_property
+    def _kernel_hermite(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of the kernel basis's Hermite form, each with a pivot."""
+        kern = self.kernel
+        if not kern:
+            return ()
+        return hermite_normal_form(IntMatrix.from_rows(kern, cols=self.a.cols))[0].entries
+
+    def least_multiple(self, b: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+        """Least ``r >= 1`` with ``r*b`` in the column span of ``a``, and the
+        canonical ``x`` with ``a*x = r*b``.
+
+        The system becomes ``d*y = r*u*b``: a component of ``w = u*b`` past
+        the rank must vanish, and component ``i`` below it needs ``d_i /
+        gcd(d_i, w_i)`` to divide ``r``.  The valid multipliers form an
+        ideal of Z, so the least one is the lcm of these steps.  ``x = v*y``
+        is reduced modulo the Hermite form of the kernel, along its pivots,
+        so equal inputs give the identical witness.  Raises
+        NotInRationalSpan if no multiple of ``b`` lies in the span.
+        """
+        b = tuple(int(val) for val in b)
+        if len(b) != self.a.rows:
+            raise ValueError("right-hand side length mismatch")
+        w = self.u.times_vector(b)
+        divisors = self.elementary_divisors
+        for i in range(len(divisors), self.a.rows):
+            if w[i] != 0:
+                raise NotInRationalSpan(f"component {i} obstructs rational solvability")
+        r = 1
+        for d, wi in zip(divisors, w):
+            step = d // gcd(d, wi)
+            r = r * step // gcd(r, step)
+        y = [r * wi // d for d, wi in zip(divisors, w)] + [0] * (self.a.cols - len(divisors))
+        x = self.v.times_vector(y)
+        for row in self._kernel_hermite:
+            pivot = next(j for j, val in enumerate(row) if val)
+            q = x[pivot] // row[pivot]
+            if q:
+                x = tuple(xj - q * hj for xj, hj in zip(x, row))
+        if self.a.times_vector(x) != tuple(r * val for val in b):
+            raise AssertionError("back-substitution verification failed")
+        return r, x
+
+    def solve(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """The canonical integer solution of ``a*x = b`` (see
+        ``least_multiple``), or None if none exists."""
+        try:
+            r, x = self.least_multiple(b)
+        except NotInRationalSpan:
+            return None
+        return x if r == 1 else None
+
+    def is_least_multiple(self, b: Sequence[int], r: int) -> bool:
+        """True when ``r*b`` is in the column span of ``a`` and ``(r/p)*b``
+        is not, for every prime ``p`` dividing ``r``.
+
+        That certifies that no smaller multiplier exists: the valid
+        multipliers form an ideal, so a valid ``r' < r`` would make the
+        proper divisor ``gcd(r, r')`` valid, and with it some ``r/p``.
+        """
+        if r < 1:
+            raise ValueError("multiplier must be positive")
+        if self.solve([r * x for x in b]) is None:
+            return False
+        rest, p = r, 2
+        while rest > 1:
+            if rest % p == 0:
+                if self.solve([r // p * x for x in b]) is not None:
+                    return False
+                while rest % p == 0:
+                    rest //= p
+            p += 1
+        return True
+
+    def scaled_inverse(self, e: int) -> IntMatrix:
+        """The integer matrix ``e * a^-1`` of a square nonsingular ``a``.
+
+        Requires every elementary divisor to divide ``e`` (equivalently
+        ``e`` annihilates the cokernel), which makes the result integral:
+        ``e*a^-1 = v * (e*d^-1) * u``.
+        """
+        if not self.a.is_square():
+            raise ValueError("scaled inverse requires a square matrix")
+        n = self.a.rows
+        divisors = self.elementary_divisors
+        if len(divisors) != n:
+            raise ValueError("matrix is singular")
+        for d in divisors:
+            if e % d != 0:
+                raise ValueError(f"divisor {d} does not divide the scale {e}")
+        middle = IntMatrix(
+            n, n, tuple(tuple(e // divisors[i] if i == j else 0 for j in range(n)) for i in range(n))
+        )
+        return self.v.mul(middle).mul(self.u)
 
 
 def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
@@ -434,103 +551,31 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     dm = IntMatrix(r, c, tuple(tuple(row) for row in m))
     um = IntMatrix(r, r, tuple(tuple(row) for row in u))
     vm = IntMatrix(c, c, tuple(tuple(row) for row in v))
-    return SnfDecomposition(um, dm, vm, divisors)
+    return SnfDecomposition(a, um, dm, vm, divisors)
 
 
 def cokernel_structure(a: IntMatrix) -> tuple[FiniteAbelianGroup, int]:
-    """Structure of ``Z^rows / (column span of a)``.
-
-    Returns ``(torsion, free_rank)`` where ``torsion`` collects the
-    elementary divisors > 1 and ``free_rank = rows - rank``.
-    """
-    snf = smith_normal_form(a)
-    torsion = tuple(d for d in snf.elementary_divisors if d > 1)
-    free_rank = a.rows - len(snf.elementary_divisors)
-    return FiniteAbelianGroup(torsion), free_rank
+    """``smith_normal_form(a).cokernel``: the torsion and free rank of
+    ``Z^rows / (column span of a)``."""
+    return smith_normal_form(a).cokernel
 
 
 def kernel_basis(a: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """Basis of the integer kernel ``{x : a*x = 0}`` (a saturated lattice)."""
-    snf = smith_normal_form(a)
-    rank = len(snf.elementary_divisors)
-    return tuple(snf.v.column(j) for j in range(rank, a.cols))
-
-
-def _reduce_mod_hnf_rows(x: list[int], h: IntMatrix) -> list[int]:
-    """Canonical representative of ``x`` modulo the row span of ``h`` (an HNF)."""
-    for row in h.entries:
-        pivot_col = None
-        for j, val in enumerate(row):
-            if val != 0:
-                pivot_col = j
-                break
-        if pivot_col is None:
-            continue
-        p = row[pivot_col]
-        q = x[pivot_col] // p
-        if q:
-            for j in range(len(x)):
-                x[j] -= q * row[j]
-    return x
-
-
-def _least_multiple_in_span(a: IntMatrix, b: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Least ``r >= 1`` with ``r*b`` in the column span of ``a``, and the
-    canonical ``x`` with ``a*x = r*b``.
-
-    With ``u*a*v = d`` the system becomes ``d*y = r*u*b``: a component of
-    ``w = u*b`` past the rank must vanish, and component ``i`` below it needs
-    ``d_i / gcd(d_i, w_i)`` to divide ``r``.  The valid multipliers form an
-    ideal of Z, so the least one is the lcm of these steps.  ``x = v*y`` is
-    reduced modulo the integer kernel of ``a``, the last columns of ``v``,
-    so equal inputs give the identical witness.  Raises NotInRationalSpan
-    if no multiple of ``b`` lies in the span.
-    """
-    snf = smith_normal_form(a)
-    w = snf.u.times_vector(b)
-    divisors = snf.elementary_divisors
-    for i in range(len(divisors), a.rows):
-        if w[i] != 0:
-            raise NotInRationalSpan(f"component {i} obstructs rational solvability")
-    r = 1
-    for d, wi in zip(divisors, w):
-        step = d // gcd(d, wi)
-        r = r * step // gcd(r, step)
-    y = [r * wi // d for d, wi in zip(divisors, w)] + [0] * (a.cols - len(divisors))
-    x = snf.v.times_vector(y)
-    kern = [snf.v.column(j) for j in range(len(divisors), a.cols)]
-    if kern:
-        h, _ = hermite_normal_form(IntMatrix.from_rows(kern, cols=a.cols))
-        x = tuple(_reduce_mod_hnf_rows(list(x), h))
-    if a.times_vector(x) != tuple(r * val for val in b):
-        raise AssertionError("back-substitution verification failed")
-    return r, x
+    """``smith_normal_form(a).kernel``: a basis of ``{x : a*x = 0}``."""
+    return smith_normal_form(a).kernel
 
 
 def solve_integer_linear(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """One integer solution of ``a*x = b``, or None if none exists.
-
-    The returned solution is canonical: it is reduced modulo the integer
-    kernel of ``a``, so equal inputs give the identical witness.
-    """
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    try:
-        r, x = _least_multiple_in_span(a, [int(val) for val in b])
-    except NotInRationalSpan:
-        return None
-    return x if r == 1 else None
+    """``smith_normal_form(a).solve(b)``: the canonical integer solution of
+    ``a*x = b``, or None if none exists."""
+    return smith_normal_form(a).solve(b)
 
 
-def _span_system(
-    v: Sequence[int], basis: Sequence[Sequence[int]]
-) -> tuple[IntMatrix, tuple[int, ...]]:
-    """The matrix whose columns are ``basis``, and ``v`` as a tuple."""
-    target = tuple(int(x) for x in v)
-    if any(len(w) != len(target) for w in basis):
-        raise ValueError("basis vector length mismatch")
-    rows = [[w[i] for w in basis] for i in range(len(target))]
-    return IntMatrix.from_rows(rows, cols=len(basis)), target
+def column_matrix(columns: Sequence[Sequence[int]], length: int) -> IntMatrix:
+    """The ``length`` x len(columns) matrix whose columns are ``columns``."""
+    if any(len(w) != length for w in columns):
+        raise ValueError("column length mismatch")
+    return IntMatrix.from_rows(columns, cols=length).transpose()
 
 
 def minimal_multiplier(
@@ -542,49 +587,11 @@ def minimal_multiplier(
     ``coeffs`` is canonical (reduced modulo the kernel of the basis matrix).
     Raises NotInRationalSpan if no multiple of ``v`` lies in the span.
     """
-    return _least_multiple_in_span(*_span_system(v, basis))
+    return smith_normal_form(column_matrix(basis, len(v))).least_multiple(v)
 
 
 def multiplier_is_minimal(v: Sequence[int], basis: Sequence[Sequence[int]], r: int) -> bool:
-    """True when ``(r/p)*v`` is outside the integer span of ``basis`` for
-    every prime ``p`` dividing ``r``.
-
-    For a valid multiplier ``r`` this certifies that no smaller one exists:
-    the valid multipliers form an ideal, so a valid ``r' < r`` would make
-    the proper divisor ``gcd(r, r')`` valid, and with it some ``r/p``.
-    """
-    if r < 1:
-        raise ValueError("multiplier must be positive")
-    a, target = _span_system(v, basis)
-    rest, p = r, 2
-    while rest > 1:
-        if rest % p == 0:
-            if solve_integer_linear(a, [r // p * x for x in target]) is not None:
-                return False
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    return True
-
-
-def scaled_inverse(snf: SnfDecomposition, e: int) -> IntMatrix:
-    """The integer matrix ``e * a^-1``, read off the Smith form ``snf`` of
-    a square nonsingular ``a``.
-
-    Requires every elementary divisor of ``a`` to divide ``e`` (equivalently
-    ``e`` annihilates the cokernel), which makes the result integral:
-    from ``u*a*v = d`` we get ``e*a^-1 = v * (e*d^-1) * u``.
-    """
-    if not snf.d.is_square():
-        raise ValueError("scaled inverse requires a square matrix")
-    n = snf.d.rows
-    divisors = snf.elementary_divisors
-    if len(divisors) != n:
-        raise ValueError("matrix is singular")
-    for d in divisors:
-        if e % d != 0:
-            raise ValueError(f"divisor {d} does not divide the scale {e}")
-    middle = IntMatrix(
-        n, n, tuple(tuple(e // divisors[i] if i == j else 0 for j in range(n)) for i in range(n))
-    )
-    return snf.v.mul(middle).mul(snf.u)
+    """True when ``r`` is the least multiplier of ``v`` into the integer
+    span of ``basis``, certified on one Smith form
+    (``SnfDecomposition.is_least_multiple``)."""
+    return smith_normal_form(column_matrix(basis, len(v))).is_least_multiple(v, r)

@@ -16,8 +16,8 @@ small fixed-vector kernels, instead of from one constraint system over all
 rank(M) * rank(N) unknowns, which remains the path for any other source.
 The finite-index embedding then picks, among small integer combinations of
 that basis, the invertible one minimizing a fixed total order.  The
-identity is the least of any invertible matrix, so where it intertwines
-and lies in the searched box, it is the answer unsearched.  Its target
+identity is the least of any invertible matrix, so where source and
+target act by the same matrices, it is the answer unsearched.  The target
 is a direct sum, so the basis splits into blocks supported on disjoint
 rows, and the determinant of a combination is a Laplace expansion along
 those row blocks: the signed minors of the blocks fixed so far, on every
@@ -362,7 +362,7 @@ class LatticeEmbedding:
 
     @property
     def cokernel(self) -> FiniteAbelianGroup:
-        return FiniteAbelianGroup(tuple(d for d in self.snf.elementary_divisors if d > 1))
+        return self.snf.cokernel[0]
 
     @property
     def cokernel_free_rank(self) -> int:
@@ -822,26 +822,6 @@ def _block_minimum(
     return best
 
 
-def _hermite_coordinates(nonzeros: list[list[tuple[int, int]]], flat: list[int]) -> Optional[list[int]]:
-    """The integer coordinates of ``flat`` in the Hermite-form basis given
-    by its members' nonzeros, or None if it is no integer combination of
-    them.  Each member's pivot, its first nonzero entry, is zero in every
-    later member, so the coordinates follow one at a time along the pivots,
-    each member's multiple subtracted from the rest as it is found."""
-    rest = list(flat)
-    coords = []
-    for nz in nonzeros:
-        pivot, lead = nz[0]
-        c, r = divmod(rest[pivot], lead)
-        if r:
-            return None
-        if c:
-            for idx, val in nz:
-                rest[idx] -= c * val
-        coords.append(c)
-    return None if any(rest) else coords
-
-
 def equivariant_finite_index_embedding(
     m1: GammaLattice, m2: GammaLattice, *, allow_random: bool = True
 ) -> LatticeEmbedding:
@@ -859,10 +839,9 @@ def equivariant_finite_index_embedding(
     The order has a floor: an invertible integer matrix has |det| >= 1, a
     nonzero entry in every row (so an entry sum >= n) and a trace at most
     its entry sum, with equality throughout only for the identity.  So
-    where m1 and m2 have the same generator matrices, the identity
-    intertwines them, and if its coordinates in the Hermite-form basis
-    (read off along the pivots) lie in the box, it is the answer and the
-    box is not walked.  An empty box holds no identity.
+    where m1 and m2 have the same generator matrices (rank 0 among them),
+    the identity intertwines them and is the answer, before any basis is
+    built, whatever the box.
 
     m2 is a direct sum, and Hom(m1, N1 + N2) = Hom(m1, N1) + Hom(m1, N2),
     so the Hermite-form basis splits into blocks supported on disjoint rows
@@ -886,8 +865,8 @@ def equivariant_finite_index_embedding(
         raise GroupMismatch("embedding endpoints must share the group")
     if character(m1) != character(m2):
         raise CharacterMismatch("lattices have different characters")
-    if m1.rank == 0:
-        return lattice_embedding(m1, m2, IntMatrix.identity(0))
+    if m1.generators == m2.generators:
+        return lattice_embedding(m1, m2, IntMatrix.identity(m1.rank))
     basis = intertwiner_basis(m1, m2)
     k = len(basis)
     if k == 0:
@@ -900,11 +879,6 @@ def equivariant_finite_index_embedding(
 
     best = None
     bound = max((b for b in _SHELL_BOUNDS if (2 * b + 1) ** k <= _SHELL_BUDGET), default=0)
-    if m1.generators == m2.generators:
-        identity = IntMatrix.identity(n)
-        coords = _hermite_coordinates(nonzeros, list(chain.from_iterable(identity.entries)))
-        if coords is not None and all(abs(c) <= bound for c in coords):
-            return lattice_embedding(m1, m2, identity)
     if bound:
         blocks = _row_blocks(nonzeros, n)
         if not _expansion_pays(blocks, n, bound):

@@ -22,7 +22,7 @@ from typing import Optional
 from .errors import GroupMismatch, InternalContradiction, NotAHomomorphism, NotFiniteIndex
 from .groups import FiniteGroup, GroupAction, same_group, semidirect_product
 from .induction import OnoResult, ono_construct
-from .intlinalg import IntMatrix, scaled_inverse
+from .intlinalg import IntMatrix
 from .lattices import GammaLattice, LatticeEmbedding, lattice_embedding
 
 __all__ = [
@@ -146,7 +146,7 @@ def reverse_isogeny(iso: LatticeEmbedding) -> LatticeEmbedding:
         raise NotFiniteIndex("only finite-index embeddings can be reversed")
     e = iso.cokernel.exponent
     rank = iso.source.rank
-    rev_matrix = scaled_inverse(iso.snf, e)
+    rev_matrix = iso.snf.scaled_inverse(e)
     rev = lattice_embedding(iso.target, iso.source, rev_matrix)
     composed = rev_matrix.mul(iso.matrix)
     if composed != IntMatrix.identity(rank).scale(e):

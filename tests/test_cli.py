@@ -162,6 +162,29 @@ def test_ono_seedless_failure_exits_1(capsys):
     assert doc["error"]["code"] == "NoInvertibleIntertwiner"
 
 
+def test_ono_seedless_on_its_own_source(tmp_path, capsys):
+    """The Ono source of a rank-4 trivial C2 lattice is the lattice itself,
+    so the identity embeds it, although no search box fits its 16
+    intertwiners; --seedless answers too."""
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    doc = {
+        "format": 1,
+        "lattices": {
+            "triv4": {
+                "group": "c2",
+                "rank": 4,
+                "generator_matrices": [{"rows": 4, "cols": 4, "entries": identity}],
+            }
+        },
+    }
+    path = tmp_path / "triv4.json"
+    path.write_text(json.dumps(doc))
+    for extra in ([], ["--seedless"]):
+        rc, out = run_json(capsys, "--workspace", str(path), "ono", "triv4", *extra)
+        assert rc == 0
+        assert out["ono"]["embedding"]["matrix"]["entries"] == [[str(x) for x in row] for row in identity]
+
+
 def test_twist_commands(capsys):
     rc, doc = run_json(capsys, "--workspace", DEMO, "twist", "aug_twisted", "twist_inv3")
     assert rc == 0

@@ -1,7 +1,11 @@
 """Induction decompositions and finite-index embeddings of induced sums."""
 
+from dataclasses import replace
+
 import pytest
 
+import gammalat.induction
+import gammalat.intlinalg
 import gammalat.lattices
 from gammalat.corpus import builtin_group, builtin_lattice, builtin_lattices
 from gammalat.errors import NoInvertibleIntertwiner
@@ -42,6 +46,35 @@ def test_artin_v4_character_needs_multiplier_two():
     assert sol.r == 2
     assert sol.m == (1, 0, 1, 0)
     assert sol.n == (0, 1, 0, 1)
+
+
+def test_certify_minimality_rejects_an_invalid_multiplier():
+    """r = 3 is no valid multiplier of v4_character (its least is 2, and
+    3 * chi is no integer combination), so it is not certified even though
+    r/3 = 1 fails too."""
+    lat = builtin_lattice("v4_character")
+    sol = artin_decompose(lat)
+    assert certify_minimality(lat, sol)
+    assert not certify_minimality(lat, replace(sol, r=3))
+    assert not certify_minimality(lat, replace(sol, r=4))
+
+
+def test_artin_and_its_certificate_share_one_smith_form(monkeypatch):
+    """artin_decompose and certify_minimality read one cached Smith form of
+    the group's induced-character matrix."""
+    calls = []
+    original = gammalat.intlinalg.smith_normal_form
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    for module in (gammalat.intlinalg, gammalat.induction):
+        monkeypatch.setattr(module, "smith_normal_form", counted)
+    gammalat.induction._induced_character_snf.cache_clear()
+    lat = builtin_lattice("v4_character")
+    assert certify_minimality(lat, artin_decompose(lat))
+    assert len(calls) == 1
 
 
 def test_artin_s3_lattices():

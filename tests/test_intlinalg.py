@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import gammalat.intlinalg as intlinalg
 from gammalat.corpus import builtin_lattices
 from gammalat.errors import NotInRationalSpan
 from gammalat.groups import cyclic_subgroup_class_reps
@@ -21,7 +22,6 @@ from gammalat.intlinalg import (
     multiplier_is_minimal,
     pack_row,
     packed_det,
-    scaled_inverse,
     smith_normal_form,
     solve_integer_linear,
 )
@@ -309,15 +309,64 @@ def test_minimal_multiplier_randomized_is_minimal():
 
 def test_scaled_inverse_and_unimodular_inverse():
     a = IntMatrix.from_rows([[1, -1], [1, 1]])
-    b = scaled_inverse(smith_normal_form(a), 2)
+    b = smith_normal_form(a).scaled_inverse(2)
     assert b.entries == ((1, 1), (-1, 1))
     assert a.mul(b) == IntMatrix.identity(2).scale(2)
     u = IntMatrix.from_rows([[1, 1], [0, 1]])
-    assert u.mul(scaled_inverse(smith_normal_form(u), 1)).is_identity()
+    assert u.mul(smith_normal_form(u).scaled_inverse(1)).is_identity()
     with pytest.raises(ValueError):
-        scaled_inverse(smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 2]])), 1)
+        smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 2]])).scaled_inverse(1)
     with pytest.raises(ValueError):
-        scaled_inverse(smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 0]])), 1)
+        smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 0]])).scaled_inverse(1)
+
+
+def test_one_decomposition_answers_like_a_fresh_one_per_right_hand_side():
+    """Solves on one kept decomposition, several of one shape queried in
+    turn, equal those on a fresh factorization per right-hand side; a stale
+    kernel Hermite form would show as a different canonical witness."""
+    rng = random.Random(808)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        kept = [smith_normal_form(rand_matrix(rng, rows, cols, bound=4)) for _ in range(3)]
+        for _ in range(15):
+            for snf in kept:
+                fresh = smith_normal_form(snf.a)
+                b = [rng.randint(-6, 6) for _ in range(rows)]
+                if rng.random() < 0.5:
+                    b = list(snf.a.times_vector([rng.randint(-3, 3) for _ in range(cols)]))
+                assert snf.solve(b) == fresh.solve(b)
+                try:
+                    expected = fresh.least_multiple(b)
+                except NotInRationalSpan:
+                    with pytest.raises(NotInRationalSpan):
+                        snf.least_multiple(b)
+                    continue
+                assert snf.least_multiple(b) == expected
+        for snf in kept:
+            assert snf.kernel == kernel_basis(snf.a)
+            assert snf.cokernel == cokernel_structure(snf.a)
+
+
+def test_multiplier_is_minimal_factors_once(monkeypatch):
+    calls = []
+    original = intlinalg.smith_normal_form
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    assert multiplier_is_minimal([1], [[6]], 6)
+    assert len(calls) == 1
+
+
+def test_multiplier_is_minimal_needs_a_valid_multiplier():
+    """The least multiplier of 1 into 2Z is 2; 1 and 3 are not valid, so
+    neither is certified, although each has no valid r/p below it."""
+    assert multiplier_is_minimal([1], [[2]], 2)
+    assert not multiplier_is_minimal([1], [[2]], 1)
+    assert not multiplier_is_minimal([1], [[2]], 3)
+    assert not multiplier_is_minimal([0, 1], [[1, 0]], 1)
 
 
 def _assert_only_minimal_multiplier_passes(v, basis, r):

@@ -11,7 +11,6 @@ from gammalat.corpus import builtin_group, builtin_lattice, builtin_lattices
 from gammalat.errors import (
     CharacterMismatch,
     GroupMismatch,
-    NoInvertibleIntertwiner,
     NotAHomomorphism,
     NotUnimodular,
 )
@@ -51,7 +50,6 @@ from gammalat.lattices import (
     _block_minimum,
     _block_settings,
     _generating_subset,
-    _hermite_coordinates,
     _row_block_det,
     _row_blocks,
 )
@@ -429,13 +427,14 @@ def _search_box(m1, m2):
 
 
 def test_identity_floor_answers_without_the_walk(monkeypatch):
-    """Where the source is the target and the identity lies in the box, its
-    key (|det| 1, entry sum n, trace n) is the least there is, so the search
-    returns it without walking the box."""
+    """Where the source is the target, the identity's key (|det| 1, entry
+    sum n, trace n) is the least there is, so the search returns it before
+    it builds a basis or walks a box."""
 
     def walk(*args):
-        raise AssertionError("the box walk ran")
+        raise AssertionError("the search ran")
 
+    monkeypatch.setattr(lattices_mod, "intertwiner_basis", walk)
     monkeypatch.setattr(lattices_mod, "_block_minimum", walk)
     for m1, m2 in _identity_pairs():
         emb = equivariant_finite_index_embedding(m1, m2)
@@ -455,56 +454,18 @@ def test_box_walk_reaches_the_identity_floor():
             assert _block_minimum(nonzeros, n, blocks, bound) == (1, n, -n, identity)
 
 
-def test_identity_floor_needs_a_nonempty_box():
+def test_identity_floor_needs_no_box():
     """With no box (k = 16 basis matrices for a rank-4 trivial action), the
-    source equal to the target still takes the seeded pseudorandom phase."""
+    source equal to the target still gets the identity, with or without the
+    seeded pseudorandom phase, which does not run."""
     m = trivial_lattice(builtin_group("c2"), 4)
     nonzeros, _, bound = _search_box(m, m)
     assert (len(nonzeros), bound) == (16, 0)
     before = lattices_mod.RANDOM_FALLBACK_COUNT
-    emb = equivariant_finite_index_embedding(m, m)
-    assert lattices_mod.RANDOM_FALLBACK_COUNT == before + 1
-    assert emb.matrix.entries == ((2, 3, 0, 0), (2, 3, 3, 1), (2, 1, -1, 0), (1, -1, -1, 0))
-    with pytest.raises(NoInvertibleIntertwiner):
-        equivariant_finite_index_embedding(m, m, allow_random=False)
-
-
-def test_hermite_coordinates_back_substitute_along_the_pivots():
-    """A Hermite basis of 4 x 4 matrices (pivots at entries 0, 5, 10, 11,
-    15; the three members before pivot 11, of lead 3, reduced to 2 there)
-    holds the identity at coordinates (1, 1, 1, -2, 1).  A flat matrix off
-    the span has no coordinates."""
-    nonzeros = [[(0, 1), (11, 2)], [(5, 1), (11, 2)], [(10, 1), (11, 2)], [(11, 3)], [(15, 1)]]
-    identity = [int(i == j) for i in range(4) for j in range(4)]
-    assert _hermite_coordinates(nonzeros, identity) == [1, 1, 1, -2, 1]
-    assert _hermite_coordinates(nonzeros, [0] * 16) == [0] * 5
-    assert _hermite_coordinates(nonzeros, [int(i == 11) for i in range(16)]) is None
-    assert _hermite_coordinates(nonzeros, [int(i == 1) for i in range(16)]) is None
-
-
-def test_identity_outside_the_box_takes_the_walk(monkeypatch):
-    """The floor answers only when the identity lies in the box.  Every
-    corpus End ring holds it at coordinates in {-1, 0, 1}, inside any box,
-    so its coordinates are reported scaled past the bound here; the walk
-    then runs, and finds the identity by itself."""
-    walks = []
-    block_minimum = lattices_mod._block_minimum
-    hermite_coordinates = lattices_mod._hermite_coordinates
-
-    def walk(*args):
-        walks.append(args)
-        return block_minimum(*args)
-
-    monkeypatch.setattr(lattices_mod, "_block_minimum", walk)
-    monkeypatch.setattr(
-        lattices_mod,
-        "_hermite_coordinates",
-        lambda nonzeros, flat: [25 * c for c in hermite_coordinates(nonzeros, flat)],
-    )
-    m1, m2 = _ono_pair(builtin_lattice("c3_regular"))
-    emb = equivariant_finite_index_embedding(m1, m2)
-    assert len(walks) == 1
-    assert emb.matrix == IntMatrix.identity(3)
+    for allow_random in (True, False):
+        emb = equivariant_finite_index_embedding(m, m, allow_random=allow_random)
+        assert emb.matrix == IntMatrix.identity(4)
+    assert lattices_mod.RANDOM_FALLBACK_COUNT == before
 
 
 def test_generating_subset_generates_the_subgroup():
