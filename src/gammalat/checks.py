@@ -33,6 +33,7 @@ from .groups import (
     enumerate_cocycles,
     fixed_coset_counts,
     left_cosets,
+    same_group,
     semidirect_product,
     subgroup_closure,
     subgroup_conjugacy_reps,
@@ -489,9 +490,11 @@ def _prop_character_laws(ctx: _Context) -> tuple[int, list[str]]:
             failures.append(f"{name}: dual changes the character")
         if any(chi.value_at(lat.group.inv(g)) != chi.value_at(g) for g in range(lat.group.order)):
             failures.append(f"{name}: character differs on inverses")
+    # Keyed on what same_group compares: lattices over equal tables with
+    # different generator ids cannot be summed or mapped to each other.
     by_group: dict[tuple, list[GammaLattice]] = {}
     for _, lat in ctx.lattices:
-        by_group.setdefault(lat.group.mul_table, []).append(lat)
+        by_group.setdefault((lat.group.mul_table, lat.group.generator_ids), []).append(lat)
     for lats in by_group.values():
         if len(lats) >= 2:
             cases += 1
@@ -533,14 +536,19 @@ def _prop_dual_involution(ctx: _Context) -> tuple[int, list[str]]:
 def _prop_intertwiner_relation(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
-    by_group: dict[tuple, list[tuple[str, GammaLattice]]] = {}
+    # The first three lattices per multiplication table; a pair over two
+    # groups that share the table but not the generator ids has no
+    # intertwiners to check.
+    by_table: dict[tuple, list[tuple[str, GammaLattice]]] = {}
     for name, lat in ctx.lattices:
-        by_group.setdefault(lat.group.mul_table, []).append((name, lat))
-    for entries in by_group.values():
+        by_table.setdefault(lat.group.mul_table, []).append((name, lat))
+    for entries in by_table.values():
         front = entries[:3]
         for i in range(len(front)):
             for j in range(i, len(front)):
                 (n1, l1), (n2, l2) = front[i], front[j]
+                if not same_group(l1.group, l2.group):
+                    continue
                 cases += 1
                 for e in intertwiner_basis(l1, l2):
                     bad = next(

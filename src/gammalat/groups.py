@@ -337,10 +337,25 @@ def is_subgroup(group: FiniteGroup, ids: Sequence[int]) -> bool:
     return all(group.mul(a, b) in s for a in s for b in s)
 
 
-def _conjugate_subgroup(group: FiniteGroup, sub: frozenset[int], by: int) -> frozenset[int]:
-    mt = group.mul_table
-    row, inv = mt[by], group.inv_table[by]
-    return frozenset(mt[row[g]][inv] for g in sub)
+def _conjugacy_orbit(group: FiniteGroup, sub: frozenset[int]) -> set[frozenset[int]]:
+    """Every conjugate of ``sub``, reached by conjugating along the
+    generators: |orbit| * (number of generators) conjugations instead of one
+    per group element."""
+    mt, inv = group.mul_table, group.inv_table
+    gens = [(mt[s], inv[s]) for s in group.generator_ids]
+    orbit = {sub}
+    queue = [sub]
+    for h in queue:
+        for row, s_inv in gens:
+            conj = frozenset([mt[row[x]][s_inv] for x in h])
+            if conj not in orbit:
+                orbit.add(conj)
+                queue.append(conj)
+    return orbit
+
+
+def _smallest_member(orbit: Iterable[frozenset[int]]) -> tuple[int, ...]:
+    return min(tuple(sorted(s)) for s in orbit)
 
 
 @lru_cache(maxsize=None)
@@ -355,20 +370,28 @@ def cyclic_subgroup_class_reps(group: FiniteGroup) -> tuple[tuple[int, ...], ...
 
 
 @lru_cache(maxsize=None)
-def all_subgroups(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Every subgroup, as sorted id tuples ordered by (order, tuple).
+def _subgroup_classes(group: FiniteGroup) -> tuple[frozenset[frozenset[int]], ...]:
+    """The conjugacy classes of subgroups, each as the set of its members,
+    by the cyclic extension method: only one member of each class found
+    is extended.
 
-    Every subgroup is reached from the trivial one by adding one element at
-    a time, so the search extends each subgroup H found by one element g
-    outside it.  Since <H, g> = <H, gh> for every h in H, one representative
-    g per left coset gH is enough.  Each extension starts from H and adds
-    whole left cosets yH until the set is closed under right multiplication
-    by g; a union of left cosets of H is closed under right multiplication
-    by H already, so the result is <H, g>.
+    Extending a member H by g outside it gives <H, g>, and <H, g> =
+    <H, gh> for every h in H, so one g per left coset gH is enough.  Each
+    extension starts from H and adds whole left cosets yH until the set is
+    closed under right multiplication by g; a union of left cosets of H is
+    closed under right multiplication by H already, so the result is
+    <H, g>.  A result in a class already found is dropped; otherwise its
+    class is computed and the result itself is extended in turn.
+
+    Every class is reached.  A subgroup K > 1 has a maximal subgroup M, and
+    K = <M, g> for any g in K outside M.  By induction some conjugate
+    P = M^x was extended, and <P, g^x> = K^x, with g^x outside P.
     """
     mt = group.mul_table
-    found: set[frozenset[int]] = {frozenset({0})}
-    work = [frozenset({0})]
+    trivial = frozenset({0})
+    classes = [frozenset({trivial})]
+    known = {trivial}
+    work = [trivial]
     while work:
         sub = work.pop()
         members = list(sub)
@@ -390,17 +413,34 @@ def all_subgroups(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
                     seen.update(coset)
                     queue.extend(coset)
             bigger = frozenset(seen)
-            if bigger not in found:
-                found.add(bigger)
+            if bigger not in known:
+                orbit = _conjugacy_orbit(group, bigger)
+                known |= orbit
+                classes.append(frozenset(orbit))
                 work.append(bigger)
-    subs = sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s))
-    return tuple(subs)
+    return tuple(classes)
+
+
+@lru_cache(maxsize=None)
+def all_subgroups(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Every subgroup, as sorted id tuples ordered by (order, tuple): the
+    members of the conjugacy classes that ``subgroup_conjugacy_reps``
+    finds."""
+    subs = (tuple(sorted(s)) for orbit in _subgroup_classes(group) for s in orbit)
+    return tuple(sorted(subs, key=lambda s: (len(s), s)))
 
 
 @lru_cache(maxsize=None)
 def subgroup_conjugacy_reps(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """One subgroup per conjugacy class, ordered by (order, element tuple)."""
-    return _class_reps(group, (frozenset(sub) for sub in all_subgroups(group)))
+    """One subgroup per conjugacy class: the smallest member of the class
+    as a sorted id tuple, ordered by (order, element tuple).
+
+    The classes come from the cyclic extension method, which extends one
+    member per class rather than every subgroup (Neubueser 1960; Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+    """
+    reps = [_smallest_member(orbit) for orbit in _subgroup_classes(group)]
+    return tuple(sorted(reps, key=lambda r: (len(r), r)))
 
 
 def _class_reps(group: FiniteGroup, subgroups: Iterable[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
@@ -412,9 +452,9 @@ def _class_reps(group: FiniteGroup, subgroups: Iterable[frozenset[int]]) -> tupl
     for sub in subgroups:
         if sub in assigned:
             continue
-        orbit = {_conjugate_subgroup(group, sub, h) for h in range(group.order)}
+        orbit = _conjugacy_orbit(group, sub)
         assigned |= orbit
-        reps.append(min(tuple(sorted(s)) for s in orbit))
+        reps.append(_smallest_member(orbit))
     reps.sort(key=lambda r: (len(r), r))
     return tuple(reps)
 

@@ -45,7 +45,6 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
-from itertools import product as iter_product
 from math import comb
 from operator import add, index, mul, sub
 from typing import Iterator, Optional, Sequence
@@ -967,18 +966,6 @@ def _nonnegative_decomposition_exists(target: tuple[int, ...], chars: Sequence[t
     return walk(target, 0)
 
 
-def _partial_column_sums(
-    columns: Sequence[Sequence[int]], coords: range, rank: int
-) -> list[tuple[int, ...]]:
-    """sum_j c_j * columns[j] for every c in coords^len(columns), in the
-    order of itertools.product (last coordinate fastest)."""
-    sums = [(0,) * rank]
-    for col in columns:
-        steps = [tuple(c * x for x in col) for c in coords]
-        sums = [tuple(map(add, s, step)) for s in sums for step in steps]
-    return sums
-
-
 def _extend_primitive(
     transform: list[list[int]], size: int, vectors: Sequence[Sequence[int]]
 ) -> Optional[list[list[int]]]:
@@ -1022,9 +1009,15 @@ def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> Permutation
     for a unimodular orbit union.  Search exhaustion is never treated as a
     NO: the bound can simply be too small, so the answer is UNKNOWN.
 
-    The box is walked in product order, each image g*v being the sum of two
-    precomputed partial column sums of g's matrix (one over the first half
-    of v's coordinates, one over the rest).  Orbits that stay in the box are
+    The box is walked in product order.  Each vector is held as one integer
+    whose digits are its coordinates (``pack_row``, coordinate 0 on top),
+    at a width that fits every image of a box vector, so an image g*v is
+    one integer addition: of a partial sum of g's packed columns over the
+    first half of v's coordinates and one over the rest, both precomputed.
+    These integers compare as their vectors do in product order, so each
+    orbit is taken at its least member, the first the walk meets.  Two
+    masks test every coordinate of an image against the box at once, and
+    only the orbits that stay in the box are unpacked.  Those orbits are
     combined depth first, in order, and the first unimodular union wins.  A
     choice is descended into only while it can still be completed, which
     two exact tests decide: the chosen vectors must be primitive (rank equal
@@ -1066,45 +1059,72 @@ def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> Permutation
             f"candidate box (2*{coord_bound}+1)^{m.rank} exceeds the enumeration budget",
         )
     rank = m.rank
-    lo, hi = -coord_bound, coord_bound
-    coords = range(lo, hi + 1)
+    coords = range(-coord_bound, coord_bound + 1)
+    # Every coordinate of an image of a box vector lies in [-reach, reach],
+    # and reach is attained at a corner of the box, so some image leaves the
+    # box exactly when reach > K.  At this width, adding offset = K + G to
+    # every digit, G = 2^(width-2) > reach + K + 1, leaves each digit in
+    # (0, 2G) with no carry between digits.  A digit then has bit width-2
+    # set exactly when its coordinate is at least -K, and, after span =
+    # 2K + 1 is taken off every digit, clear exactly when it is at most K.
+    reach = coord_bound * max(sum(map(abs, row)) for mm in m.matrices for row in mm.entries)
+    width = (reach + coord_bound + 1).bit_length() + 2
+    half = 1 << (width - 2)
+    ones = pack_row([1] * rank, width)
+    high = half * ones
+    offset = (coord_bound + half) * ones
+    span = (2 * coord_bound + 1) * ones
     # Two tables of about (2K+1)^(rank/2) partial sums per element keep
-    # memory far below one entry per box point.
+    # memory far below one entry per box point; the head sums carry offset.
     split = rank // 2
-    columns = [mm.transpose().entries for mm in m.matrices]
-    head_sums = [_partial_column_sums(cols[:split], coords, rank) for cols in columns]
-    tail_sums = [_partial_column_sums(cols[split:], coords, rank) for cols in columns]
-    tails = list(iter_product(coords, repeat=rank - split))
+
+    def partial_sums(start: int, columns: list[int]) -> list[int]:
+        """start + sum_j c_j * columns[j] for every c in coords^len(columns),
+        in product order (last coordinate fastest)."""
+        sums = [start]
+        for col in columns:
+            sums = [s + c * col for s in sums for c in coords]
+        return sums
+
+    head_sums = []
+    tail_sums = []
+    for mm in m.matrices:
+        # Coordinate 0 is the top digit, so vectors of the box, offset,
+        # compare as integers in product order.
+        packed = [pack_row(col[::-1], width) for col in mm.transpose().entries]
+        head_sums.append(partial_sums(offset, packed[:split]))
+        tail_sums.append(partial_sums(0, packed[split:]))
+    mask = (1 << width) - 1
+    shifts = range(width * (rank - 1), -1, -width)
+
+    def unpack(q: int) -> tuple[int, ...]:
+        return tuple(((q >> shift) & mask) - coord_bound - half for shift in shifts)
+
     # An orbit's permutation character at g counts the points g fixes:
     # |orbit| * |g^G meet Stab(v)| / |g^G|, from the stabilizer met on the way.
     class_of = class_index_map(m.group)
     class_sizes = [len(cls) for cls in conjugacy_classes(m.group)]
-    any_left_box = False
     orbits: list[tuple[tuple[int, ...], ...]] = []
     orbit_chars: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for h, head in enumerate(iter_product(coords, repeat=split)):
-        parts = [(hs[h], ts) for hs, ts in zip(head_sums, tail_sums)]
-        for t, tail in enumerate(tails):
-            vec = head + tail
-            if vec in seen or not any(vec):
+    for heads in zip(*head_sums):
+        # rows[g][t] is the image under g of the vector with this head and
+        # tail t; element 0 is the identity, so rows[0] holds the vectors.
+        rows = [[head + x for x in ts] for head, ts in zip(heads, tail_sums)]
+        for images in zip(*rows):
+            vec = images[0]
+            # An orbit that stays in the box is taken at its least member,
+            # the first the walk meets; the zero vector is in no basis.
+            if vec != min(images) or vec == offset:
                 continue
-            orbit = set()
-            stays = True
             fixed = [0] * len(class_sizes)
-            for g, (head_part, ts) in enumerate(parts):
-                img = tuple(map(add, head_part, ts[t]))
-                if min(img) < lo or max(img) > hi:
-                    stays = False
-                    any_left_box = True
-                else:
-                    orbit.add(img)
-                    if img == vec:
-                        fixed[class_of[g]] += 1
-            seen |= orbit
-            seen.add(vec)
-            if stays:
-                orbits.append(tuple(sorted(orbit)))
+            for g, q in enumerate(images):
+                if q & high != high or (q - span) & high:
+                    break
+                if q == vec:
+                    fixed[class_of[g]] += 1
+            else:
+                orbit = set(images)
+                orbits.append(tuple(map(unpack, sorted(orbit))))
                 orbit_chars.append(tuple(len(orbit) * f // size for f, size in zip(fixed, class_sizes)))
 
     chosen: list[tuple[int, ...]] = []
@@ -1131,7 +1151,7 @@ def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> Permutation
     if found is not None:
         return PermutationCertificate("YES", found, "basis found by bounded orbit search")
     detail = "no permuted basis with coordinates within the bound"
-    if any_left_box:
+    if reach > coord_bound:
         detail += " (some candidate orbits left the box)"
     return PermutationCertificate(
         "UNKNOWN",

@@ -281,9 +281,9 @@ def reference_embedding_matrix(basis, n: int) -> Optional[list[list[int]]]:
 # -- Reference subgroup lattice and permutation-basis search ------------------
 #
 # The subgroup enumeration and the orbit search of permutation-lattice
-# recognition as they stood before the library extended subgroups by coset
-# representatives, pruned imprimitive orbit choices and built box images
-# from partial column sums.
+# recognition as they stood before the library extended only one subgroup
+# per conjugacy class, by coset representatives, pruned imprimitive orbit
+# choices and built box images from packed partial column sums.
 
 
 def reference_all_subgroups(group) -> tuple[tuple[int, ...], ...]:
@@ -315,6 +315,23 @@ def reference_all_subgroups(group) -> tuple[tuple[int, ...], ...]:
                 found.add(bigger)
                 work.append(bigger)
     return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s)))
+
+
+def reference_class_reps(group, subgroups) -> tuple[tuple[int, ...], ...]:
+    """The smallest member (as a sorted id tuple) of each conjugacy class
+    met in ``subgroups`` (sorted id tuples), ordered by (order, tuple), by
+    conjugating each subgroup by every element."""
+    assigned = set()
+    reps = []
+    for sub in subgroups:
+        if sub in assigned:
+            continue
+        orbit = {
+            tuple(sorted(group.mul(group.mul(x, g), group.inv(x)) for g in sub)) for x in range(group.order)
+        }
+        assigned |= orbit
+        reps.append(min(orbit))
+    return tuple(sorted(reps, key=lambda r: (len(r), r)))
 
 
 def reference_permutation_search(m, coord_bound: int):

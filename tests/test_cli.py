@@ -249,6 +249,43 @@ def test_check_command(capsys):
     assert all(p["passed"] for p in doc["properties"])
 
 
+def test_check_keys_lattices_on_the_whole_group(tmp_path, capsys):
+    """S4 and the semidirect product of S4 with the trivial group share a
+    multiplication table but not their generator ids, so their lattices
+    have no intertwiners or sums between them; check must not pair them."""
+    s4_gens = [[1, 3, 2, 0], [1, 3, 0, 2]]
+    doc = {
+        "format": 1,
+        "groups": {"s4": {"points": 4, "generators": s4_gens}},
+        "actions": {"s4_on_trivial": {"actor": "s4", "target": "trivial", "generator_images": [[0], [0]]}},
+        "lattices": {
+            "s4_sign": {
+                "group": "s4",
+                "rank": 1,
+                # a 3-cycle and a 4-cycle
+                "generator_matrices": [
+                    {"rows": 1, "cols": 1, "entries": [[1]]},
+                    {"rows": 1, "cols": 1, "entries": [[-1]]},
+                ],
+            },
+            "s4_zero": {
+                "group": "semidirect:s4_on_trivial",
+                "rank": 0,
+                "generator_matrices": [{"rows": 0, "cols": 0, "entries": []}] * 3,
+            },
+        },
+    }
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps(doc))
+    ws = load_workspace(str(path))
+    sign, zero = resolve_lattice(ws, "s4_sign"), resolve_lattice(ws, "s4_zero")
+    assert sign.group.mul_table == zero.group.mul_table
+    assert sign.group.generator_ids != zero.group.generator_ids
+    rc, out = run_json(capsys, "--workspace", str(path), "check")
+    assert rc == 0
+    assert [p for p in out["properties"] if not p["passed"]] == []
+
+
 def test_check_seedless_reports_the_fallback_failures(capsys):
     """Without the pseudorandom fallback the embedding search gives up on
     two corpus lattices, so the three properties that need their Ono

@@ -36,7 +36,12 @@ from gammalat.groups import (
     twisted_section,
     validate_cocycle,
 )
-from oracle import full_scan_failure, reference_all_subgroups, reference_group_tables
+from oracle import (
+    full_scan_failure,
+    reference_all_subgroups,
+    reference_class_reps,
+    reference_group_tables,
+)
 
 
 def s3():
@@ -279,8 +284,9 @@ def test_bfs_words_list_each_element_once_after_its_parent():
 
 
 def test_all_subgroups_match_reference():
-    """Extending each subgroup by one representative per coset finds exactly
-    the subgroups found by closing it with every element outside it."""
+    """Extending one subgroup per conjugacy class by one representative per
+    coset finds exactly the subgroups, and the class representatives, found
+    by closing every subgroup with every element outside it."""
     c4 = builtin_group("c4")
     inversion = next(a for a in all_actions(c4, c4) if not a.is_trivial())
     groups = {
@@ -291,12 +297,23 @@ def test_all_subgroups_match_reference():
         "a5": group_from_generators([[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]),
         "s5": group_from_generators([[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]),
         "c4 x| c4": semidirect_product(inversion).group,
+        "c2 x s4": group_from_generators([[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]]),
     }
     for name, group in groups.items():
-        assert all_subgroups(group) == reference_all_subgroups(group), name
+        subs = reference_all_subgroups(group)
+        assert all_subgroups(group) == subs, name
+        assert subgroup_conjugacy_reps(group) == reference_class_reps(group, subs), name
     for name, classes, cyclic in (("a5", 9, 4), ("s5", 19, 7)):
         assert len(subgroup_conjugacy_reps(groups[name])) == classes
         assert len(cyclic_subgroup_class_reps(groups[name])) == cyclic
+
+
+def test_s6_subgroup_counts():
+    """S6 has 1455 subgroups in 56 conjugacy classes, 11 of them cyclic."""
+    s6 = group_from_generators([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]])
+    assert len(all_subgroups(s6)) == 1455
+    assert len(subgroup_conjugacy_reps(s6)) == 56
+    assert len(cyclic_subgroup_class_reps(s6)) == 11
 
 
 def test_group_tables_match_reference():

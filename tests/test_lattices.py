@@ -575,10 +575,100 @@ def test_pruned_permutation_search_matches_reference():
     for lat in lattices:
         assert not all(lat.matrices[g].is_permutation_matrix() for g in lat.group.generator_ids)
         for bound in (2, 3):
-            expected = reference_permutation_search(lat, bound)
-            cert = is_permutation_lattice(lat, bound)
-            assert cert.status == ("UNKNOWN" if expected is None else "YES")
-            assert cert.basis == expected
+            _assert_search_matches_reference(lat, bound)
+
+
+def _assert_search_matches_reference(lat, bound):
+    expected = reference_permutation_search(lat, bound)
+    cert = is_permutation_lattice(lat, bound)
+    assert cert.status == ("UNKNOWN" if expected is None else "YES")
+    assert cert.basis == expected
+    return cert
+
+
+def _signed(lat, signs):
+    """The same lattice in the basis e_i -> signs[i] * e_i.  Its matrices
+    are signed permutation matrices, which map the box onto itself, so the
+    box test must pass every image."""
+    d = IntMatrix.from_rows([[x if i == j else 0 for j in range(len(signs))] for i, x in enumerate(signs)])
+    return lattice_from_action(lat.group, lat.rank, [d.mul(lat.matrices[g]).mul(d) for g in lat.group.generator_ids])
+
+
+def _image_coordinates(lat, bound):
+    box = iter_product(range(-bound, bound + 1), repeat=lat.rank)
+    return {x for v in box for mm in lat.matrices for x in mm.times_vector(v)}
+
+
+def test_packed_walk_on_odd_ranks():
+    """Ranks 3 and 5 split the packed coordinates into halves of unequal
+    length.  Rank 1 never reaches the walk: a 1 x 1 action is by +-1, so
+    it is by permutation matrices or has a negative character value."""
+    s3 = group_from_generators([[1, 0, 2], [1, 2, 0]])
+    c5 = group_from_generators([[1, 2, 3, 4, 0]])
+    rank3 = _signed(induced_lattice(s3, (0, 1)), (1, -1, 1))
+    rank5 = _signed(induced_lattice(c5, (0,)), (1, -1, 1, -1, 1))
+    for lat, bound in ((rank3, 1), (rank3, 3), (_sheared(rank3), 2), (rank5, 1), (_sheared(rank5), 1)):
+        assert lat.rank % 2 == 1
+        assert _assert_search_matches_reference(lat, bound).status == "YES"
+
+
+def test_packed_walk_at_bound_one():
+    """Coordinates in {-1, 0, 1}: the narrowest box the search allows."""
+    d4 = group_from_generators([[1, 2, 3, 0], [3, 2, 1, 0]])
+    a4 = group_from_generators([[1, 2, 0, 3], [0, 2, 3, 1]])
+    v4_in_a4 = (0, 4, 5, 11)
+    assert len(subgroup_closure(a4, v4_in_a4)) == 4
+    cases = [
+        _signed(builtin_lattice("c2_regular"), (1, -1)),
+        _signed(induced_lattice(d4, next(h for h in all_subgroups(d4) if len(h) == 2)), (1, -1, -1, 1)),
+        _signed(induced_lattice(a4, v4_in_a4), (1, 1, -1)),
+        _sheared(induced_lattice(a4, v4_in_a4)),
+    ]
+    for lat in cases:
+        assert _assert_search_matches_reference(lat, 1).status == "YES"
+
+
+def test_packed_walk_far_outside_the_box():
+    """Matrix entries in the hundreds send most images far past the box;
+    the partial sums must not carry from one packed coordinate into the
+    next."""
+    c2 = builtin_group("c2")
+    s = IntMatrix.from_rows([[1, 0, 0], [15, 1, 0], [-4, 3, 1]])
+    s_inv = IntMatrix.from_rows([[1, 0, 0], [-15, 1, 0], [49, -3, 1]])
+    assert s.mul(s_inv).is_identity()
+    base = direct_sum(builtin_lattice("c2_regular"), trivial_lattice(c2, 1))
+    far = lattice_from_action(c2, 3, [s_inv.mul(base.matrices[1]).mul(s)])
+    assert max(abs(x) for row in far.matrices[1].entries for x in row) >= 100
+    for bound in (1, 2, 3):
+        assert min(_image_coordinates(far, bound)) < -200 * bound
+        assert _assert_search_matches_reference(far, bound).status == "UNKNOWN"
+
+
+def test_packed_walk_one_unit_outside_the_box():
+    """Images that miss the box by exactly one unit, above and below, are
+    rejected, and images on its faces are kept."""
+    c2 = builtin_group("c2")
+    edge = lattice_from_action(c2, 2, [IntMatrix.from_rows([[-1, 0], [-1, 1]])])
+    wide = lattice_from_action(c2, 3, [IntMatrix.from_rows([[0, 1, -1], [1, 0, 1], [0, 0, 1]])])
+    for lat, bound in ((edge, 1), (wide, 2)):
+        coords = _image_coordinates(lat, bound)
+        assert {bound + 1, -bound - 1} <= coords
+        assert _assert_search_matches_reference(lat, bound).status == "YES"
+    assert max(_image_coordinates(edge, 1)) == 2
+
+
+def test_packed_walk_unknown_names_the_orbits_that_left():
+    """An involution with entries in the hundreds whose lattice is trivial
+    plus sign, so no permuted basis exists, though its character is the
+    regular one's: UNKNOWN, and some orbits left the box."""
+    c2 = builtin_group("c2")
+    lat = lattice_from_action(c2, 2, [IntMatrix.from_rows([[1, 0], [200, -1]])])
+    for bound in (1, 2):
+        cert = _assert_search_matches_reference(lat, bound)
+        assert "(some candidate orbits left the box)" in cert.reason
+    cert = is_permutation_lattice(builtin_lattice("c2_sign_plus_trivial"), 2)
+    assert cert.status == "UNKNOWN"
+    assert "left the box" not in cert.reason
 
 
 def test_sheared_regular_s3_twisted_to_c2_is_recognized():
