@@ -37,11 +37,8 @@ from .workspace import (
     Workspace,
     empty_workspace,
     load_workspace,
-    resolve_cocycle,
-    resolve_lattice,
-    resolve_reduction,
+    resolve,
 )
-from .workspace import resolve_group as _resolve_group
 
 __all__ = ["main"]
 
@@ -66,7 +63,7 @@ def _lattice_table(m: GammaLattice, title: str) -> str:
 
 
 def cmd_group_info(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
-    group = _resolve_group(workspace, args.group)
+    group = resolve(workspace, "groups", args.group)
     payload = {"group": encode_group_info(group, name=args.group)}
     classes = conjugacy_classes(group)
     cyc = cyclic_subgroup_class_reps(group)
@@ -105,7 +102,7 @@ def cmd_group_info(workspace: Workspace, args: argparse.Namespace) -> tuple[dict
 
 
 def cmd_artin(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
-    lat = resolve_lattice(workspace, args.lattice)
+    lat = resolve(workspace, "lattices", args.lattice)
     solution = artin_decompose(lat)
     minimal = certify_minimality(lat, solution)
     payload = {
@@ -133,7 +130,7 @@ def cmd_artin(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str
 
 
 def cmd_ono(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
-    lat = resolve_lattice(workspace, args.lattice)
+    lat = resolve(workspace, "lattices", args.lattice)
     result = ono_construct(lat, allow_random=not args.seedless)
     payload = {"lattice": encode_lattice(lat, name=args.lattice), "ono": encode_ono(result)}
     parts = [
@@ -150,8 +147,8 @@ def cmd_ono(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, 
 
 def cmd_twist(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
     lattice_name, cocycle_name = args.lattice, args.cocycle
-    lat = resolve_lattice(workspace, lattice_name)
-    cocycle = resolve_cocycle(workspace, cocycle_name)
+    lat = resolve(workspace, "lattices", lattice_name)
+    cocycle = resolve(workspace, "cocycles", cocycle_name)
     twisted = twist(lat, cocycle)
     cert = is_permutation_lattice(twisted, args.coord_bound)
     payload = {
@@ -169,7 +166,7 @@ def cmd_twist(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str
 def cmd_reduce(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
     from .reduction import reduce_stabilizer
 
-    inp = resolve_reduction(workspace, args.input)
+    inp = resolve(workspace, "reductions", args.input)
     report = reduce_stabilizer(inp, allow_random=not args.seedless)
     if args.narrative_only:
         payload = {"narrative": encode_narrative(report.narrative)}

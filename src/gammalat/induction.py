@@ -42,6 +42,7 @@ __all__ = [
     "artin_decompose",
     "ono_construct",
     "build_multiplicity_lattice",
+    "certify_minimality",
 ]
 
 

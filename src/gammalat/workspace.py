@@ -15,8 +15,8 @@ name defined twice in a section or a section given twice, is rejected)::
                           "labels": [str, ...]?}},
       "actions":  {name: {"actor": group, "target": group,
                           "generator_images": [[int, ...], ...]}},
-      "lattices": {name: {"group": group-or-"semidirect:<action>",
-                          "rank": int >= 0, "generator_matrices": [matrix, ...]}},
+      "lattices": {name: {"group": group, "rank": int >= 0,
+                          "generator_matrices": [matrix, ...]}},
       "cocycles": {name: {"action": action, "values": [int, ...]}},
       "reductions": {name: {"hf": group, "gamma": group, "action": action,
                             "t_hat": lattice, "gtor_hat": lattice,
@@ -26,9 +26,13 @@ name defined twice in a section or a section given twice, is rejected)::
 ``"format"`` is the integer 1.  A matrix is ``{"rows": int, "cols": int,
 "entries": [[int]]}``.  Every int may also be given as a decimal string, an
 optional sign followed by ASCII digits, so large values survive JSON
-readers with small number types.  A lattice over ``semidirect:<action>``
-lists one generator matrix per generator of the inner group followed by
-one per generator of the acting group.
+readers with small number types.
+
+Wherever a group is named, in the file or on the command line,
+``semidirect:<action>`` names the semidirect product of an action defined
+earlier in the file.  A lattice over it lists one generator matrix per
+generator of the inner group followed by one per generator of the acting
+group.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from .errors import GammalatError, InvalidCocycle, UnknownName, WorkspaceError
 from .groups import (
@@ -54,16 +58,7 @@ from .lattices import GammaLattice, lattice_from_action
 if TYPE_CHECKING:
     from .reduction import ReductionInput
 
-__all__ = [
-    "Workspace",
-    "load_workspace",
-    "empty_workspace",
-    "resolve_group",
-    "resolve_action",
-    "resolve_lattice",
-    "resolve_cocycle",
-    "resolve_reduction",
-]
+__all__ = ["Workspace", "load_workspace", "empty_workspace", "resolve"]
 
 
 @dataclass
@@ -71,7 +66,8 @@ class Workspace:
     """Named objects from one workspace file (or nothing, for builtins only).
 
     A ``semidirect:<action>`` group is ``semidirect_product(actions[action])``,
-    memoized there, so it is not stored here.
+    memoized there, so it is not stored here; ``resolve`` finds it wherever
+    a group is named.
     """
 
     groups: dict[str, FiniteGroup] = field(default_factory=dict)
@@ -140,11 +136,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
-def _name(entry: dict, key: str, where: str) -> str:
-    """The reference ``entry[key]``, which must be a string."""
+def _ref(ws: Workspace, section: str, entry: dict, key: str, where: str) -> Any:
+    """The object in ``section`` that ``entry[key]``, a string, names; an
+    unknown name is an error of the definition ``where``."""
     name = entry[key]
     _require(isinstance(name, str), f"{where}/{key}: expected a name")
-    return name
+    with _defining(where):
+        return resolve(ws, section, name)
 
 
 def _parse_int_list(obj: object, where: str) -> list[int]:
@@ -201,8 +199,8 @@ def _load_actions(section: dict, ws: Workspace) -> None:
         where = f"actions/{name}"
         for key in ("actor", "target", "generator_images"):
             _require(key in entry, f"{where}: missing {key!r}")
-        actor = resolve_group(ws, _name(entry, "actor", where))
-        target = resolve_group(ws, _name(entry, "target", where))
+        actor = _ref(ws, "groups", entry, "actor", where)
+        target = _ref(ws, "groups", entry, "target", where)
         images_obj = entry["generator_images"]
         _require(isinstance(images_obj, list), f"{where}/generator_images: expected a list")
         images = [_parse_int_list(img, f"{where}/generator_images") for img in images_obj]
@@ -215,14 +213,7 @@ def _load_lattices(section: dict, ws: Workspace) -> None:
         where = f"lattices/{name}"
         for key in ("group", "rank", "generator_matrices"):
             _require(key in entry, f"{where}: missing {key!r}")
-        group_name = _name(entry, "group", where)
-        if group_name.startswith("semidirect:"):
-            action_name = group_name[len("semidirect:") :]
-            if action_name not in ws.actions:
-                raise UnknownName(f"{where}: no action named {action_name!r} in the workspace")
-            group = semidirect_product(ws.actions[action_name]).group
-        else:
-            group = resolve_group(ws, group_name)
+        group = _ref(ws, "groups", entry, "group", where)
         rank = _as_int(entry["rank"], f"{where}/rank")
         _require(rank >= 0, f"{where}: rank must be >= 0")
         mats_obj = entry["generator_matrices"]
@@ -237,7 +228,7 @@ def _load_cocycles(section: dict, ws: Workspace) -> None:
         where = f"cocycles/{name}"
         for key in ("action", "values"):
             _require(key in entry, f"{where}: missing {key!r}")
-        action = resolve_action(ws, _name(entry, "action", where))
+        action = _ref(ws, "actions", entry, "action", where)
         values = _parse_int_list(entry["values"], f"{where}/values")
         try:
             cocycle = Cocycle(action, tuple(values))
@@ -254,11 +245,11 @@ def _load_reductions(section: dict, ws: Workspace) -> None:
         where = f"reductions/{name}"
         for key in ("hf", "gamma", "action", "t_hat", "gtor_hat"):
             _require(key in entry, f"{where}: missing {key!r}")
-        hf = resolve_group(ws, _name(entry, "hf", where))
-        gamma = resolve_group(ws, _name(entry, "gamma", where))
-        action = resolve_action(ws, _name(entry, "action", where))
-        t_hat = resolve_lattice(ws, _name(entry, "t_hat", where))
-        gtor_hat = resolve_lattice(ws, _name(entry, "gtor_hat", where))
+        hf = _ref(ws, "groups", entry, "hf", where)
+        gamma = _ref(ws, "groups", entry, "gamma", where)
+        action = _ref(ws, "actions", entry, "action", where)
+        t_hat = _ref(ws, "lattices", entry, "t_hat", where)
+        gtor_hat = _ref(ws, "lattices", entry, "gtor_hat", where)
         d = _as_int(entry["d"], f"{where}/d") if "d" in entry else None
         _require(d is None or d >= 1, f"{where}: d must be >= 1")
         from .reduction import reduction_input
@@ -297,48 +288,27 @@ def load_workspace(path: str) -> Workspace:
     return ws
 
 
-def resolve_group(ws: Workspace, name: str) -> FiniteGroup:
-    if name in ws.groups:
-        return ws.groups[name]
-    from .corpus import builtin_group
+def resolve(ws: Workspace, section: str, name: str) -> Any:
+    """The object ``name`` names in ``section`` ("groups", "actions",
+    "lattices", "cocycles" or "reductions"): the workspace's definition,
+    else for a group ``semidirect:<action>``, else a built-in."""
+    defined = getattr(ws, section)
+    if name in defined:
+        return defined[name]
+    if section == "groups" and name.startswith("semidirect:"):
+        return semidirect_product(resolve(ws, "actions", name[len("semidirect:") :])).group
+    from . import corpus
 
+    noun, builtin = {
+        "groups": ("group", corpus.builtin_group),
+        "actions": ("action", None),
+        "lattices": ("lattice", corpus.builtin_lattice),
+        "cocycles": ("cocycle", None),
+        "reductions": ("reduction input", corpus.builtin_reduction),
+    }[section]
+    if builtin is None:
+        raise UnknownName(f"no {noun} named {name!r} in the workspace")
     try:
-        return builtin_group(name)
+        return builtin(name)
     except UnknownName:
-        raise UnknownName(f"no group named {name!r} in the workspace or the built-ins") from None
-
-
-def resolve_action(ws: Workspace, name: str) -> GroupAction:
-    if name in ws.actions:
-        return ws.actions[name]
-    raise UnknownName(f"no action named {name!r} in the workspace")
-
-
-def resolve_lattice(ws: Workspace, name: str) -> GammaLattice:
-    if name in ws.lattices:
-        return ws.lattices[name]
-    from .corpus import builtin_lattice
-
-    try:
-        return builtin_lattice(name)
-    except UnknownName:
-        raise UnknownName(f"no lattice named {name!r} in the workspace or the built-ins") from None
-
-
-def resolve_cocycle(ws: Workspace, name: str) -> Cocycle:
-    if name in ws.cocycles:
-        return ws.cocycles[name]
-    raise UnknownName(f"no cocycle named {name!r} in the workspace")
-
-
-def resolve_reduction(ws: Workspace, name: str) -> ReductionInput:
-    if name in ws.reductions:
-        return ws.reductions[name]
-    from .corpus import builtin_reduction
-
-    try:
-        return builtin_reduction(name)
-    except UnknownName:
-        raise UnknownName(
-            f"no reduction input named {name!r} in the workspace or the built-ins"
-        ) from None
+        raise UnknownName(f"no {noun} named {name!r} in the workspace or the built-ins") from None

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, JSON shapes, workspace loading."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from gammalat import errors
 from gammalat.cli import _build_parser, cmd_check, cmd_ono, cmd_reduce, cmd_twist, main
 from gammalat.errors import InvalidCocycle, UnknownName, WorkspaceError
 from gammalat.groups import semidirect_product
-from gammalat.workspace import empty_workspace, load_workspace, resolve_lattice
+from gammalat.workspace import empty_workspace, load_workspace, resolve
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demo", "workspace.json")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -131,6 +132,12 @@ def test_every_public_name_resolves():
         assert getattr(gammalat, name) is not None, name
     assert gammalat.InputError is errors.InputError
     assert gammalat.ComputationError is errors.ComputationError
+
+
+def test_every_export_is_in_its_modules_all():
+    for module, names in gammalat._EXPORTS.items():
+        public = importlib.import_module(f"gammalat.{module}").__all__
+        assert [n for n in names if n not in public] == [], module
 
 
 def test_artin_sign_lattice(capsys):
@@ -278,7 +285,7 @@ def test_check_keys_lattices_on_the_whole_group(tmp_path, capsys):
     path = tmp_path / "s4.json"
     path.write_text(json.dumps(doc))
     ws = load_workspace(str(path))
-    sign, zero = resolve_lattice(ws, "s4_sign"), resolve_lattice(ws, "s4_zero")
+    sign, zero = resolve(ws, "lattices", "s4_sign"), resolve(ws, "lattices", "s4_zero")
     assert sign.group.mul_table == zero.group.mul_table
     assert sign.group.generator_ids != zero.group.generator_ids
     rc, out = run_json(capsys, "--workspace", str(path), "check")
@@ -316,14 +323,69 @@ def test_workspace_loads_and_resolves():
     assert set(ws.cocycles) == {"triv_inv3", "twist_inv3"}
     assert set(ws.reductions) == {"demo_component"}
     # workspace wins, then built-ins
-    assert resolve_lattice(ws, "c2_sign").rank == 1
+    assert resolve(ws, "lattices", "c2_sign").rank == 1
     with pytest.raises(UnknownName):
-        resolve_lattice(ws, "nope")
+        resolve(ws, "lattices", "nope")
     # semidirect:<action> lattices live over the action's memoized product.
     inv3 = semidirect_product(ws.actions["inv3"]).group
     assert ws.lattices["aug_twisted"].group is inv3
     triv = semidirect_product(ws.actions["triv_on_c2"]).group
     assert ws.reductions["demo_component"].t_hat.group is triv
+
+
+def test_resolve_pins_each_sections_unknown_name():
+    ws = load_workspace(DEMO)
+    for section, noun, builtins in (
+        ("groups", "group", True),
+        ("actions", "action", False),
+        ("lattices", "lattice", True),
+        ("cocycles", "cocycle", False),
+        ("reductions", "reduction input", True),
+    ):
+        with pytest.raises(UnknownName) as info:
+            resolve(ws, section, "nope")
+        where = "the workspace or the built-ins" if builtins else "the workspace"
+        assert str(info.value) == f"no {noun} named 'nope' in {where}"
+    with pytest.raises(UnknownName) as info:
+        resolve(ws, "groups", "semidirect:nope")
+    assert str(info.value) == "no action named 'nope' in the workspace"
+    # The workspace's definition comes first, then semidirect:<action>, then
+    # the built-ins.
+    assert resolve(ws, "groups", "s3") is ws.groups["s3"]
+    assert resolve(ws, "groups", "semidirect:inv3") is semidirect_product(ws.actions["inv3"]).group
+    assert resolve(ws, "reductions", "degenerate").d == 1
+
+
+def test_semidirect_product_is_a_group_wherever_a_group_is_named(tmp_path, capsys):
+    """C2 acting on C4 by inversion is D4; an action may then act with it,
+    and a reduction may take it as gamma."""
+    one, minus = ({"rows": 1, "cols": 1, "entries": [[v]]} for v in (1, -1))
+    empty = {"rows": 0, "cols": 0, "entries": []}
+    doc = {
+        "format": 1,
+        "actions": {
+            "d4": {"actor": "c2", "target": "c4", "generator_images": [[0, 3, 2, 1]]},
+            "d4_on_point": {"actor": "semidirect:d4", "target": "trivial", "generator_images": [[0], [0]]},
+        },
+        "lattices": {
+            "t": {"group": "semidirect:d4_on_point", "rank": 0, "generator_matrices": [empty] * 3},
+            "g": {"group": "semidirect:d4", "rank": 1, "generator_matrices": [minus, one]},
+        },
+        "reductions": {
+            "r": {"hf": "trivial", "gamma": "semidirect:d4", "action": "d4_on_point", "t_hat": "t", "gtor_hat": "g"}
+        },
+    }
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps(doc))
+    ws = load_workspace(str(path))
+    d4 = semidirect_product(ws.actions["d4"]).group
+    assert ws.actions["d4_on_point"].actor is d4
+    assert ws.reductions["r"].gamma is d4 and ws.reductions["r"].d == 8
+    rc, out = run_json(capsys, "--workspace", str(path), "group-info", "semidirect:d4")
+    assert rc == 0
+    assert out["group"]["order"] == "8" and out["group"]["generator_ids"] == [2, 1]
+    rc, out = run_json(capsys, "--workspace", str(path), "reduce", "r")
+    assert rc == 0 and out["input"] == "r"
 
 
 def test_readme_workspace_example_loads(tmp_path):
@@ -467,6 +529,19 @@ def test_workspace_error_paths(tmp_path, capsys):
         "code": "UnknownName",
         "message": "lattices/bad: no action named 'nope' in the workspace",
     }
+    # Every definition names itself before an unknown reference it makes.
+    for section, name, key, message in (
+        ("actions", "inv3", "actor", "no group named 'nope' in the workspace or the built-ins"),
+        ("cocycles", "twist_inv3", "action", "no action named 'nope' in the workspace"),
+        ("reductions", "demo_component", "t_hat", "no lattice named 'nope' in the workspace or the built-ins"),
+    ):
+        with open(DEMO, encoding="utf-8") as fh:
+            demo = json.load(fh)
+        demo[section][name][key] = "nope"
+        odd.write_text(json.dumps(demo))
+        rc, doc = run_json(capsys, "--workspace", str(odd), "check")
+        assert rc == 2
+        assert doc["error"] == {"code": "UnknownName", "message": f"{section}/{name}: {message}"}
 
     # A reference to another definition is a string, never a number, null
     # or a list turned into one.

@@ -316,6 +316,20 @@ def test_s6_subgroup_counts():
     assert len(cyclic_subgroup_class_reps(s6)) == 11
 
 
+def test_transitive_subgroup_classes_of_symmetric_groups():
+    """S_n has 1, 2, 5, 5 and 16 conjugacy classes of transitive subgroups
+    for n = 2..6 (Butler and McKay 1983)."""
+    for n, transitive in ((2, 1), (3, 2), (4, 5), (5, 5), (6, 16)):
+        gens = [[1, 0, *range(2, n)], [*range(1, n), 0]]
+        sn = group_from_generators(gens)
+        # Element g is parent * gens[k], and (a*b)[i] = a[b[i]].
+        perm = {0: tuple(range(n))}
+        for g, parent, k in bfs_words(sn):
+            perm[g] = tuple(perm[parent][i] for i in gens[k])
+        reps = subgroup_conjugacy_reps(sn)
+        assert sum(len({perm[h][0] for h in rep}) == n for rep in reps) == transitive, n
+
+
 def test_group_tables_match_reference():
     """Tables read off the closure's right-multiplication steps equal those
     from composing every pair of permutations."""
