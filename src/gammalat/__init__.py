@@ -49,7 +49,6 @@ _EXPORTS = {
     ),
     "groups": (
         "Cocycle",
-        "CocycleCheck",
         "FiniteGroup",
         "GroupAction",
         "GroupHom",

@@ -36,7 +36,6 @@ __all__ = [
     "GroupHom",
     "SemidirectProduct",
     "Cocycle",
-    "CocycleCheck",
     "group_from_generators",
     "conjugacy_classes",
     "class_index_map",
@@ -286,7 +285,8 @@ def bfs_words(group: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Conjugacy classes, each a sorted id tuple.
+    """Conjugacy classes, each a sorted id tuple, each found as the
+    ``_conjugacy_orbit`` of one element, walked along the generators.
 
     Classes are ordered by (class size, minimal element id); the identity
     class is therefore always first.
@@ -294,12 +294,11 @@ def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     seen = [False] * group.order
     classes = []
     for g in range(group.order):
-        if seen[g]:
-            continue
-        orbit = {group.conjugate(g, h) for h in range(group.order)}
-        for x in orbit:
-            seen[x] = True
-        classes.append(tuple(sorted(orbit)))
+        if not seen[g]:
+            cls = sorted(x for (x,) in _conjugacy_orbit(group, frozenset({g})))
+            for x in cls:
+                seen[x] = True
+            classes.append(tuple(cls))
     classes.sort(key=lambda cls: (len(cls), cls[0]))
     return tuple(classes)
 
@@ -687,21 +686,12 @@ class Cocycle:
                 raise ValueError(f"cocycle value {x} out of range")
 
 
-@dataclass(frozen=True)
-class CocycleCheck:
-    ok: bool
-    witness: Optional[tuple[int, int]]
-
-
-def validate_cocycle(x: Cocycle) -> CocycleCheck:
-    """The cocycle law x_(gh) = x_g * act(g, x_h), with the first failing
-    pair (g, h) in ascending order as the witness."""
+def validate_cocycle(x: Cocycle) -> Optional[tuple[int, int]]:
+    """The first pair (g, h), in ascending order, at which the cocycle law
+    x_(gh) = x_g * act(g, x_h) fails; None if it holds."""
     values, table = x.values, x.base.table
     ft, gt = x.base.target.mul_table, x.base.actor.mul_table
-    bad = first_failure(
-        x.base.actor, lambda g, h: values[gt[g][h]] == ft[values[g]][table[g][values[h]]]
-    )
-    return CocycleCheck(bad is None, bad)
+    return first_failure(x.base.actor, lambda g, h: values[gt[g][h]] == ft[values[g]][table[g][values[h]]])
 
 
 def twisted_section(x: Cocycle) -> GroupHom:
@@ -710,9 +700,9 @@ def twisted_section(x: Cocycle) -> GroupHom:
 
     Raises InvalidCocycle when the cocycle law fails.
     """
-    check = validate_cocycle(x)
-    if not check.ok:
-        raise InvalidCocycle(f"cocycle law fails at pair {check.witness}")
+    bad = validate_cocycle(x)
+    if bad is not None:
+        raise InvalidCocycle(f"cocycle law fails at pair {bad}")
     product = semidirect_product(x.base)
     gamma = x.base.actor
     images = tuple(product.pair_id(x.values[g], g) for g in range(gamma.order))
@@ -726,7 +716,7 @@ def enumerate_cocycles(action: GroupAction) -> tuple[Cocycle, ...]:
     out = []
     for tail in product(range(f_grp.order), repeat=gamma.order - 1):
         candidate = Cocycle(action, (0,) + tail)
-        if validate_cocycle(candidate).ok:
+        if validate_cocycle(candidate) is None:
             out.append(candidate)
     return tuple(out)
 

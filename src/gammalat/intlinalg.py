@@ -75,15 +75,6 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_identity(self) -> bool:
-        if not self.is_square():
-            return False
-        return all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
     def is_permutation_matrix(self) -> bool:
         """True if every row and column holds exactly one 1 and zeros elsewhere."""
         if not self.is_square():

@@ -528,7 +528,7 @@ def _fixed_sublattice(n: GammaLattice, elements: Sequence[int]) -> tuple[tuple[i
     """Z-basis of the vectors of n fixed by every listed element, which are
     those fixed by the subgroup the elements generate."""
     if not elements:
-        return tuple(tuple(1 if i == j else 0 for j in range(n.rank)) for i in range(n.rank))
+        return IntMatrix.identity(n.rank).entries
     rows = []
     for s in elements:
         for i, row in enumerate(n.matrices[s].entries):
@@ -615,23 +615,6 @@ def _order_sign(seq: Sequence[int]) -> int:
     """The sign of the permutation listed by ``seq``."""
     inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
     return -1 if inversions & 1 else 1
-
-
-def _row_block_det(rows: Sequence[Sequence[int]], row_blocks: Sequence[Sequence[int]]) -> int:
-    """det of a square matrix whose rows are split into ``row_blocks`` (each
-    ascending, together a permutation of the rows), by Laplace expansion
-    along the blocks: a sum over ordered partitions of the columns of the
-    products of the blocks' maximal minors, signed.  This is the identity
-    _block_minimum evaluates, one candidate at a time."""
-    n = len(rows)
-    value = [_order_sign([i for block in row_blocks for i in block])]
-    size = 0
-    for block in row_blocks:
-        minors = _maximal_minors([rows[i] for i in block], n)
-        width = len(block)
-        value = _laplace_step(value, _laplace_moves(n, size, width), minors, comb(n, size + width))
-        size += width
-    return value[0]
 
 
 def _row_blocks(
@@ -930,10 +913,6 @@ class PermutationCertificate:
     reason: str
 
 
-def _standard_basis(rank: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-
-
 @lru_cache(maxsize=None)
 def _subgroup_characters(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Fixed-coset-count characters of all subgroup conjugacy classes."""
@@ -964,38 +943,6 @@ def _nonnegative_decomposition_exists(target: tuple[int, ...], chars: Sequence[t
         return False
 
     return walk(target, 0)
-
-
-def _extend_primitive(
-    transform: list[list[int]], size: int, vectors: Sequence[Sequence[int]]
-) -> Optional[list[list[int]]]:
-    """Extend a primitive set of ``size`` vectors by ``vectors``, if the
-    union is still primitive, that is, extends to a Z-basis.
-
-    ``transform`` holds the columns of a unimodular T with chosen * T =
-    [L | 0], L lower triangular with diagonal +-1.  Each new vector's
-    entries past the diagonal are reduced by Euclid's algorithm on columns
-    of T to their gcd; the union is primitive exactly when every such gcd
-    is 1 (the product of the Smith invariants is |det L|).  Returns the
-    transform of the union, or None.
-    """
-    cols = list(transform)
-    n = len(cols)
-    for pivot, v in enumerate(vectors, start=size):
-        vals = {j: sum(map(mul, v, cols[j])) for j in range(pivot, n)}
-        live = [j for j in vals if vals[j]]
-        while len(live) > 1:
-            low = min(live, key=lambda j: abs(vals[j]))
-            for j in live:
-                if j != low:
-                    q = vals[j] // vals[low]
-                    vals[j] -= q * vals[low]
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[low])]
-            live = [j for j in live if vals[j]]
-        if not live or abs(vals[live[0]]) != 1:
-            return None
-        cols[pivot], cols[live[0]] = cols[live[0]], cols[pivot]
-    return cols
 
 
 def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> PermutationCertificate:
@@ -1033,7 +980,7 @@ def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> Permutation
         return PermutationCertificate("YES", (), "zero lattice is the empty permutation lattice")
     if all(a.is_permutation_matrix() for a in m.generators):
         return PermutationCertificate(
-            "YES", _standard_basis(m.rank), "action matrices are permutation matrices"
+            "YES", IntMatrix.identity(m.rank).entries, "action matrices are permutation matrices"
         )
     chi = character(m).values
     for idx, value in enumerate(chi):
@@ -1129,25 +1076,23 @@ def is_permutation_lattice(m: GammaLattice, coord_bound: int = 2) -> Permutation
 
     chosen: list[tuple[int, ...]] = []
 
-    def search(
-        idx: int, rest: tuple[int, ...], transform: list[list[int]]
-    ) -> Optional[tuple[tuple[int, ...], ...]]:
+    def search(idx: int, rest: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], ...]]:
         if len(chosen) == rank:
             return tuple(chosen)
         for i in range(idx, len(orbits)):
             left = tuple(map(sub, rest, orbit_chars[i]))
             if min(left) < 0:
                 continue
-            extended = _extend_primitive(transform, len(chosen), orbits[i])
-            if extended is not None:
-                chosen.extend(orbits[i])
-                found = search(i + 1, left, extended)
+            chosen.extend(orbits[i])
+            divisors = smith_normal_form(IntMatrix.from_rows(chosen)).elementary_divisors
+            if divisors == (1,) * len(chosen):
+                found = search(i + 1, left)
                 if found is not None:
                     return found
-                del chosen[-len(orbits[i]):]
+            del chosen[-len(orbits[i]):]
         return None
 
-    found = search(0, chi, [list(row) for row in _standard_basis(rank)])
+    found = search(0, chi)
     if found is not None:
         return PermutationCertificate("YES", found, "basis found by bounded orbit search")
     detail = "no permuted basis with coordinates within the bound"

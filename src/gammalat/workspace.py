@@ -234,9 +234,9 @@ def _load_cocycles(section: dict, ws: Workspace) -> None:
             cocycle = Cocycle(action, tuple(values))
         except ValueError as exc:
             raise WorkspaceError(f"{where}: {exc}") from exc
-        check = validate_cocycle(cocycle)
-        if not check.ok:
-            raise InvalidCocycle(f"{where}: cocycle law fails at pair {check.witness}")
+        bad = validate_cocycle(cocycle)
+        if bad is not None:
+            raise InvalidCocycle(f"{where}: cocycle law fails at pair {bad}")
         ws.cocycles[name] = cocycle
 
 

@@ -317,6 +317,19 @@ def reference_all_subgroups(group) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s)))
 
 
+def reference_conjugacy_classes(group) -> tuple[tuple[int, ...], ...]:
+    """Conjugacy classes as sorted id tuples, ordered by (size, least id),
+    by conjugating each element by every element of the group."""
+    seen = set()
+    classes = []
+    for g in range(group.order):
+        if g not in seen:
+            cls = {group.mul(group.mul(x, g), group.inv(x)) for x in range(group.order)}
+            seen |= cls
+            classes.append(tuple(sorted(cls)))
+    return tuple(sorted(classes, key=lambda cls: (len(cls), cls[0])))
+
+
 def reference_class_reps(group, subgroups) -> tuple[tuple[int, ...], ...]:
     """The smallest member (as a sorted id tuple) of each conjugacy class
     met in ``subgroups`` (sorted id tuples), ordered by (order, tuple), by

@@ -1,6 +1,6 @@
 """The property suite's runner: naming, tallying and crash reporting."""
 
-from gammalat import checks
+from gammalat import checks, intlinalg
 from gammalat.errors import InternalContradiction
 
 
@@ -9,10 +9,10 @@ def _by_name(results):
 
 
 def test_minimal_multiplier_does_not_hide_internal_errors(monkeypatch):
-    def broken(v, basis):
+    def broken(snf, b):
         raise AssertionError("solver bug")
 
-    monkeypatch.setattr(checks, "minimal_multiplier", broken)
+    monkeypatch.setattr(intlinalg.SnfDecomposition, "least_multiple", broken)
     result = _by_name(checks.run_property_suite())["minimal-multiplier"]
     assert result.passed is False
 

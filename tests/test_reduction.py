@@ -163,7 +163,7 @@ def test_kernel_action_is_transported_group_action():
     # the nontrivial component acts nontrivially on Z/2 x Z/4
     nontrivial = a.matrices[1]
     identity = a.matrices[0]
-    assert identity.is_identity()
+    assert identity == IntMatrix.identity(identity.rows)
     assert nontrivial != identity
 
 

@@ -1,9 +1,10 @@
 """The runtime stays stdlib-only: gammalat imports nothing outside the
 standard library, so it runs wherever Python 3.10+ does.  It also imports
-nothing it does not use."""
+nothing it does not use, and defines no private helper it does not use."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gammalat"
@@ -45,4 +46,35 @@ def test_every_import_is_used():
                 bound = alias.asname or alias.name.split(".")[0]
                 if bound != "annotations" and bound not in used:
                     unused.append(f"{path.name}:{node.lineno} imports {alias.name} unused")
+    assert not unused, unused
+
+
+def _references(tree):
+    """Every name the code reads: plain names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_function_is_used():
+    """Each underscore-named function or method (dunders aside) is
+    referenced somewhere in the package outside its own body, so no
+    private helper survives only for the tests."""
+    trees = list(_trees())
+    used = Counter(name for _, tree in trees for name in _references(tree))
+    unused = []
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            inside = sum(ref == name for stmt in node.body for ref in _references(stmt))
+            if used[name] == inside:
+                unused.append(f"{path.name}:{node.lineno} defines {name} unused")
     assert not unused, unused
