@@ -1,13 +1,15 @@
 """Explicit finite groups.
 
 Groups are multiplication tables over element ids ``0..order-1`` with 0 the
-identity.  Construction from permutation generators numbers elements
-breadth-first from the identity, multiplying on the right by the generators
-in input order, which makes every derived object (conjugacy classes, coset
-lists, reports) canonical.
+identity, from which a group derives its order, inverses and breadth-first
+words once, when built.  Construction from permutation generators numbers
+elements breadth-first from the identity, multiplying on the right by the
+generators in input order, which makes every derived object (conjugacy
+classes, coset lists, reports) canonical.
 
-Also here: group actions by automorphisms, semidirect products, 1-cocycles
-for the twisting construction, and the twisted sections they induce.
+Also here: group actions by automorphisms, given on the generators,
+semidirect products, 1-cocycles for the twisting construction, and the
+twisted sections they induce.
 Semidirect products are memoized like the derived tables: one per action.
 Every law check (associativity, commutativity, the homomorphism,
 automorphism and cocycle laws, and the lattice law in ``lattices``) runs
@@ -16,7 +18,7 @@ through ``first_failure``, on the generator edges of the Cayley graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations, product
 from typing import Callable, Iterable, Optional, Sequence
@@ -46,7 +48,6 @@ __all__ = [
     "subgroup_conjugacy_reps",
     "left_cosets",
     "fixed_coset_counts",
-    "bfs_words",
     "semidirect_product",
     "validate_cocycle",
     "twisted_section",
@@ -62,43 +63,63 @@ DEFAULT_MAX_ORDER = 10080
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Finite group as explicit multiplication and inverse tables.
+    """Finite group as an explicit multiplication table.
 
     Element ids run from 0 to order-1 and 0 is the identity.  ``labels``
-    are optional display strings, one per element.
+    are optional display strings, one per element.  The constructor derives
+    ``order``, ``inv_table`` and ``bfs_words``: one ``(g, parent, k)``
+    triple per non-identity element, g = parent * generator_ids[k], in the
+    queue order of the walk that checks that the generators generate.  So
+    generator data (matrices, automorphisms) extends along it in one pass.
     """
 
-    order: int
     mul_table: tuple[tuple[int, ...], ...]
-    inv_table: tuple[int, ...]
     generator_ids: tuple[int, ...]
     labels: Optional[tuple[str, ...]] = None
+    order: int = field(init=False, repr=False, compare=False)
+    inv_table: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    bfs_words: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.order
+        mt = self.mul_table
+        n = len(mt)
         if n < 1:
             raise ValueError("group order must be positive")
-        if len(self.mul_table) != n or any(len(row) != n for row in self.mul_table):
+        if any(len(row) != n for row in mt):
             raise ValueError("multiplication table has the wrong shape")
-        for row in self.mul_table:
+        for row in mt:
             for x in row:
                 if not 0 <= x < n:
                     raise ValueError(f"table entry {x} out of range")
         for s in self.generator_ids:
             if not 0 <= s < n:
                 raise ValueError(f"generator id {s} out of range")
-        if len(self.inv_table) != n:
-            raise ValueError("inverse table has the wrong shape")
-        for g in range(n):
-            if self.mul_table[0][g] != g or self.mul_table[g][0] != g:
+        inv = []
+        for g, row in enumerate(mt):
+            if mt[0][g] != g or row[0] != g:
                 raise ValueError("element 0 is not the identity")
-            gi = self.inv_table[g]
-            if self.mul_table[g][gi] != 0 or self.mul_table[gi][g] != 0:
-                raise ValueError(f"inverse table wrong at element {g}")
+            if 0 not in row or mt[gi := row.index(0)][g] != 0:
+                raise ValueError(f"element {g} has no inverse")
+            inv.append(gi)
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels must cover every element")
-        if len(subgroup_closure(self, self.generator_ids)) != n:
+        words: list[tuple[int, int, int]] = []
+        seen = [False] * n
+        seen[0] = True
+        queue = [0]
+        for g in queue:
+            row = mt[g]
+            for k, s in enumerate(self.generator_ids):
+                h = row[s]
+                if not seen[h]:
+                    seen[h] = True
+                    words.append((h, g, k))
+                    queue.append(h)
+        if len(queue) != n:
             raise ValueError("generator_ids do not generate the group")
+        object.__setattr__(self, "order", n)
+        object.__setattr__(self, "inv_table", tuple(inv))
+        object.__setattr__(self, "bfs_words", tuple(words))
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -244,43 +265,13 @@ def group_from_generators(
         for b, p, r in steps:
             row[b] = r[row[p]]
         rows.append(tuple(row))
-    mul_table = tuple(rows)
-    inv_table = []
-    for e in elems:
-        inv = [0] * npoints
-        for i, img in enumerate(e):
-            inv[img] = i
-        inv_table.append(index[tuple(inv)])
     generator_ids = tuple(index[tuple(g)] for g in gens)
-    return FiniteGroup(n, mul_table, tuple(inv_table), generator_ids, tuple(words))
+    return FiniteGroup(tuple(rows), generator_ids, tuple(words))
 
 
 def trivial_group() -> FiniteGroup:
     """The one-element group."""
     return group_from_generators([[0]])
-
-
-@lru_cache(maxsize=None)
-def bfs_words(group: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
-    """Breadth-first construction words over ``generator_ids``.
-
-    One ``(g, parent, k)`` triple per non-identity element, meaning
-    ``g = parent * generator_ids[k]``, in queue order, so every parent comes
-    before its children.  Used to extend generator data (matrices,
-    automorphisms) to the whole group in one pass.
-    """
-    out: list[tuple[int, int, int]] = []
-    seen = [False] * group.order
-    seen[0] = True
-    queue = [0]
-    for g in queue:
-        for k, s in enumerate(group.generator_ids):
-            h = group.mul(g, s)
-            if not seen[h]:
-                seen[h] = True
-                out.append((h, g, k))
-                queue.append(h)
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -525,75 +516,55 @@ class GroupHom:
 
 @dataclass(frozen=True)
 class GroupAction:
-    """Action of ``actor`` on ``target`` by group automorphisms.
+    """Action of ``actor`` on ``target`` by automorphisms, held as a
+    ``GammaLattice`` holds its matrices: ``images[k]`` is the automorphism
+    by which ``actor.generator_ids[k]`` acts.
 
-    ``table[g][f]`` is the image of target element f under actor element g.
-    Use ``validate`` (or the checked factories) to confirm the automorphism
-    and homomorphism laws.
+    The constructor checks that each image is a bijection and an
+    automorphism, extends the images along the actor's breadth-first words
+    to ``table`` (``table[g][f]`` is the image of f under g), then checks
+    table[gh] = table[g] o table[h] on the Cayley edges and that each
+    generator acts as given, which fails where a generator id repeats or is
+    the identity.  Each error names its witness.
     """
 
     actor: FiniteGroup
     target: FiniteGroup
-    table: tuple[tuple[int, ...], ...]
+    images: tuple[tuple[int, ...], ...]
+    table: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.table) != self.actor.order:
-            raise ValueError("action table must have one row per actor element")
-        for row in self.table:
-            if len(row) != self.target.order:
-                raise ValueError("action table row has the wrong length")
-        if self.table[0] != tuple(range(self.target.order)):
-            raise NotAHomomorphism("identity must act as the identity map")
+        actor, ft, gt = self.actor, self.target.mul_table, self.actor.mul_table
+        if len(self.images) != len(actor.generator_ids):
+            raise NotAHomomorphism("need one automorphism per actor generator")
+        images = tuple(_check_permutation(p, self.target.order, k) for k, p in enumerate(self.images))
+        for gid, row in zip(actor.generator_ids, images):
+            bad = first_failure(self.target, lambda a, b: row[ft[a][b]] == ft[row[a]][row[b]])
+            if bad is not None:
+                raise NotAHomomorphism(f"actor element {gid} does not act by an automorphism at {bad}")
+        table = [tuple(range(self.target.order))] * actor.order
+        for g, parent, k in actor.bfs_words:
+            table[g] = tuple(map(table[parent].__getitem__, images[k]))
+        bad = first_failure(actor, lambda g, h: table[gt[g][h]] == tuple(map(table[g].__getitem__, table[h])))
+        if bad is not None:
+            raise NotAHomomorphism(f"action is not a homomorphism at {bad}")
+        for k, gid in enumerate(actor.generator_ids):
+            if table[gid] != images[k]:
+                raise NotAHomomorphism(f"generator {k} image conflicts with the extension")
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "table", tuple(table))
 
     def act(self, g: int, f: int) -> int:
         return self.table[g][f]
 
     def is_trivial(self) -> bool:
         idrow = tuple(range(self.target.order))
-        return all(row == idrow for row in self.table)
+        return all(img == idrow for img in self.images)
 
     @staticmethod
     def trivial(actor: FiniteGroup, target: FiniteGroup) -> "GroupAction":
         idrow = tuple(range(target.order))
-        return GroupAction(actor, target, tuple(idrow for _ in range(actor.order)))
-
-    @staticmethod
-    def from_generator_images(
-        actor: FiniteGroup, target: FiniteGroup, images: Sequence[Sequence[int]]
-    ) -> "GroupAction":
-        """Extend automorphisms given on ``actor.generator_ids`` to all of actor.
-
-        The extension follows the breadth-first words of the actor; the result
-        is validated.
-        """
-        if len(images) != len(actor.generator_ids):
-            raise NotAHomomorphism("need one automorphism per actor generator")
-        perms = [_check_permutation(p, target.order, i) for i, p in enumerate(images)]
-        table = [tuple(range(target.order))] * actor.order
-        for g, parent, k in bfs_words(actor):
-            table[g] = tuple(table[parent][i] for i in perms[k])
-        action = GroupAction(actor, target, tuple(table))
-        action.validate()
-        for k, gid in enumerate(actor.generator_ids):
-            if action.table[gid] != perms[k]:
-                raise NotAHomomorphism(f"generator {k} image conflicts with the extension")
-        return action
-
-    def validate(self) -> None:
-        """Each row is a bijective automorphism, row by row in id order, and
-        the table is a homomorphism: table[gh] = table[g] o table[h]."""
-        table, ft, gt = self.table, self.target.mul_table, self.actor.mul_table
-        for g, row in enumerate(table):
-            if sorted(row) != list(range(self.target.order)):
-                raise NotAHomomorphism(f"actor element {g} does not act bijectively")
-            bad = first_failure(self.target, lambda a, b: row[ft[a][b]] == ft[row[a]][row[b]])
-            if bad is not None:
-                raise NotAHomomorphism(f"actor element {g} does not act by an automorphism at {bad}")
-        bad = first_failure(
-            self.actor, lambda g, h: table[gt[g][h]] == tuple(map(table[g].__getitem__, table[h]))
-        )
-        if bad is not None:
-            raise NotAHomomorphism(f"action is not a homomorphism at {bad}")
+        return GroupAction(actor, target, (idrow,) * len(actor.generator_ids))
 
 
 @dataclass(frozen=True)
@@ -618,12 +589,13 @@ class SemidirectProduct:
 
 @lru_cache(maxsize=None)
 def semidirect_product(action: GroupAction) -> SemidirectProduct:
-    """The semidirect product of a validated action.
+    """The semidirect product of an action, checked when it was built.
 
     Memoized per action: equal actions get the one product object, so its
     group passes ``same_group`` by identity.  Raises ClosureTooLarge past
-    DEFAULT_MAX_ORDER elements, before the action is checked or the
-    multiplication table built.
+    DEFAULT_MAX_ORDER elements, before the multiplication table is built.
+    The inverse of (f, g) is (act(g^-1, f^-1), g^-1), which ``FiniteGroup``
+    reads off the table.
     """
     f_grp = action.target
     g_grp = action.actor
@@ -631,7 +603,6 @@ def semidirect_product(action: GroupAction) -> SemidirectProduct:
     n = nf * ng
     if n > DEFAULT_MAX_ORDER:
         raise ClosureTooLarge(f"semidirect product of order {n} exceeds {DEFAULT_MAX_ORDER} elements")
-    action.validate()
 
     def pid(f: int, g: int) -> int:
         return f * ng + g
@@ -644,11 +615,6 @@ def semidirect_product(action: GroupAction) -> SemidirectProduct:
             f2, g2 = divmod(b, ng)
             row.append(pid(f_grp.mul(f1, action.act(g1, f2)), g_grp.mul(g1, g2)))
         mul_rows.append(tuple(row))
-    inv = []
-    for a in range(n):
-        f, g = divmod(a, ng)
-        gi = g_grp.inv(g)
-        inv.append(pid(action.act(gi, f_grp.inv(f)), gi))
     generator_ids = tuple(pid(f, 0) for f in f_grp.generator_ids) + tuple(
         pid(0, g) for g in g_grp.generator_ids
     )
@@ -657,7 +623,7 @@ def semidirect_product(action: GroupAction) -> SemidirectProduct:
         labels = tuple(
             f"({f_grp.labels[a // ng]},{g_grp.labels[a % ng]})" for a in range(n)
         )
-    group = FiniteGroup(n, tuple(mul_rows), tuple(inv), generator_ids, labels)
+    group = FiniteGroup(tuple(mul_rows), generator_ids, labels)
     return SemidirectProduct(
         group=group,
         action=action,
@@ -743,22 +709,18 @@ def automorphisms(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 def all_actions(actor: FiniteGroup, target: FiniteGroup) -> tuple[GroupAction, ...]:
     """Every action of ``actor`` on ``target`` by automorphisms.
 
-    Enumerates automorphism choices for each actor generator, extends along
-    breadth-first words, and keeps the assignments that define homomorphisms.
-    Results are deduplicated by table and sorted, so the order is canonical.
+    Enumerates automorphism choices for each actor generator and keeps the
+    assignments that define actions.  Each generator acts as chosen, so
+    distinct choices give distinct tables; sorting by table makes the order
+    canonical.
     """
     auts = automorphisms(target)
-    seen = set()
     actions = []
     for choice in product(range(len(auts)), repeat=len(actor.generator_ids)):
         try:
-            action = GroupAction.from_generator_images(
-                actor, target, [auts[i] for i in choice]
-            )
+            action = GroupAction(actor, target, tuple(auts[i] for i in choice))
         except NotAHomomorphism:
             continue
-        if action.table not in seen:
-            seen.add(action.table)
-            actions.append(action)
+        actions.append(action)
     actions.sort(key=lambda a: a.table)
     return tuple(actions)

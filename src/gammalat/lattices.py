@@ -8,12 +8,13 @@ induced/permutation lattices, by direct sum, restriction, twisting,
 dualizing), computes their rational characters, solves for equivariant
 maps, and recognizes permutation lattices.
 
-Equivariant maps out of a permutation lattice come from Frobenius
-reciprocity: such a lattice is a sum of coset lattices Z[G/Stab(x)], one
-per orbit of its basis vectors, and Hom_G(Z[G/H], N) is the fixed
-sublattice N^H.  So the intertwiner basis is assembled orbit by orbit from
-small fixed-vector kernels, instead of from one constraint system over all
-rank(M) * rank(N) unknowns, which remains the path for any other source.
+Equivariant maps are fixed vectors: Hom_G(M, N) is the fixed sublattice
+Hom(M, N)^G, a kernel over rank(M) * rank(N) coordinates, which is the
+path for a general source M.  Out of a permutation lattice they come from
+Frobenius reciprocity instead: such a lattice is a sum of coset lattices
+Z[G/Stab(x)], one per orbit of its basis vectors, and Hom_G(Z[G/H], N) is
+the fixed sublattice N^H.  So that intertwiner basis is assembled orbit by
+orbit from small fixed-vector kernels of the same kind.
 The finite-index embedding then picks, among small integer combinations of
 that basis, the invertible one minimizing a fixed total order.  The
 identity is the least of any invertible matrix, so where source and
@@ -61,7 +62,6 @@ from .groups import (
     Cocycle,
     FiniteGroup,
     GroupHom,
-    bfs_words,
     class_index_map,
     conjugacy_classes,
     first_failure,
@@ -113,7 +113,7 @@ __all__ = [
 # the deterministic box search sufficed.
 RANDOM_FALLBACK_COUNT = 0
 
-_SHELL_BOUNDS = (1, 2, 3, 6, 12, 24)
+_SHELL_BOUNDS = (1, 2, 3, 12, 24)
 _SHELL_BUDGET = 20000
 _RANDOM_ATTEMPTS = 512
 _RANDOM_COEFF_BOUND = 3
@@ -163,7 +163,7 @@ class GammaLattice:
     @cached_property
     def matrices(self) -> tuple[IntMatrix, ...]:
         mats = [IntMatrix.identity(self.rank)] * self.group.order
-        for g, parent, k in bfs_words(self.group):
+        for g, parent, k in self.group.bfs_words:
             mats[g] = self._reduce(mats[parent].mul(self.generators[k]))
         return tuple(mats)
 
@@ -402,15 +402,17 @@ def lattice_embedding(
 def intertwiner_basis(m: GammaLattice, n: GammaLattice) -> tuple[IntMatrix, ...]:
     """Z-basis of Hom_G(m, n): all integer E with E * act_m(g) = act_n(g) * E.
 
-    When every generator of ``m`` acts by a permutation matrix, ``m`` is the
-    sum over the orbits of its basis vectors of the coset lattices
-    Z[G/Stab(x)], x the smallest point of the orbit.  Frobenius reciprocity
-    gives Hom_G(Z[G/Stab(x)], n) = n^Stab(x), so each Z-basis vector v of
-    the fixed sublattice (the integer kernel of the stacked n(s) - I over
-    generators s of Stab(x)) yields one intertwiner, whose column g*x is
-    n(g) * v and whose other columns are zero.  Any other ``m`` takes the
-    integer kernel of the linear constraints on the generators (which imply
-    the constraint for every element).
+    Hom_G(m, n) is the fixed sublattice Hom(m, n)^G, where g sends E to
+    n(g) * E * m(g)^-1.  When every generator of ``m`` acts by a
+    permutation matrix, ``m`` is the sum over the orbits of its basis
+    vectors of the coset lattices Z[G/Stab(x)], x the smallest point of the
+    orbit.  Frobenius reciprocity gives Hom_G(Z[G/Stab(x)], n) = n^Stab(x),
+    so each Z-basis vector v of that fixed sublattice yields one
+    intertwiner, whose column g*x is n(g) * v and whose other columns are
+    zero.  Any other ``m`` takes the fixed sublattice of Hom(m, n) itself:
+    on E flattened row-major, the generator s acts by the Kronecker product
+    of n(s) and dual(m)(s) = m(s^-1)^T, and vectors fixed by the generators
+    are fixed by the group.
 
     Both describe the same saturated Z-lattice, and the flattened solutions
     are canonicalized by their Hermite form, so the basis is unique and
@@ -424,42 +426,22 @@ def intertwiner_basis(m: GammaLattice, n: GammaLattice) -> tuple[IntMatrix, ...]
     if all(a.is_permutation_matrix() for a in m.generators):
         solutions = _permutation_intertwiners(m, n)
     else:
-        solutions = kernel_basis(_intertwiner_constraints(m, n))
+        hom_action = [
+            IntMatrix(nvars, nvars, tuple(tuple(x * y for x in p for y in q) for p in a.entries for q in b.entries))
+            for a, b in zip(n.generators, dual(m).generators)
+        ]
+        solutions = _fixed_sublattice(nvars, hom_action)
     if not solutions:
         return ()
-    h, _ = hermite_normal_form(IntMatrix.from_rows(solutions, cols=nvars))
-    out = []
-    for row in h.entries:
-        if any(row):
-            out.append(
-                IntMatrix.from_rows(
-                    [list(row[i * m.rank : (i + 1) * m.rank]) for i in range(n.rank)],
-                    cols=m.rank,
-                )
-            )
-    return tuple(out)
+    h, _ = hermite_normal_form(IntMatrix(len(solutions), nvars, tuple(solutions)))
+    return tuple(
+        IntMatrix(n.rank, m.rank, tuple(row[i * m.rank : (i + 1) * m.rank] for i in range(n.rank)))
+        for row in h.entries
+        if any(row)
+    )
 
 
-def _intertwiner_constraints(m: GammaLattice, n: GammaLattice) -> IntMatrix:
-    """E * act_m(g) = act_n(g) * E on the generators, over E flattened row-major."""
-    nvars = n.rank * m.rank
-    rows = []
-    for gen_m, gen_n in zip(m.generators, n.generators):
-        a = gen_m.entries
-        b = gen_n.entries
-        # Constraint (i, j): sum_q E[i][q] a[q][j] - sum_p b[i][p] E[p][j] = 0.
-        for i in range(n.rank):
-            for j in range(m.rank):
-                row = [0] * nvars
-                for q in range(m.rank):
-                    row[i * m.rank + q] += a[q][j]
-                for p in range(n.rank):
-                    row[p * m.rank + j] -= b[i][p]
-                rows.append(row)
-    return IntMatrix.from_rows(rows, cols=nvars)
-
-
-def _permutation_intertwiners(m: GammaLattice, n: GammaLattice) -> list[list[int]]:
+def _permutation_intertwiners(m: GammaLattice, n: GammaLattice) -> list[tuple[int, ...]]:
     """Flattened Z-basis of Hom_G(m, n) for m acting by permutation matrices,
     one block per orbit of m's basis vectors (Frobenius reciprocity).
 
@@ -477,7 +459,7 @@ def _permutation_intertwiners(m: GammaLattice, n: GammaLattice) -> list[list[int
         moves.append(img)
     # images[g][j] = g * j, along the breadth-first words g = parent * s_k.
     images = [list(range(m.rank))] * m.group.order
-    for g, parent, k in bfs_words(m.group):
+    for g, parent, k in m.group.bfs_words:
         images[g] = [images[parent][j] for j in moves[k]]
     actions = [[[(j, a) for j, a in enumerate(row) if a] for row in b.entries] for b in n.generators]
     fixed_by_stabilizer: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
@@ -497,7 +479,9 @@ def _permutation_intertwiners(m: GammaLattice, n: GammaLattice) -> list[list[int
                     tree.append((img[y], y, k))
         stab = tuple(g for g, img in enumerate(images) if g and img[x] == x)
         if stab not in fixed_by_stabilizer:
-            fixed_by_stabilizer[stab] = _fixed_sublattice(n, _generating_subset(m.group, stab))
+            fixed_by_stabilizer[stab] = _fixed_sublattice(
+                n.rank, [n.matrices[g] for g in _generating_subset(m.group, stab)]
+            )
         for v in fixed_by_stabilizer[stab]:
             columns = {x: v}
             for y, parent, k in tree[1:]:
@@ -507,7 +491,7 @@ def _permutation_intertwiners(m: GammaLattice, n: GammaLattice) -> list[list[int
             for y, column in columns.items():
                 for i, c in enumerate(column):
                     flat[i * m.rank + y] = c
-            out.append(flat)
+            out.append(tuple(flat))
     return out
 
 
@@ -524,16 +508,17 @@ def _generating_subset(group: FiniteGroup, elements: Sequence[int]) -> list[int]
     return kept
 
 
-def _fixed_sublattice(n: GammaLattice, elements: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Z-basis of the vectors of n fixed by every listed element, which are
-    those fixed by the subgroup the elements generate."""
-    if not elements:
-        return IntMatrix.identity(n.rank).entries
-    rows = []
-    for s in elements:
-        for i, row in enumerate(n.matrices[s].entries):
-            rows.append([x - (1 if i == j else 0) for j, x in enumerate(row)])
-    return kernel_basis(IntMatrix.from_rows(rows, cols=n.rank))
+def _fixed_sublattice(rank: int, matrices: Sequence[IntMatrix]) -> tuple[tuple[int, ...], ...]:
+    """Z-basis of the vectors of Z^rank fixed by every listed matrix: the
+    integer kernel of the stacked A - I."""
+    if not matrices:
+        return IntMatrix.identity(rank).entries
+    rows = tuple(
+        tuple(x - (1 if i == j else 0) for j, x in enumerate(row))
+        for a in matrices
+        for i, row in enumerate(a.entries)
+    )
+    return kernel_basis(IntMatrix(len(rows), rank, rows))
 
 
 def _smaller_key(flat: list[int], n: int, best: Optional[tuple], paired: bool, det: int) -> Optional[tuple]:

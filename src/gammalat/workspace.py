@@ -205,7 +205,7 @@ def _load_actions(section: dict, ws: Workspace) -> None:
         _require(isinstance(images_obj, list), f"{where}/generator_images: expected a list")
         images = [_parse_int_list(img, f"{where}/generator_images") for img in images_obj]
         with _defining(where):
-            ws.actions[name] = GroupAction.from_generator_images(actor, target, images)
+            ws.actions[name] = GroupAction(actor, target, images)
 
 
 def _load_lattices(section: dict, ws: Workspace) -> None:

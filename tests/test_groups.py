@@ -6,7 +6,8 @@ from itertools import permutations, product
 import pytest
 
 from gammalat import groups
-from gammalat.corpus import builtin_group, builtin_groups
+from gammalat.checks import _SWEEP_MAX_ORDER
+from gammalat.corpus import builtin_group, builtin_groups, twist_sweep_groups
 from gammalat.errors import (
     ClosureTooLarge,
     InvalidCocycle,
@@ -22,7 +23,6 @@ from gammalat.groups import (
     all_actions,
     all_subgroups,
     automorphisms,
-    bfs_words,
     class_index_map,
     conjugacy_classes,
     cyclic_subgroup_class_reps,
@@ -80,7 +80,7 @@ def test_generator_validation():
     c2 = builtin_group("c2")
     for ids in ((-1,), (5,)):
         with pytest.raises(ValueError, match=f"generator id {ids[0]} out of range"):
-            FiniteGroup(2, c2.mul_table, c2.inv_table, ids)
+            FiniteGroup(c2.mul_table, ids)
 
 
 def test_semidirect_product_obeys_the_order_cap(monkeypatch):
@@ -88,15 +88,10 @@ def test_semidirect_product_obeys_the_order_cap(monkeypatch):
     # the memoized cache cannot answer before the cap is checked.
     c7 = group_from_generators([[1, 2, 3, 4, 5, 6, 0]])
     c2 = group_from_generators([[1, 0]])
-    inversion = GroupAction.from_generator_images(c2, c7, [[c7.inv(x) for x in range(7)]])
+    inversion = GroupAction(c2, c7, [[c7.inv(x) for x in range(7)]])
     monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 13)
     with pytest.raises(ClosureTooLarge):
         semidirect_product(inversion)
-    # The cap is checked before the action: a table that is no action at
-    # all still reports the size.
-    collapse = GroupAction(c2, c7, (tuple(range(7)), (0,) * 7))
-    with pytest.raises(ClosureTooLarge):
-        semidirect_product(collapse)
     monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 14)
     assert semidirect_product(inversion).group.order == 14
 
@@ -182,7 +177,8 @@ def test_all_actions_counts():
     assert len(all_actions(c2, c3)) == 2
     assert len(all_actions(c3, c2)) == 1
     assert len(all_actions(c2, v4)) == 4
-    assert all(a.validate() is None for a in all_actions(c2, c3))
+    for action in all_actions(c2, v4):
+        assert _full_scan_action_error(action.actor, action.target, action.images) is None
 
 
 def test_semidirect_product_multiplication():
@@ -214,7 +210,7 @@ def test_semidirect_product_is_one_object_per_action():
     """Equal actions share one product, and a twisted section lands in it."""
     c2, c3 = builtin_group("c2"), builtin_group("c3")
     inversion = next(a for a in all_actions(c2, c3) if not a.is_trivial())
-    copy = GroupAction(inversion.actor, inversion.target, inversion.table)
+    copy = GroupAction(inversion.actor, inversion.target, inversion.images)
     assert copy is not inversion and copy == inversion
     prod = semidirect_product(inversion)
     assert semidirect_product(copy) is prod
@@ -263,9 +259,9 @@ def test_action_from_generator_images_rejects_non_action():
     c2, c4 = builtin_group("c2"), builtin_group("c4")
     # order-4 rotation is not an automorphism image for an involution actor
     with pytest.raises(NotAHomomorphism):
-        GroupAction.from_generator_images(c2, c4, [[1, 2, 3, 0]])
-    action = GroupAction.from_generator_images(c2, c4, [[0, 3, 2, 1]])
-    action.validate()
+        GroupAction(c2, c4, [[1, 2, 3, 0]])
+    action = GroupAction(c2, c4, [[0, 3, 2, 1]])
+    assert action.table == ((0, 1, 2, 3), (0, 3, 2, 1))
     assert action.act(1, 1) == 3
 
 
@@ -273,7 +269,7 @@ def test_bfs_words_list_each_element_once_after_its_parent():
     c2, c3 = builtin_group("c2"), builtin_group("c3")
     inversion = next(a for a in all_actions(c2, c3) if not a.is_trivial())
     for group in (s3(), semidirect_product(inversion).group):
-        words = bfs_words(group)
+        words = group.bfs_words
         assert sorted(g for g, _, _ in words) == list(range(1, group.order))
         position = {0: -1}
         for i, (g, parent, k) in enumerate(words):
@@ -343,7 +339,7 @@ def test_transitive_subgroup_classes_of_symmetric_groups():
         sn = group_from_generators(gens)
         # Element g is parent * gens[k], and (a*b)[i] = a[b[i]].
         perm = {0: tuple(range(n))}
-        for g, parent, k in bfs_words(sn):
+        for g, parent, k in sn.bfs_words:
             perm[g] = tuple(perm[parent][i] for i in gens[k])
         reps = subgroup_conjugacy_reps(sn)
         assert sum(len({perm[h][0] for h in rep}) == n for rep in reps) == transitive, n
@@ -390,7 +386,7 @@ def test_associativity_names_the_full_scan_witness():
         for a, b in product(range(5), repeat=2):
             table[relabel[a]][relabel[b]] = relabel[rows[a][b]]
         mt = tuple(map(tuple, table))
-        loop = FiniteGroup(5, mt, tuple(range(5)), (relabel[1], relabel[2]))
+        loop = FiniteGroup(mt, (relabel[1], relabel[2]))
         bad = full_scan_failure(5, lambda a, b, c: mt[mt[a][b]][c] == mt[a][mt[b][c]], arity=3)
         with pytest.raises(ValueError) as info:
             loop.validate()
@@ -408,52 +404,86 @@ def test_is_abelian_matches_a_full_scan():
     assert not c2_s3.is_abelian()
 
 
-def _full_scan_action_message(action):
-    """What validate reports, from scans of every pair; None for an action."""
-    n, table = action.target.order, action.table
-    fmt, gmt = action.target.mul_table, action.actor.mul_table
-    for g, row in enumerate(table):
-        if sorted(row) != list(range(n)):
-            return f"actor element {g} does not act bijectively"
-        bad = full_scan_failure(n, lambda a, b: row[fmt[a][b]] == fmt[row[a]][row[b]])
+def _full_scan_action_error(actor, target, images):
+    """(error class, message) that building the action must raise, from
+    scans of every pair; None for an action.  The images are checked in
+    generator order, then the table they extend to along the breadth-first
+    words."""
+    n, fmt, gmt = target.order, target.mul_table, actor.mul_table
+    for k, img in enumerate(images):
+        if sorted(img) != list(range(n)):
+            return NotAPermutation, f"generator {k} is not a bijection on 0..{n - 1}"
+    for gid, img in zip(actor.generator_ids, images):
+        bad = full_scan_failure(n, lambda a, b: img[fmt[a][b]] == fmt[img[a]][img[b]])
         if bad is not None:
-            return "actor element {} does not act by an automorphism at ({}, {})".format(g, *bad)
+            return NotAHomomorphism, "actor element {} does not act by an automorphism at ({}, {})".format(gid, *bad)
+    table = [tuple(range(n))] * actor.order
+    for g, parent, k in actor.bfs_words:
+        table[g] = tuple(table[parent][i] for i in images[k])
     law = lambda g, h: all(table[gmt[g][h]][f] == table[g][table[h][f]] for f in range(n))
-    bad = full_scan_failure(action.actor.order, law)
-    return None if bad is None else "action is not a homomorphism at ({}, {})".format(*bad)
+    bad = full_scan_failure(actor.order, law)
+    if bad is not None:
+        return NotAHomomorphism, "action is not a homomorphism at ({}, {})".format(*bad)
+    for k, gid in enumerate(actor.generator_ids):
+        if table[gid] != tuple(images[k]):
+            return NotAHomomorphism, f"generator {k} image conflicts with the extension"
+    return None
 
 
 def test_action_check_names_the_full_scan_witness():
-    """Random tables: rows that are automorphisms, permutations or neither,
-    and tables extended from random generator automorphisms along the
-    breadth-first words."""
+    """Random generator images: automorphisms, permutations that are not
+    automorphisms, and maps that are not permutations.  C2 with its
+    generator listed twice reaches the conflict between the two images."""
     rng = random.Random(14)
     c3, c4, v4 = (builtin_group(name) for name in ("c3", "c4", "v4"))
+    c2_twice = group_from_generators([[1, 0], [1, 0]])
     outcomes = set()
-    for actor, target in ((s3(), c3), (s3(), v4), (v4, v4), (v4, c4)):
+    for actor, target in ((s3(), c3), (s3(), v4), (v4, v4), (v4, c4), (c2_twice, c4), (c2_twice, v4)):
         n, auts = target.order, automorphisms(target)
-        for trial in range(300):
-            rows = [tuple(range(n))] * actor.order
-            if trial % 2:
-                gens = [rng.choice(auts) for _ in actor.generator_ids]
-                for g, parent, k in bfs_words(actor):
-                    rows[g] = tuple(rows[parent][i] for i in gens[k])
-            else:
-                for g in range(1, actor.order):
-                    roll = rng.random()
-                    if roll < 0.8:
-                        rows[g] = rng.choice(auts)
-                    elif roll < 0.95:
-                        rows[g] = tuple(rng.sample(range(n), n))
-                    else:
-                        rows[g] = tuple(rng.randrange(n) for _ in range(n))
-            action = GroupAction(actor, target, tuple(rows))
-            expected = _full_scan_action_message(action)
-            outcomes.add(expected and expected.split(" at ")[0].split()[-1])
+        for _ in range(300):
+            images = []
+            for _ in actor.generator_ids:
+                roll = rng.random()
+                if roll < 0.8:
+                    images.append(rng.choice(auts))
+                elif roll < 0.95:
+                    images.append(tuple(rng.sample(range(n), n)))
+                else:
+                    images.append(tuple(rng.randrange(n) for _ in range(n)))
+            expected = _full_scan_action_error(actor, target, images)
             if expected is None:
-                action.validate()
+                action = GroupAction(actor, target, images)
+                assert all(action.table[gid] == img for gid, img in zip(actor.generator_ids, images))
+                outcomes.add(None)
                 continue
-            with pytest.raises(NotAHomomorphism) as info:
-                action.validate()
-            assert str(info.value) == expected
-    assert outcomes == {None, "bijectively", "automorphism", "homomorphism"}
+            with pytest.raises(expected[0]) as info:
+                GroupAction(actor, target, images)
+            assert str(info.value) == expected[1]
+            outcomes.add(next(w for w in ("bijection", "automorphism", "homomorphism", "conflicts") if w in expected[1]))
+    assert outcomes == {None, "bijection", "automorphism", "homomorphism", "conflicts"}
+
+
+def test_semidirect_inverses_follow_the_pair_formula():
+    """The inverses FiniteGroup derives from a product's table are
+    (f, g)^-1 = (act(g^-1, f^-1), g^-1): on every product of check's twist
+    sweep, on C2 x S4, and on S4 with C2 acting by a transposition."""
+    s4 = group_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]])
+    by_transposition = tuple(s4.conjugate(f, s4.generator_ids[0]) for f in range(s4.order))
+    actions = [
+        action
+        for _, f_grp in twist_sweep_groups()
+        for _, g_grp in twist_sweep_groups()
+        if f_grp.order * g_grp.order <= _SWEEP_MAX_ORDER
+        for action in all_actions(g_grp, f_grp)
+    ]
+    actions += [GroupAction.trivial(s4, builtin_group("c2")), GroupAction(builtin_group("c2"), s4, [by_transposition])]
+    for action in actions:
+        prod = semidirect_product(action)
+        f_grp, g_grp = action.target, action.actor
+        expected = []
+        for f in range(f_grp.order):
+            for g in range(g_grp.order):
+                gi = g_grp.inv(g)
+                expected.append(prod.pair_id(action.act(gi, f_grp.inv(f)), gi))
+        assert prod.group.inv_table == tuple(expected)
+    assert len(actions) > 2 and prod.group.order == 48

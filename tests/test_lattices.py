@@ -416,6 +416,35 @@ def test_intertwiners_and_embedding_match_reference():
     assert intertwiner_basis(sign, trivial) == reference_intertwiner_basis(sign, trivial) == ()
 
 
+def test_every_intertwiner_basis_of_builtin_pairs_matches_reference():
+    """Hom_G(M, N) as the fixed sublattice of Hom(M, N) equals the kernel of
+    the constraint system E * M(g) = N(g) * E, on every ordered pair of
+    builtin lattices over one group and of the S4 standard, sign and
+    trivial lattices; the sources include non-permutation lattices whose
+    generators are not orthogonal, where dual(M)(g) differs from M(g)."""
+    s4 = _s4_standard()
+    sign = lattice_from_action(s4.group, 1, [IntMatrix.from_rows([[-1]])] * 2)
+    s4_lattices = (s4, sign, trivial_lattice(s4.group))
+    lats = builtin_lattices()
+    pairs = [(m, n) for m in lats for n in lats if same_group(m.group, n.group)]
+    pairs += list(iter_product(s4_lattices, repeat=2))
+    skewed = 0
+    for m, n in pairs:
+        assert intertwiner_basis(m, n) == reference_intertwiner_basis(m, n)
+        skewed += any(a != b for a, b in zip(m.generators, dual(m).generators))
+    assert len(pairs) > 50 and skewed > 10
+
+
+def test_every_shell_bound_is_chosen_for_some_basis_size():
+    """Each listed bound is the largest whose box fits the budget for some
+    basis size k: 24 for k <= 2, 12 for k = 3, 3 for k = 4 and 5, 2 for
+    k = 6, 1 for k = 7 to 9 and none beyond."""
+    bounds, budget = lattices_mod._SHELL_BOUNDS, lattices_mod._SHELL_BUDGET
+    chosen = [max((b for b in bounds if (2 * b + 1) ** k <= budget), default=0) for k in range(1, 12)]
+    assert chosen == [24, 24, 12, 3, 3, 2, 1, 1, 1, 0, 0]
+    assert set(bounds) <= set(chosen)
+
+
 def _identity_pairs():
     """Every corpus search whose source is its target: the Ono pairs of the
     trivial and regular lattices, and c3_augmentation onto itself."""

@@ -1,8 +1,10 @@
 """The runtime stays stdlib-only: gammalat imports nothing outside the
 standard library, so it runs wherever Python 3.10+ does.  It also imports
-nothing it does not use, and defines no private helper it does not use."""
+nothing it does not use, defines no private helper it does not use, and
+exports only names it defines."""
 
 import ast
+import importlib
 import sys
 from collections import Counter
 from pathlib import Path
@@ -78,3 +80,14 @@ def test_every_private_function_is_used():
             if used[name] == inside:
                 unused.append(f"{path.name}:{node.lineno} defines {name} unused")
     assert not unused, unused
+
+
+def test_every_exported_name_is_defined():
+    """Each name in a module's ``__all__`` is an attribute of that module,
+    so no export outlives the function it named."""
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "gammalat" if path.stem == "__init__" else f"gammalat.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{path.name} exports {n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, missing
