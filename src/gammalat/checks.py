@@ -15,11 +15,11 @@ sorted by property name.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
 from typing import Callable, Optional
 
+from ._value import Value
 from .corpus import builtin_groups, builtin_lattices, builtin_reductions, twist_sweep_groups
 from .errors import NotInRationalSpan
 from .groups import (
@@ -74,23 +74,37 @@ __all__ = ["PropertyResult", "run_property_suite"]
 _SWEEP_MAX_ORDER = 8
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    passed: bool
-    cases: int
-    detail: str
+class PropertyResult(Value):
+    """One property's outcome: whether it held, on how many cases, and the
+    first failure."""
+
+    def __init__(self, name: str, passed: bool, cases: int, detail: str) -> None:
+        self.__dict__.update(name=name, passed=passed, cases=cases, detail=detail)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.name, self.passed, self.cases, self.detail)
 
 
-@dataclass
 class _Context:
-    groups: tuple[tuple[str, FiniteGroup], ...]
-    lattices: tuple[tuple[str, GammaLattice], ...]
-    cocycles: tuple[tuple[str, Cocycle], ...]
-    reductions: tuple[tuple[str, ReductionInput], ...]
-    coord_bound: int
-    allow_random: bool
-    ono_cache: dict[str, OnoResult] = field(default_factory=dict)
+    """The objects the properties quantify over, and the results they share."""
+
+    def __init__(
+        self,
+        groups: tuple[tuple[str, FiniteGroup], ...],
+        lattices: tuple[tuple[str, GammaLattice], ...],
+        cocycles: tuple[tuple[str, Cocycle], ...],
+        reductions: tuple[tuple[str, ReductionInput], ...],
+        coord_bound: int,
+        allow_random: bool,
+    ) -> None:
+        self.groups = groups
+        self.lattices = lattices
+        self.cocycles = cocycles
+        self.reductions = reductions
+        self.coord_bound = coord_bound
+        self.allow_random = allow_random
+        self.ono_cache: dict[str, OnoResult] = {}
 
     @cached_property
     def sweep(self) -> tuple[tuple, ...]:

@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ComputationError, InputError
-from .groups import conjugacy_classes, cyclic_subgroup_class_reps, subgroup_conjugacy_reps
-from .induction import artin_decompose, certify_minimality, ono_construct
-from .lattices import GammaLattice, is_permutation_lattice, twist
 from .serialize import (
     FORMAT_VERSION,
     canonical_json,
@@ -40,10 +37,14 @@ from .workspace import (
     resolve,
 )
 
+if TYPE_CHECKING:
+    from .lattices import GammaLattice
+
 __all__ = ["main"]
 
 # Each subcommand is one cmd_* function of (workspace, parsed args) that
 # returns (JSON payload, table text, exit code); main adds the "format" key.
+# Each imports the layers it runs, so a process loads only those.
 
 
 def _abelian_text(structure) -> str:
@@ -63,6 +64,8 @@ def _lattice_table(m: GammaLattice, title: str) -> str:
 
 
 def cmd_group_info(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
+    from .groups import conjugacy_classes, cyclic_subgroup_class_reps, subgroup_conjugacy_reps
+
     group = resolve(workspace, "groups", args.group)
     payload = {"group": encode_group_info(group, name=args.group)}
     classes = conjugacy_classes(group)
@@ -102,6 +105,8 @@ def cmd_group_info(workspace: Workspace, args: argparse.Namespace) -> tuple[dict
 
 
 def cmd_artin(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
+    from .induction import artin_decompose, certify_minimality
+
     lat = resolve(workspace, "lattices", args.lattice)
     solution = artin_decompose(lat)
     minimal = certify_minimality(lat, solution)
@@ -130,6 +135,8 @@ def cmd_artin(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str
 
 
 def cmd_ono(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
+    from .induction import ono_construct
+
     lat = resolve(workspace, "lattices", args.lattice)
     result = ono_construct(lat, allow_random=not args.seedless)
     payload = {"lattice": encode_lattice(lat, name=args.lattice), "ono": encode_ono(result)}
@@ -146,6 +153,8 @@ def cmd_ono(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, 
 
 
 def cmd_twist(workspace: Workspace, args: argparse.Namespace) -> tuple[dict, str, int]:
+    from .lattices import is_permutation_lattice, twist
+
     lattice_name, cocycle_name = args.lattice, args.cocycle
     lat = resolve(workspace, "lattices", lattice_name)
     cocycle = resolve(workspace, "cocycles", cocycle_name)

@@ -19,17 +19,10 @@ from .groups import (
     semidirect_product,
     trivial_group,
 )
-from .intlinalg import IntMatrix
-from .lattices import (
-    GammaLattice,
-    direct_sum,
-    induced_lattice,
-    lattice_from_action,
-    trivial_lattice,
-    zero_lattice,
-)
 
 if TYPE_CHECKING:
+    from .intlinalg import IntMatrix
+    from .lattices import GammaLattice
     from .reduction import ReductionInput
 
 __all__ = [
@@ -111,11 +104,15 @@ def twist_sweep_groups() -> tuple[tuple[str, FiniteGroup], ...]:
 
 
 def _mat(rows: list[list[int]]) -> IntMatrix:
+    from .intlinalg import IntMatrix
+
     return IntMatrix.from_rows(rows)
 
 
 @lru_cache(maxsize=None)
 def builtin_lattices() -> tuple[GammaLattice, ...]:
+    from .lattices import direct_sum, induced_lattice, lattice_from_action, trivial_lattice
+
     c2 = group_c2()
     c3 = group_c3()
     c4 = group_c4()
@@ -167,6 +164,7 @@ def builtin_lattice(name: str) -> GammaLattice:
 
 @lru_cache(maxsize=None)
 def builtin_reductions() -> tuple[tuple[str, ReductionInput], ...]:
+    from .lattices import lattice_from_action, zero_lattice
     from .reduction import reduction_input
 
     triv = trivial_group()

@@ -18,11 +18,11 @@ through ``first_failure``, on the generator edges of the Cayley graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations, product
 from typing import Callable, Iterable, Optional, Sequence
 
+from ._value import Value
 from .errors import (
     ClosureTooLarge,
     InvalidCocycle,
@@ -61,8 +61,7 @@ __all__ = [
 DEFAULT_MAX_ORDER = 10080
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Value):
     """Finite group as an explicit multiplication table.
 
     Element ids run from 0 to order-1 and 0 is the identity.  ``labels``
@@ -71,17 +70,17 @@ class FiniteGroup:
     triple per non-identity element, g = parent * generator_ids[k], in the
     queue order of the walk that checks that the generators generate.  So
     generator data (matrices, automorphisms) extends along it in one pass.
+    Two groups are equal when table, generator ids and labels are; the hash
+    is computed once, since every memoized function of a group hashes it.
     """
 
-    mul_table: tuple[tuple[int, ...], ...]
-    generator_ids: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = None
-    order: int = field(init=False, repr=False, compare=False)
-    inv_table: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    bfs_words: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        mt = self.mul_table
+    def __init__(
+        self,
+        mul_table: tuple[tuple[int, ...], ...],
+        generator_ids: tuple[int, ...],
+        labels: Optional[tuple[str, ...]] = None,
+    ) -> None:
+        mt = mul_table
         n = len(mt)
         if n < 1:
             raise ValueError("group order must be positive")
@@ -91,7 +90,7 @@ class FiniteGroup:
             for x in row:
                 if not 0 <= x < n:
                     raise ValueError(f"table entry {x} out of range")
-        for s in self.generator_ids:
+        for s in generator_ids:
             if not 0 <= s < n:
                 raise ValueError(f"generator id {s} out of range")
         inv = []
@@ -101,7 +100,7 @@ class FiniteGroup:
             if 0 not in row or mt[gi := row.index(0)][g] != 0:
                 raise ValueError(f"element {g} has no inverse")
             inv.append(gi)
-        if self.labels is not None and len(self.labels) != n:
+        if labels is not None and len(labels) != n:
             raise ValueError("labels must cover every element")
         words: list[tuple[int, int, int]] = []
         seen = [False] * n
@@ -109,7 +108,7 @@ class FiniteGroup:
         queue = [0]
         for g in queue:
             row = mt[g]
-            for k, s in enumerate(self.generator_ids):
+            for k, s in enumerate(generator_ids):
                 h = row[s]
                 if not seen[h]:
                     seen[h] = True
@@ -117,9 +116,22 @@ class FiniteGroup:
                     queue.append(h)
         if len(queue) != n:
             raise ValueError("generator_ids do not generate the group")
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "inv_table", tuple(inv))
-        object.__setattr__(self, "bfs_words", tuple(words))
+        self.__dict__.update(
+            mul_table=mul_table,
+            generator_ids=generator_ids,
+            labels=labels,
+            order=n,
+            inv_table=tuple(inv),
+            bfs_words=tuple(words),
+            _hash=hash((mul_table, generator_ids, labels)),
+        )
+
+    @property
+    def _key(self) -> tuple:
+        return (self.mul_table, self.generator_ids, self.labels)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -489,33 +501,32 @@ def fixed_coset_counts(group: FiniteGroup, delta: tuple[int, ...]) -> tuple[int,
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Value):
     """Group homomorphism given by its full image table; validated eagerly."""
 
-    source: FiniteGroup
-    target: FiniteGroup
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != self.source.order:
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, images: tuple[int, ...]) -> None:
+        if len(images) != source.order:
             raise NotAHomomorphism("image table has the wrong length")
-        for x in self.images:
-            if not 0 <= x < self.target.order:
+        for x in images:
+            if not 0 <= x < target.order:
                 raise NotAHomomorphism(f"image {x} out of range")
-        if self.images[0] != 0:
+        if images[0] != 0:
             raise NotAHomomorphism("identity does not map to identity")
-        images, src, tgt = self.images, self.source.mul_table, self.target.mul_table
-        bad = first_failure(self.source, lambda a, b: images[src[a][b]] == tgt[images[a]][images[b]])
+        src, tgt = source.mul_table, target.mul_table
+        bad = first_failure(source, lambda a, b: images[src[a][b]] == tgt[images[a]][images[b]])
         if bad is not None:
             raise NotAHomomorphism(f"multiplicativity fails at {bad}")
+        self.__dict__.update(source=source, target=target, images=images)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.source, self.target, self.images)
 
     def apply(self, g: int) -> int:
         return self.images[g]
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(Value):
     """Action of ``actor`` on ``target`` by automorphisms, held as a
     ``GammaLattice`` holds its matrices: ``images[k]`` is the automorphism
     by which ``actor.generator_ids[k]`` acts.
@@ -528,21 +539,18 @@ class GroupAction:
     the identity.  Each error names its witness.
     """
 
-    actor: FiniteGroup
-    target: FiniteGroup
-    images: tuple[tuple[int, ...], ...]
-    table: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        actor, ft, gt = self.actor, self.target.mul_table, self.actor.mul_table
-        if len(self.images) != len(actor.generator_ids):
+    def __init__(
+        self, actor: FiniteGroup, target: FiniteGroup, images: Sequence[Sequence[int]]
+    ) -> None:
+        ft, gt = target.mul_table, actor.mul_table
+        if len(images) != len(actor.generator_ids):
             raise NotAHomomorphism("need one automorphism per actor generator")
-        images = tuple(_check_permutation(p, self.target.order, k) for k, p in enumerate(self.images))
+        images = tuple(_check_permutation(p, target.order, k) for k, p in enumerate(images))
         for gid, row in zip(actor.generator_ids, images):
-            bad = first_failure(self.target, lambda a, b: row[ft[a][b]] == ft[row[a]][row[b]])
+            bad = first_failure(target, lambda a, b: row[ft[a][b]] == ft[row[a]][row[b]])
             if bad is not None:
                 raise NotAHomomorphism(f"actor element {gid} does not act by an automorphism at {bad}")
-        table = [tuple(range(self.target.order))] * actor.order
+        table = [tuple(range(target.order))] * actor.order
         for g, parent, k in actor.bfs_words:
             table[g] = tuple(map(table[parent].__getitem__, images[k]))
         bad = first_failure(actor, lambda g, h: table[gt[g][h]] == tuple(map(table[g].__getitem__, table[h])))
@@ -551,8 +559,11 @@ class GroupAction:
         for k, gid in enumerate(actor.generator_ids):
             if table[gid] != images[k]:
                 raise NotAHomomorphism(f"generator {k} image conflicts with the extension")
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "table", tuple(table))
+        self.__dict__.update(actor=actor, target=target, images=images, table=tuple(table))
+
+    @property
+    def _key(self) -> tuple:
+        return (self.actor, self.target, self.images)
 
     def act(self, g: int, f: int) -> int:
         return self.table[g][f]
@@ -567,8 +578,7 @@ class GroupAction:
         return GroupAction(actor, target, (idrow,) * len(actor.generator_ids))
 
 
-@dataclass(frozen=True)
-class SemidirectProduct:
+class SemidirectProduct(Value):
     """Semidirect product ``F x| Gamma`` for an action of Gamma on F.
 
     Element ``(f, g)`` gets id ``f * |Gamma| + g``; multiplication is
@@ -577,11 +587,21 @@ class SemidirectProduct:
     the quotient map onto Gamma.
     """
 
-    group: FiniteGroup
-    action: GroupAction
-    embed_f: tuple[int, ...]
-    section: tuple[int, ...]
-    projection: tuple[int, ...]
+    def __init__(
+        self,
+        group: FiniteGroup,
+        action: GroupAction,
+        embed_f: tuple[int, ...],
+        section: tuple[int, ...],
+        projection: tuple[int, ...],
+    ) -> None:
+        self.__dict__.update(
+            group=group, action=action, embed_f=embed_f, section=section, projection=projection
+        )
+
+    @property
+    def _key(self) -> tuple:
+        return (self.group, self.action, self.embed_f, self.section, self.projection)
 
     def pair_id(self, f: int, g: int) -> int:
         return f * self.action.actor.order + g
@@ -633,23 +653,24 @@ def semidirect_product(action: GroupAction) -> SemidirectProduct:
     )
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(Value):
     """1-cocycle for a group action: a map ``g -> x_g`` into the target.
 
     The defining law is ``x_(g*h) = x_g * act(g, x_h)``; use
     ``validate_cocycle`` to check it.
     """
 
-    base: GroupAction
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.base.actor.order:
+    def __init__(self, base: GroupAction, values: tuple[int, ...]) -> None:
+        if len(values) != base.actor.order:
             raise ValueError("cocycle must assign a value to every actor element")
-        for x in self.values:
-            if not 0 <= x < self.base.target.order:
+        for x in values:
+            if not 0 <= x < base.target.order:
                 raise ValueError(f"cocycle value {x} out of range")
+        self.__dict__.update(base=base, values=values)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.base, self.values)
 
 
 def validate_cocycle(x: Cocycle) -> Optional[tuple[int, int]]:

@@ -16,10 +16,10 @@ that r is minimal are all read off that one Smith form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from ._value import Value
 from .errors import InternalContradiction, NotInRationalSpan
 from .groups import FiniteGroup, conjugacy_classes, cyclic_subgroup_class_reps, fixed_coset_counts
 from .intlinalg import SnfDecomposition, column_matrix, smith_normal_form
@@ -61,8 +61,7 @@ def _induced_character_snf(group: FiniteGroup, reps: tuple[tuple[int, ...], ...]
     return smith_normal_form(column_matrix(basis, len(conjugacy_classes(group))))
 
 
-@dataclass(frozen=True)
-class ArtinSolution:
+class ArtinSolution(Value):
     """Minimal-multiplier decomposition of a lattice character.
 
     ``r * chi + sum(n[i] * chi_i) = sum(m[i] * chi_i)`` where chi_i runs over
@@ -70,20 +69,26 @@ class ArtinSolution:
     ``reps`` (canonical order), r >= 1 is minimal, and min(n[i], m[i]) = 0.
     """
 
-    group: FiniteGroup
-    r: int
-    reps: tuple[tuple[int, ...], ...]
-    n: tuple[int, ...]
-    m: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
+    def __init__(
+        self,
+        group: FiniteGroup,
+        r: int,
+        reps: tuple[tuple[int, ...], ...],
+        n: tuple[int, ...],
+        m: tuple[int, ...],
+    ) -> None:
+        if r < 1:
             raise ValueError("multiplier must be positive")
-        if not (len(self.reps) == len(self.n) == len(self.m)):
+        if not (len(reps) == len(n) == len(m)):
             raise ValueError("multiplicity vectors must match the representative list")
-        for a, b in zip(self.n, self.m):
+        for a, b in zip(n, m):
             if a < 0 or b < 0 or min(a, b) != 0:
                 raise ValueError("multiplicities must be nonnegative with disjoint support")
+        self.__dict__.update(group=group, r=r, reps=reps, n=n, m=m)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.group, self.r, self.reps, self.n, self.m)
 
 
 def artin_decompose(m: GammaLattice) -> ArtinSolution:
@@ -127,8 +132,7 @@ def build_multiplicity_lattice(
     return out
 
 
-@dataclass(frozen=True)
-class OnoResult:
+class OnoResult(Value):
     """Outcome of the finite-index embedding construction.
 
     ``embedding`` maps m1 into power(M, r) + m0 with finite cokernel of
@@ -138,10 +142,14 @@ class OnoResult:
     S_hat.
     """
 
-    solution: ArtinSolution
-    m0: GammaLattice
-    m1: GammaLattice
-    embedding: LatticeEmbedding
+    def __init__(
+        self, solution: ArtinSolution, m0: GammaLattice, m1: GammaLattice, embedding: LatticeEmbedding
+    ) -> None:
+        self.__dict__.update(solution=solution, m0=m0, m1=m1, embedding=embedding)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.solution, self.m0, self.m1, self.embedding)
 
     @property
     def r(self) -> int:

@@ -13,11 +13,11 @@ byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
+from ._value import Value
 from .errors import NotInRationalSpan
 
 __all__ = [
@@ -40,22 +40,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable integer matrix stored as a tuple of row tuples."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError(f"expected {self.cols} columns, got {len(row)}")
+        if len(entries) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(entries)}")
+        for row in entries:
+            if len(row) != cols:
+                raise ValueError(f"expected {cols} columns, got {len(row)}")
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.rows, self.cols, self.entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -216,23 +216,25 @@ def block_diagonal(blocks: Iterable[IntMatrix]) -> IntMatrix:
     return IntMatrix(total_r, total_c, tuple(tuple(row) for row in out))
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Value):
     """Finite abelian group in invariant-factor form.
 
     ``invariant_factors`` are the cyclic orders > 1 with each dividing the
     next; the trivial group is the empty tuple.
     """
 
-    invariant_factors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for d in self.invariant_factors:
+    def __init__(self, invariant_factors: tuple[int, ...]) -> None:
+        for d in invariant_factors:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors {a}, {b} violate the divisibility chain")
+        self.__dict__.update(invariant_factors=invariant_factors)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.invariant_factors,)
 
     @property
     def order(self) -> int:
@@ -255,8 +257,7 @@ class FiniteAbelianGroup:
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(Value):
     """Smith normal form ``u * a * v = d`` of the kept matrix ``a``, with
     ``u`` and ``v`` unimodular, and every answer about ``a`` read off it.
 
@@ -267,11 +268,14 @@ class SnfDecomposition:
     the first solve that needs it.
     """
 
-    a: IntMatrix
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-    elementary_divisors: tuple[int, ...]
+    def __init__(
+        self, a: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix, elementary_divisors: tuple[int, ...]
+    ) -> None:
+        self.__dict__.update(a=a, u=u, d=d, v=v, elementary_divisors=elementary_divisors)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.a, self.u, self.d, self.v, self.elementary_divisors)
 
     @property
     def kernel(self) -> tuple[tuple[int, ...], ...]:

@@ -43,13 +43,13 @@ needed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from math import comb
 from operator import add, index, mul, sub
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
+from ._value import Value
 from .errors import (
     CharacterMismatch,
     GroupMismatch,
@@ -120,38 +120,46 @@ _RANDOM_COEFF_BOUND = 3
 _ORBIT_SEARCH_BUDGET = 200000
 
 
-@dataclass(frozen=True)
-class GammaLattice:
+class GammaLattice(Value):
     """A finite group acting by integer matrices on Z^rank (a lattice,
     ``factors`` None) or on Z^rank / diag(factors) (a finite module, whose
     matrices have row i read and stored modulo ``factors[i]``).
 
     ``generators[k]`` is the action of ``group.generator_ids[k]``; the
     action ``matrices[g]`` of each element id g is derived from them on
-    demand, along the group's breadth-first words.  ``validate`` checks the
+    demand, along the group's breadth-first words, and ``matrices_of``
+    derives only the elements asked for.  ``validate`` checks the
     homomorphism law.  ``character``, ``intertwiner_basis``,
     ``is_permutation_lattice``, ``dual`` and the sums take lattices only.
+    ``name`` is a display label and takes no part in equality.
     """
 
-    group: FiniteGroup
-    rank: int
-    generators: tuple[IntMatrix, ...]
-    factors: Optional[tuple[int, ...]] = None
-    name: Optional[str] = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
+    def __init__(
+        self,
+        group: FiniteGroup,
+        rank: int,
+        generators: tuple[IntMatrix, ...],
+        factors: Optional[tuple[int, ...]] = None,
+        name: Optional[str] = None,
+    ) -> None:
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        if len(self.generators) != len(self.group.generator_ids):
+        if len(generators) != len(group.generator_ids):
             raise ValueError("need one action matrix per group generator")
-        for m in self.generators:
-            if m.rows != self.rank or m.cols != self.rank:
+        for m in generators:
+            if m.rows != rank or m.cols != rank:
                 raise ValueError("action matrix has the wrong shape")
-        if self.factors is not None:
-            if len(self.factors) != self.rank:
+        self.__dict__.update(group=group, rank=rank, factors=factors, name=name)
+        if factors is not None:
+            if len(factors) != rank:
                 raise ValueError("need one invariant factor per coordinate")
-            FiniteAbelianGroup(self.factors)  # each factor >= 2, a divisibility chain
-            object.__setattr__(self, "generators", tuple(map(self._reduce, self.generators)))
+            FiniteAbelianGroup(factors)  # each factor >= 2, a divisibility chain
+            generators = tuple(map(self._reduce, generators))
+        self.__dict__.update(generators=generators)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.group, self.rank, self.generators, self.factors)
 
     def _reduce(self, m: IntMatrix) -> IntMatrix:
         """Row i of ``m`` modulo ``factors[i]``; ``m`` itself for a lattice."""
@@ -162,10 +170,27 @@ class GammaLattice:
 
     @cached_property
     def matrices(self) -> tuple[IntMatrix, ...]:
-        mats = [IntMatrix.identity(self.rank)] * self.group.order
-        for g, parent, k in self.group.bfs_words:
-            mats[g] = self._reduce(mats[parent].mul(self.generators[k]))
-        return tuple(mats)
+        order = self.group.order
+        mats = self.matrices_of(range(order))
+        return tuple(mats[g] for g in range(order))
+
+    def matrices_of(self, elements: Iterable[int]) -> dict[int, IntMatrix]:
+        """The action of each listed element id (among others), multiplied
+        out only along the breadth-first words that lead to them, or read
+        from ``matrices`` once that table is derived."""
+        if "matrices" in self.__dict__:
+            return {g: self.matrices[g] for g in elements}
+        parent = {g: p for g, p, _ in self.group.bfs_words}
+        needed = set()
+        for g in elements:
+            while g and g not in needed:
+                needed.add(g)
+                g = parent[g]
+        mats = {0: IntMatrix.identity(self.rank)}
+        for g, p, k in self.group.bfs_words:
+            if g in needed:
+                mats[g] = self._reduce(mats[p].mul(self.generators[k]))
+        return mats
 
     @property
     def structure(self) -> FiniteAbelianGroup:
@@ -191,11 +216,10 @@ class GammaLattice:
                 raise NotAHomomorphism(f"generator matrix {k} conflicts with the extension")
 
     def with_name(self, name: str) -> "GammaLattice":
-        return replace(self, name=name)
+        return GammaLattice(self.group, self.rank, self.generators, self.factors, name)
 
 
-@dataclass(frozen=True)
-class RationalCharacter:
+class RationalCharacter(Value):
     """Character of M (x) Q: one value per conjugacy class, in the group's
     canonical class order.
 
@@ -203,13 +227,15 @@ class RationalCharacter:
     integer matrices or a count of fixed cosets.
     """
 
-    group: FiniteGroup
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(map(index, self.values)))
-        if len(self.values) != len(conjugacy_classes(self.group)):
+    def __init__(self, group: FiniteGroup, values: Sequence[int]) -> None:
+        values = tuple(map(index, values))
+        if len(values) != len(conjugacy_classes(group)):
             raise ValueError("need one value per conjugacy class")
+        self.__dict__.update(group=group, values=values)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.group, self.values)
 
     def __add__(self, other: "RationalCharacter") -> "RationalCharacter":
         if not same_group(self.group, other.group):
@@ -253,18 +279,12 @@ def lattice_from_action(
 
 @lru_cache(maxsize=None)
 def character(m: GammaLattice) -> RationalCharacter:
-    """Trace class function of the lattice action.
-
-    Well-definedness is asserted: every member of a conjugacy class must
-    have the same trace.
-    """
-    values = []
-    for cls in conjugacy_classes(m.group):
-        traces = {m.matrices[g].trace() for g in cls}
-        if len(traces) != 1:
-            raise InternalContradiction(f"trace is not constant on class {cls}")
-        values.append(traces.pop())
-    return RationalCharacter(m.group, tuple(values))
+    """Trace class function of the lattice action: the trace of each
+    conjugacy class's first member, multiplied out only along the
+    breadth-first words that lead to those members."""
+    reps = [cls[0] for cls in conjugacy_classes(m.group)]
+    mats = m.matrices_of(reps)
+    return RationalCharacter(m.group, tuple(mats[g].trace() for g in reps))
 
 
 def direct_sum(m: GammaLattice, n: GammaLattice, name: Optional[str] = None) -> GammaLattice:
@@ -342,8 +362,7 @@ def dual(m: GammaLattice) -> GammaLattice:
     return GammaLattice(m.group, m.rank, gens)
 
 
-@dataclass(frozen=True)
-class LatticeEmbedding:
+class LatticeEmbedding(Value):
     """Equivariant injective integer map between lattices over one group.
 
     ``matrix`` is target.rank x source.rank and commutes with both actions.
@@ -351,13 +370,17 @@ class LatticeEmbedding:
     later answer about the map reads it instead of a Smith form of its own.
     ``cokernel`` is the torsion of target/image, the elementary divisors
     > 1; ``cokernel_free_rank`` its free rank (zero exactly when the ranks
-    agree).
+    agree).  Two embeddings are equal when source, target and matrix are.
     """
 
-    source: GammaLattice
-    target: GammaLattice
-    matrix: IntMatrix
-    snf: SnfDecomposition = field(compare=False)
+    def __init__(
+        self, source: GammaLattice, target: GammaLattice, matrix: IntMatrix, snf: SnfDecomposition
+    ) -> None:
+        self.__dict__.update(source=source, target=target, matrix=matrix, snf=snf)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.source, self.target, self.matrix)
 
     @property
     def cokernel(self) -> FiniteAbelianGroup:
@@ -479,9 +502,9 @@ def _permutation_intertwiners(m: GammaLattice, n: GammaLattice) -> list[tuple[in
                     tree.append((img[y], y, k))
         stab = tuple(g for g, img in enumerate(images) if g and img[x] == x)
         if stab not in fixed_by_stabilizer:
-            fixed_by_stabilizer[stab] = _fixed_sublattice(
-                n.rank, [n.matrices[g] for g in _generating_subset(m.group, stab)]
-            )
+            gens = _generating_subset(m.group, stab)
+            mats = n.matrices_of(gens)
+            fixed_by_stabilizer[stab] = _fixed_sublattice(n.rank, [mats[g] for g in gens])
         for v in fixed_by_stabilizer[stab]:
             columns = {x: v}
             for y, parent, k in tree[1:]:
@@ -884,8 +907,7 @@ def equivariant_finite_index_embedding(
     return lattice_embedding(m1, m2, matrix)
 
 
-@dataclass(frozen=True)
-class PermutationCertificate:
+class PermutationCertificate(Value):
     """Outcome of permutation-lattice recognition.
 
     ``status`` is "YES" (with a basis permuted by the action), "NO" (with a
@@ -893,9 +915,12 @@ class PermutationCertificate:
     search exhausted without a certificate either way).
     """
 
-    status: str
-    basis: Optional[tuple[tuple[int, ...], ...]]
-    reason: str
+    def __init__(self, status: str, basis: Optional[tuple[tuple[int, ...], ...]], reason: str) -> None:
+        self.__dict__.update(status=status, basis=basis, reason=reason)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.status, self.basis, self.reason)
 
 
 @lru_cache(maxsize=None)

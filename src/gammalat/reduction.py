@@ -16,9 +16,9 @@ with invariant factors, held by the matrices of the group's generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._value import Value
 from .errors import GroupMismatch, InternalContradiction, NotAHomomorphism, NotFiniteIndex
 from .groups import FiniteGroup, GroupAction, same_group, semidirect_product
 from .induction import OnoResult, ono_construct
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReductionInput:
+class ReductionInput(Value):
     """Everything the pipeline consumes.
 
     ``t_hat`` lives over ``semidirect_product(gamma_on_hf)`` (the combined
@@ -47,24 +46,32 @@ class ReductionInput:
     degree used in m = n*d.
     """
 
-    hf: FiniteGroup
-    gamma: FiniteGroup
-    gamma_on_hf: GroupAction
-    t_hat: GammaLattice
-    gtor_hat: GammaLattice
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
+    def __init__(
+        self,
+        hf: FiniteGroup,
+        gamma: FiniteGroup,
+        gamma_on_hf: GroupAction,
+        t_hat: GammaLattice,
+        gtor_hat: GammaLattice,
+        d: int,
+    ) -> None:
+        if d < 1:
             raise ValueError("splitting degree must be positive")
-        if not same_group(self.gamma_on_hf.actor, self.gamma):
+        if not same_group(gamma_on_hf.actor, gamma):
             raise GroupMismatch("action's actor is not the supplied Galois quotient")
-        if not same_group(self.gamma_on_hf.target, self.hf):
+        if not same_group(gamma_on_hf.target, hf):
             raise GroupMismatch("action's target is not the supplied component group")
-        if not same_group(self.t_hat.group, semidirect_product(self.gamma_on_hf).group):
+        if not same_group(t_hat.group, semidirect_product(gamma_on_hf).group):
             raise GroupMismatch("torus lattice is not defined over the semidirect product")
-        if not same_group(self.gtor_hat.group, self.gamma):
+        if not same_group(gtor_hat.group, gamma):
             raise GroupMismatch("ambient torus lattice is not defined over the Galois quotient")
+        self.__dict__.update(
+            hf=hf, gamma=gamma, gamma_on_hf=gamma_on_hf, t_hat=t_hat, gtor_hat=gtor_hat, d=d
+        )
+
+    @property
+    def _key(self) -> tuple:
+        return (self.hf, self.gamma, self.gamma_on_hf, self.t_hat, self.gtor_hat, self.d)
 
 
 def reduction_input(
@@ -156,16 +163,18 @@ def reverse_isogeny(iso: LatticeEmbedding) -> LatticeEmbedding:
     return rev
 
 
-@dataclass(frozen=True)
-class NarrativeEntry:
-    step: int
-    title: str
-    status: str
-    detail: str
+class NarrativeEntry(Value):
+    """One step of the reduction narrative."""
+
+    def __init__(self, step: int, title: str, status: str, detail: str) -> None:
+        self.__dict__.update(step=step, title=title, status=status, detail=detail)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.step, self.title, self.status, self.detail)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(Value):
     """Assembled pipeline output.
 
     ``a`` and ``a_prime`` are the finite modules A and A' (GammaLattices
@@ -174,15 +183,43 @@ class ReductionReport:
     through 4 computed.
     """
 
-    input: ReductionInput
-    ono: OnoResult
-    m: int
-    a: GammaLattice
-    ambient_ono: OnoResult
-    reversed_embedding: LatticeEmbedding
-    a_prime: GammaLattice
-    kernel_order_of_F: int
-    narrative: tuple[NarrativeEntry, ...]
+    def __init__(
+        self,
+        input: ReductionInput,
+        ono: OnoResult,
+        m: int,
+        a: GammaLattice,
+        ambient_ono: OnoResult,
+        reversed_embedding: LatticeEmbedding,
+        a_prime: GammaLattice,
+        kernel_order_of_F: int,
+        narrative: tuple[NarrativeEntry, ...],
+    ) -> None:
+        self.__dict__.update(
+            input=input,
+            ono=ono,
+            m=m,
+            a=a,
+            ambient_ono=ambient_ono,
+            reversed_embedding=reversed_embedding,
+            a_prime=a_prime,
+            kernel_order_of_F=kernel_order_of_F,
+            narrative=narrative,
+        )
+
+    @property
+    def _key(self) -> tuple:
+        return (
+            self.input,
+            self.ono,
+            self.m,
+            self.a,
+            self.ambient_ono,
+            self.reversed_embedding,
+            self.a_prime,
+            self.kernel_order_of_F,
+            self.narrative,
+        )
 
 
 def reduce_stabilizer(inp: ReductionInput, *, allow_random: bool = True) -> ReductionReport:

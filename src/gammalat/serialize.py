@@ -20,17 +20,11 @@ from .groups import (
     cyclic_subgroup_class_reps,
     subgroup_conjugacy_reps,
 )
-from .intlinalg import FiniteAbelianGroup, IntMatrix
-from .lattices import (
-    GammaLattice,
-    LatticeEmbedding,
-    PermutationCertificate,
-    RationalCharacter,
-    character,
-)
 
 if TYPE_CHECKING:
     from .induction import ArtinSolution, OnoResult
+    from .intlinalg import FiniteAbelianGroup, IntMatrix
+    from .lattices import GammaLattice, LatticeEmbedding, PermutationCertificate, RationalCharacter
     from .reduction import NarrativeEntry, ReductionReport
 
 __all__ = [
@@ -105,6 +99,8 @@ def encode_group_info(group: FiniteGroup, name: Optional[str] = None) -> dict:
 
 
 def encode_lattice(m: GammaLattice, name: Optional[str] = None) -> dict:
+    from .lattices import character
+
     out = {
         "rank": m.rank,
         "group_order": big(m.group.order),

@@ -40,8 +40,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from .errors import GammalatError, InvalidCocycle, UnknownName, WorkspaceError
 from .groups import (
@@ -52,16 +51,15 @@ from .groups import (
     semidirect_product,
     validate_cocycle,
 )
-from .intlinalg import IntMatrix
-from .lattices import GammaLattice, lattice_from_action
 
 if TYPE_CHECKING:
+    from .intlinalg import IntMatrix
+    from .lattices import GammaLattice
     from .reduction import ReductionInput
 
 __all__ = ["Workspace", "load_workspace", "empty_workspace", "resolve"]
 
 
-@dataclass
 class Workspace:
     """Named objects from one workspace file (or nothing, for builtins only).
 
@@ -70,11 +68,19 @@ class Workspace:
     a group is named.
     """
 
-    groups: dict[str, FiniteGroup] = field(default_factory=dict)
-    actions: dict[str, GroupAction] = field(default_factory=dict)
-    lattices: dict[str, GammaLattice] = field(default_factory=dict)
-    cocycles: dict[str, Cocycle] = field(default_factory=dict)
-    reductions: dict[str, ReductionInput] = field(default_factory=dict)
+    def __init__(
+        self,
+        groups: Optional[dict[str, FiniteGroup]] = None,
+        actions: Optional[dict[str, GroupAction]] = None,
+        lattices: Optional[dict[str, GammaLattice]] = None,
+        cocycles: Optional[dict[str, Cocycle]] = None,
+        reductions: Optional[dict[str, ReductionInput]] = None,
+    ) -> None:
+        self.groups = {} if groups is None else groups
+        self.actions = {} if actions is None else actions
+        self.lattices = {} if lattices is None else lattices
+        self.cocycles = {} if cocycles is None else cocycles
+        self.reductions = {} if reductions is None else reductions
 
 
 def empty_workspace() -> Workspace:
@@ -151,6 +157,8 @@ def _parse_int_list(obj: object, where: str) -> list[int]:
 
 
 def _parse_matrix(obj: object, where: str) -> IntMatrix:
+    from .intlinalg import IntMatrix
+
     _require(isinstance(obj, dict), f"{where}: a matrix must be an object")
     assert isinstance(obj, dict)
     for key in ("rows", "cols", "entries"):
@@ -219,6 +227,8 @@ def _load_lattices(section: dict, ws: Workspace) -> None:
         mats_obj = entry["generator_matrices"]
         _require(isinstance(mats_obj, list), f"{where}/generator_matrices: expected a list")
         mats = [_parse_matrix(mat, f"{where}/generator_matrices") for mat in mats_obj]
+        from .lattices import lattice_from_action
+
         with _defining(where):
             ws.lattices[name] = lattice_from_action(group, rank, mats, name)
 
@@ -279,8 +289,7 @@ def load_workspace(path: str) -> Workspace:
     for key in doc:
         _require(key in known, f"unknown workspace section {key!r}")
 
-    ws = Workspace()
-    ws.groups = _load_groups(_as_section(doc, "groups"))
+    ws = Workspace(groups=_load_groups(_as_section(doc, "groups")))
     _load_actions(_as_section(doc, "actions"), ws)
     _load_lattices(_as_section(doc, "lattices"), ws)
     _load_cocycles(_as_section(doc, "cocycles"), ws)

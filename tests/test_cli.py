@@ -736,12 +736,12 @@ def test_json_outputs_are_byte_stable(capsys):
 
 
 def test_internal_error_code_for_unexpected(monkeypatch, capsys):
-    import gammalat.cli as cli_mod
+    import gammalat.induction as induction
 
     def boom(*args, **kwargs):
         raise RuntimeError("surprise")
 
-    monkeypatch.setattr(cli_mod, "artin_decompose", boom)
+    monkeypatch.setattr(induction, "artin_decompose", boom)
     rc, doc = run_json(capsys, "artin", "c2_sign")
     assert rc == 1
     assert doc["error"]["code"] == "internal"
@@ -749,20 +749,30 @@ def test_internal_error_code_for_unexpected(monkeypatch, capsys):
 
 
 def test_cli_import_leaves_unused_layers_unloaded():
-    """A fresh process that imports the CLI loads neither the property
-    suite, the reduction pipeline nor the corpus; ``check`` and ``reduce``
-    import them when they run."""
+    """A fresh process that imports the CLI loads no layer a subcommand
+    imports when it runs: not the corpus, the linear algebra, lattices,
+    induction, the reduction pipeline nor the property suite.  A fresh
+    ``group-info`` on a builtin group adds only the corpus."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gammalat.__file__)))
-    code = (
-        "import sys, gammalat.cli; "
-        "print(sorted(m for m in sys.modules if m in "
-        "('gammalat.checks', 'gammalat.reduction', 'gammalat.corpus', 'fractions')))"
-    )
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('gammalat') or m == 'fractions'))"
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    base = ["gammalat", "gammalat._value", "gammalat.cli", "gammalat.errors", "gammalat.groups"]
+    base += ["gammalat.serialize", "gammalat.workspace"]
+    for code, expected in (
+        (f"import sys, gammalat.cli; {loaded}", base),
+        (
+            "import io, sys, contextlib\n"
+            "from gammalat.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['group-info', 'c2']) == 0\n"
+            f"{loaded}",
+            sorted(base + ["gammalat.corpus"]),
+        ),
+    ):
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == repr(expected)
 
 
 def test_builtin_ono_leaves_reduction_unloaded():

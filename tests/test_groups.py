@@ -83,6 +83,30 @@ def test_generator_validation():
             FiniteGroup(c2.mul_table, ids)
 
 
+def test_group_hash_is_computed_once():
+    """Two constructions of one table are equal, hash equal and share one
+    conjugacy_classes entry; the table is hashed when the group is built,
+    not on each memoized call."""
+    hashed = []
+
+    class Row(tuple):
+        def __hash__(self):
+            hashed.append(1)
+            return tuple.__hash__(self)
+
+    table = tuple(map(Row, s3().mul_table))
+    a = FiniteGroup(table, s3().generator_ids)
+    b = FiniteGroup(tuple(map(tuple, table)), s3().generator_ids)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert len(hashed) == 6
+    before = conjugacy_classes.cache_info()
+    assert conjugacy_classes(a) is conjugacy_classes(b)
+    after = conjugacy_classes.cache_info()
+    assert (after.hits - before.hits, after.currsize - before.currsize) in ((1, 1), (2, 0))
+    hash(a)
+    assert len(hashed) == 6
+
+
 def test_semidirect_product_obeys_the_order_cap(monkeypatch):
     # C2 inverting C7 has order 14; no other test builds this product, so
     # the memoized cache cannot answer before the cap is checked.

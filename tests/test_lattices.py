@@ -20,6 +20,7 @@ from gammalat.groups import (
     GroupHom,
     all_actions,
     all_subgroups,
+    conjugacy_classes,
     enumerate_cocycles,
     group_from_generators,
     same_group,
@@ -198,6 +199,26 @@ def _s4_standard():
             )
         )
     return lattice_from_action(group_from_generators(gens), 3, mats, "s4_standard")
+
+
+def test_character_reads_the_full_table_traces(monkeypatch):
+    """character multiplies only along the words to each class's first
+    member, and every member of the class has that trace in the full
+    ``matrices`` table, on every corpus lattice and S4's standard one."""
+    muls = []
+    mul = IntMatrix.mul
+    monkeypatch.setattr(IntMatrix, "mul", lambda a, b: muls.append(1) or mul(a, b))
+    for lat in [*builtin_lattices(), _s4_standard()]:
+        fresh = GammaLattice(lat.group, lat.rank, lat.generators)
+        muls.clear()
+        values = character.__wrapped__(fresh).values
+        assert "matrices" not in vars(fresh)
+        assert len(muls) <= lat.group.order - 1
+        for cls, value in zip(conjugacy_classes(lat.group), values):
+            assert {lat.matrices[g].trace() for g in cls} == {value}, lat.name
+    # S4's five class representatives take 4 products where the full
+    # table takes 23.
+    assert len(muls) == 4
 
 
 def _ono_pair(lat):

@@ -19,8 +19,8 @@ def _trees():
         yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
-def test_runtime_imports_only_the_standard_library():
-    outside = []
+def _absolute_imports():
+    """(where, top-level package) for every absolute import in the package."""
     for path, tree in _trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -30,9 +30,20 @@ def test_runtime_imports_only_the_standard_library():
             else:
                 continue
             for name in names:
-                if name.split(".")[0] not in sys.stdlib_module_names:
-                    outside.append(f"{path.name}:{node.lineno} imports {name}")
+                yield f"{path.name}:{node.lineno}", name.split(".")[0]
+
+
+def test_runtime_imports_only_the_standard_library():
+    outside = [f"{where} imports {top}" for where, top in _absolute_imports() if top not in sys.stdlib_module_names]
     assert not outside, outside
+
+
+def test_runtime_does_not_import_dataclasses():
+    """Value types are plain classes: importing ``dataclasses`` and
+    generating their methods would cost every command about 30 ms of
+    start-up."""
+    found = [where for where, top in _absolute_imports() if top == "dataclasses"]
+    assert not found, found
 
 
 def test_every_import_is_used():
