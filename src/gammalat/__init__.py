@@ -1,11 +1,12 @@
 """Exact integer computations with finite group actions on lattices.
 
-The package works entirely over the integers: finite groups as explicit
-multiplication tables, lattices as unimodular integer matrix actions,
-Hermite and Smith normal forms, induced-lattice decompositions,
-finite-index equivariant embeddings, cocycle twisting over semidirect
-products, and the stabilizer-reduction pipeline that extracts finite
-kernel data from those embeddings.
+The package works entirely over the integers: finite groups held by their
+Cayley graphs, with the multiplication table derived on first use,
+lattices as unimodular integer matrix actions, Hermite and Smith normal
+forms, induced-lattice decompositions, finite-index equivariant
+embeddings, cocycle twisting over semidirect products, and the
+stabilizer-reduction pipeline that extracts finite kernel data from those
+embeddings.
 
 Public names are loaded on first use (PEP 562): ``import gammalat`` reads
 no submodule, and ``gammalat.reduce_stabilizer`` imports only what the

@@ -504,11 +504,12 @@ def _prop_character_laws(ctx: _Context) -> tuple[int, list[str]]:
             failures.append(f"{name}: dual changes the character")
         if any(chi.value_at(lat.group.inv(g)) != chi.value_at(g) for g in range(lat.group.order)):
             failures.append(f"{name}: character differs on inverses")
-    # Keyed on what same_group compares: lattices over equal tables with
-    # different generator ids cannot be summed or mapped to each other.
+    # Keyed on what same_group compares, the Cayley graph: lattices over
+    # equal tables with different generator ids cannot be summed or mapped
+    # to each other.
     by_group: dict[tuple, list[GammaLattice]] = {}
     for _, lat in ctx.lattices:
-        by_group.setdefault((lat.group.mul_table, lat.group.generator_ids), []).append(lat)
+        by_group.setdefault(lat.group.right, []).append(lat)
     for lats in by_group.values():
         if len(lats) >= 2:
             cases += 1

@@ -1,11 +1,12 @@
 """Explicit finite groups.
 
-Groups are multiplication tables over element ids ``0..order-1`` with 0 the
-identity, from which a group derives its order, inverses and breadth-first
-words once, when built.  Construction from permutation generators numbers
-elements breadth-first from the identity, multiplying on the right by the
-generators in input order, which makes every derived object (conjugacy
-classes, coset lists, reports) canonical.
+Groups are held by their Cayley graphs over element ids ``0..order-1``, with
+0 the identity: one right-multiplication array per generator.  A group
+derives its order and breadth-first words when built, and its
+multiplication table and inverses once, on first use.  Construction from
+permutation generators numbers elements breadth-first from the identity,
+multiplying on the right by the generators in input order, which makes
+every derived object (conjugacy classes, coset lists, reports) canonical.
 
 Also here: group actions by automorphisms, given on the generators,
 semidirect products, 1-cocycles for the twisting construction, and the
@@ -18,7 +19,7 @@ through ``first_failure``, on the generator edges of the Cayley graph.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -62,44 +63,35 @@ DEFAULT_MAX_ORDER = 10080
 
 
 class FiniteGroup(Value):
-    """Finite group as an explicit multiplication table.
+    """Finite group held by its Cayley graph: ``right[k][a]`` is the id of
+    a * s_k for the k-th generator s_k.
 
     Element ids run from 0 to order-1 and 0 is the identity.  ``labels``
-    are optional display strings, one per element.  The constructor derives
-    ``order``, ``inv_table`` and ``bfs_words``: one ``(g, parent, k)``
-    triple per non-identity element, g = parent * generator_ids[k], in the
-    queue order of the walk that checks that the generators generate.  So
-    generator data (matrices, automorphisms) extends along it in one pass.
-    Two groups are equal when table, generator ids and labels are; the hash
-    is computed once, since every memoized function of a group hashes it.
+    are optional display strings, one per element.  The constructor checks
+    that each array permutes the ids and that a breadth-first walk from 0
+    reaches every element, and derives ``order``, ``generator_ids`` (the
+    ids ``right[k][0]``) and ``bfs_words``: one ``(g, parent, k)`` triple
+    per non-identity element, g = parent * s_k, in the walk's queue order.
+    So generator data (matrices, automorphisms) extends along it in one
+    pass.  ``mul_table`` and ``inv_table`` are derived from the graph on
+    first use.  Two groups are equal when graph and labels are; the hash is
+    computed once, since every memoized function of a group hashes it.
     """
 
     def __init__(
         self,
-        mul_table: tuple[tuple[int, ...], ...],
-        generator_ids: tuple[int, ...],
+        right: tuple[tuple[int, ...], ...],
         labels: Optional[tuple[str, ...]] = None,
     ) -> None:
-        mt = mul_table
-        n = len(mt)
+        if not right:
+            raise ValueError("a group needs at least one generator")
+        n = len(right[0])
         if n < 1:
             raise ValueError("group order must be positive")
-        if any(len(row) != n for row in mt):
-            raise ValueError("multiplication table has the wrong shape")
-        for row in mt:
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValueError(f"table entry {x} out of range")
-        for s in generator_ids:
-            if not 0 <= s < n:
-                raise ValueError(f"generator id {s} out of range")
-        inv = []
-        for g, row in enumerate(mt):
-            if mt[0][g] != g or row[0] != g:
-                raise ValueError("element 0 is not the identity")
-            if 0 not in row or mt[gi := row.index(0)][g] != 0:
-                raise ValueError(f"element {g} has no inverse")
-            inv.append(gi)
+        ids = set(range(n))
+        for k, r in enumerate(right):
+            if len(r) != n or set(r) != ids:
+                raise ValueError(f"generator {k} does not permute 0..{n - 1}")
         if labels is not None and len(labels) != n:
             raise ValueError("labels must cover every element")
         words: list[tuple[int, int, int]] = []
@@ -107,31 +99,46 @@ class FiniteGroup(Value):
         seen[0] = True
         queue = [0]
         for g in queue:
-            row = mt[g]
-            for k, s in enumerate(generator_ids):
-                h = row[s]
+            for k, r in enumerate(right):
+                h = r[g]
                 if not seen[h]:
                     seen[h] = True
                     words.append((h, g, k))
                     queue.append(h)
         if len(queue) != n:
-            raise ValueError("generator_ids do not generate the group")
+            raise ValueError("the generators do not generate the group")
         self.__dict__.update(
-            mul_table=mul_table,
-            generator_ids=generator_ids,
+            right=right,
             labels=labels,
             order=n,
-            inv_table=tuple(inv),
+            generator_ids=tuple(r[0] for r in right),
             bfs_words=tuple(words),
-            _hash=hash((mul_table, generator_ids, labels)),
+            _hash=hash((right, labels)),
         )
 
     @property
     def _key(self) -> tuple:
-        return (self.mul_table, self.generator_ids, self.labels)
+        return (self.right, self.labels)
 
     def __hash__(self) -> int:
         return self._hash
+
+    @cached_property
+    def mul_table(self) -> tuple[tuple[int, ...], ...]:
+        """Each element b was reached as p * s_k, so a * b = (a * p) * s_k:
+        one lookup per entry, row by row in breadth-first order."""
+        steps = [(b, p, self.right[k]) for b, p, k in self.bfs_words]
+        rows = []
+        for a in range(self.order):
+            row = [a] * self.order
+            for b, p, r in steps:
+                row[b] = r[row[p]]
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def inv_table(self) -> tuple[int, ...]:
+        return tuple(row.index(0) for row in self.mul_table)
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -172,8 +179,8 @@ class FiniteGroup(Value):
 def first_failure(group: FiniteGroup, law: Callable[..., bool], arity: int = 2) -> Optional[tuple]:
     """The first ``arity``-tuple of element ids, in ascending order, at which
     ``law`` fails; None if there is none.  Only the edges of the Cayley
-    graph, the tuples whose last entry is a generator (the identity if there
-    are none), are checked, unless one fails: then all tuples are scanned.
+    graph, the tuples whose last entry is a generator, are checked, unless
+    one fails: then all tuples are scanned.
 
     The edges suffice, on associative tables.  If f(gs) = f(g)f(s) for every
     g and generator s, then f(g(h's)) = f((gh')s) = f(gh')f(s) =
@@ -187,17 +194,16 @@ def first_failure(group: FiniteGroup, law: Callable[..., bool], arity: int = 2) 
     g -> (x_g, g) into the semidirect product.
     """
     ids = range(group.order)
-    gens = group.generator_ids or (0,)
-    if all(law(*t, s) for t in product(ids, repeat=arity - 1) for s in gens):
+    if all(law(*t, s) for t in product(ids, repeat=arity - 1) for s in group.generator_ids):
         return None
     return next(t for t in product(ids, repeat=arity) if not law(*t))
 
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Structural identity: equal multiplication table and generator ids,
-    since generator-held data (lattice matrices, action images) is matched
-    by position."""
-    return a is b or (a.mul_table == b.mul_table and a.generator_ids == b.generator_ids)
+    """Structural identity: equal Cayley graphs, so equal multiplication
+    tables and generator ids, since generator-held data (lattice matrices,
+    action images) is matched by position."""
+    return a is b or a.right == b.right
 
 
 def _check_permutation(perm: Sequence[int], npoints: int, which: int) -> tuple[int, ...]:
@@ -224,11 +230,10 @@ def group_from_generators(
 
     Elements are numbered breadth-first from the identity, multiplying known
     elements on the right by the generators in input order.  Composition is
-    ``(a*b)[i] = a[b[i]]`` (apply b, then a).  The multiplication table is
-    read off the closure's steps: each element b was found as p * s, so
-    a * b = (a * p) * s, one lookup per entry and no further composition.
-    Raises NotAPermutation on malformed input and ClosureTooLarge past
-    DEFAULT_MAX_ORDER elements.
+    ``(a*b)[i] = a[b[i]]`` (apply b, then a).  The group keeps the
+    closure's right-multiplication steps, its Cayley graph, and no
+    permutations.  Raises NotAPermutation on malformed input and
+    ClosureTooLarge past DEFAULT_MAX_ORDER elements.
     """
     if not perms:
         raise NotAPermutation("empty generator list")
@@ -247,10 +252,8 @@ def group_from_generators(
     index: dict[tuple[int, ...], int] = {identity: 0}
     elems: list[tuple[int, ...]] = [identity]
     words: list[str] = ["e"]
-    # right[k][a] is the id of a * gens[k]; element b > 0 is parent[b] * gens[via[b]].
+    # right[k][a] is the id of a * gens[k].
     right: list[list[int]] = [[] for _ in gens]
-    parent = [0]
-    via = [0]
     cursor = 0
     while cursor < len(elems):
         current = elems[cursor]
@@ -261,24 +264,12 @@ def group_from_generators(
                 j = index[nxt] = len(elems)
                 elems.append(nxt)
                 words.append(letters[gi] if cursor == 0 else words[cursor] + letters[gi])
-                parent.append(cursor)
-                via.append(gi)
                 if len(elems) > DEFAULT_MAX_ORDER:
                     raise ClosureTooLarge(f"closure exceeded {DEFAULT_MAX_ORDER} elements")
             right[gi].append(j)
         cursor += 1
 
-    # parent[b] < b, so row[parent[b]] is filled before row[b].
-    n = len(elems)
-    steps = [(b, parent[b], right[via[b]]) for b in range(1, n)]
-    rows = []
-    for a in range(n):
-        row = [a] * n
-        for b, p, r in steps:
-            row[b] = r[row[p]]
-        rows.append(tuple(row))
-    generator_ids = tuple(index[tuple(g)] for g in gens)
-    return FiniteGroup(tuple(rows), generator_ids, tuple(words))
+    return FiniteGroup(tuple(map(tuple, right)), tuple(words))
 
 
 def trivial_group() -> FiniteGroup:
@@ -613,9 +604,11 @@ def semidirect_product(action: GroupAction) -> SemidirectProduct:
 
     Memoized per action: equal actions get the one product object, so its
     group passes ``same_group`` by identity.  Raises ClosureTooLarge past
-    DEFAULT_MAX_ORDER elements, before the multiplication table is built.
-    The inverse of (f, g) is (act(g^-1, f^-1), g^-1), which ``FiniteGroup``
-    reads off the table.
+    DEFAULT_MAX_ORDER elements, before the Cayley graph is built.  The
+    graph has F's generators (s, 1) first, then Gamma's (1, t):
+    (f, g)(s, 1) = (f * act(g, s), g) and (f, g)(1, t) = (f, g * t).  The
+    table and the inverses, (f, g)^-1 = (act(g^-1, f^-1), g^-1), are
+    derived from it on first use.
     """
     f_grp = action.target
     g_grp = action.actor
@@ -627,23 +620,16 @@ def semidirect_product(action: GroupAction) -> SemidirectProduct:
     def pid(f: int, g: int) -> int:
         return f * ng + g
 
-    mul_rows = []
-    for a in range(n):
-        f1, g1 = divmod(a, ng)
-        row = []
-        for b in range(n):
-            f2, g2 = divmod(b, ng)
-            row.append(pid(f_grp.mul(f1, action.act(g1, f2)), g_grp.mul(g1, g2)))
-        mul_rows.append(tuple(row))
-    generator_ids = tuple(pid(f, 0) for f in f_grp.generator_ids) + tuple(
-        pid(0, g) for g in g_grp.generator_ids
-    )
+    ft, table = f_grp.mul_table, action.table
+    pairs = [divmod(a, ng) for a in range(n)]
+    right = tuple(tuple(pid(ft[f][table[g][s]], g) for f, g in pairs) for s in f_grp.generator_ids)
+    right += tuple(tuple(pid(f, r[g]) for f, g in pairs) for r in g_grp.right)
     labels = None
     if f_grp.labels is not None and g_grp.labels is not None:
         labels = tuple(
             f"({f_grp.labels[a // ng]},{g_grp.labels[a % ng]})" for a in range(n)
         )
-    group = FiniteGroup(tuple(mul_rows), generator_ids, labels)
+    group = FiniteGroup(right, labels)
     return SemidirectProduct(
         group=group,
         action=action,

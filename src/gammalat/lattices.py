@@ -169,6 +169,10 @@ class GammaLattice(Value):
         return IntMatrix.from_rows(rows, cols=self.rank)
 
     @cached_property
+    def _element_matrices(self) -> dict[int, IntMatrix]:
+        return {0: IntMatrix.identity(self.rank)}
+
+    @cached_property
     def matrices(self) -> tuple[IntMatrix, ...]:
         order = self.group.order
         mats = self.matrices_of(range(order))
@@ -176,17 +180,16 @@ class GammaLattice(Value):
 
     def matrices_of(self, elements: Iterable[int]) -> dict[int, IntMatrix]:
         """The action of each listed element id (among others), multiplied
-        out only along the breadth-first words that lead to them, or read
-        from ``matrices`` once that table is derived."""
-        if "matrices" in self.__dict__:
-            return {g: self.matrices[g] for g in elements}
+        out only along the breadth-first words that lead to them.  The
+        products are kept, so each element is multiplied out once per
+        lattice."""
+        mats = self._element_matrices
         parent = {g: p for g, p, _ in self.group.bfs_words}
         needed = set()
         for g in elements:
-            while g and g not in needed:
+            while g not in mats and g not in needed:
                 needed.add(g)
                 g = parent[g]
-        mats = {0: IntMatrix.identity(self.rank)}
         for g, p, k in self.group.bfs_words:
             if g in needed:
                 mats[g] = self._reduce(mats[p].mul(self.generators[k]))

@@ -78,33 +78,40 @@ def test_generator_validation():
         # two generators of the full symmetric group on 8 points (order 40320)
         group_from_generators([[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]])
     c2 = builtin_group("c2")
-    for ids in ((-1,), (5,)):
-        with pytest.raises(ValueError, match=f"generator id {ids[0]} out of range"):
-            FiniteGroup(c2.mul_table, ids)
+    assert FiniteGroup(c2.right, c2.labels) == c2
+    for right, labels, message in (
+        ((), None, "a group needs at least one generator"),
+        (((1, 1),), None, r"generator 0 does not permute 0\.\.1"),
+        ((*c2.right, (0, 1, 2)), None, r"generator 1 does not permute 0\.\.1"),
+        (((0, 1),), None, "the generators do not generate the group"),
+        (c2.right, ("e",), "labels must cover every element"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            FiniteGroup(right, labels)
 
 
 def test_group_hash_is_computed_once():
-    """Two constructions of one table are equal, hash equal and share one
-    conjugacy_classes entry; the table is hashed when the group is built,
-    not on each memoized call."""
+    """Two constructions of one Cayley graph are equal, hash equal and share
+    one conjugacy_classes entry; the graph is hashed when the group is
+    built, not on each memoized call."""
     hashed = []
 
-    class Row(tuple):
+    class Array(tuple):
         def __hash__(self):
             hashed.append(1)
             return tuple.__hash__(self)
 
-    table = tuple(map(Row, s3().mul_table))
-    a = FiniteGroup(table, s3().generator_ids)
-    b = FiniteGroup(tuple(map(tuple, table)), s3().generator_ids)
+    right = tuple(map(Array, s3().right))
+    a = FiniteGroup(right)
+    b = FiniteGroup(tuple(map(tuple, right)))
     assert a == b and hash(a) == hash(b) and a is not b
-    assert len(hashed) == 6
+    assert len(hashed) == 2
     before = conjugacy_classes.cache_info()
     assert conjugacy_classes(a) is conjugacy_classes(b)
     after = conjugacy_classes.cache_info()
     assert (after.hits - before.hits, after.currsize - before.currsize) in ((1, 1), (2, 0))
     hash(a)
-    assert len(hashed) == 6
+    assert len(hashed) == 2
 
 
 def test_semidirect_product_obeys_the_order_cap(monkeypatch):
@@ -395,26 +402,33 @@ def test_group_tables_match_reference():
     assert group_from_generators(gens["s5"]).order == 120
 
 
-# A loop of order 5 (a Latin square with identity 0, each element its own
-# inverse) that is not associative; generators 1 and 2.
-LOOP_ROWS = ("01234", "10342", "24013", "32401", "43120")
+# Generators of S3, S4, A4 and A5 acting on points.  Their arrays are
+# graphs of transitive actions that are not regular, not Cayley graphs, so
+# the tables derived from them are not associative.
+POINT_ACTIONS = (
+    [[1, 0, 2], [1, 2, 0]],
+    [[1, 0, 2, 3], [1, 2, 3, 0]],
+    [[1, 2, 0, 3], [0, 2, 3, 1]],
+    [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]],
+)
 
 
 def test_associativity_names_the_full_scan_witness():
-    """Every relabelling of the loop fails validate at the triple a scan of
-    all triples names first."""
-    rows = [[int(c) for c in row] for row in LOOP_ROWS]
-    for rest in permutations(range(1, 5)):
-        relabel = (0,) + rest
-        table = [[0] * 5 for _ in range(5)]
-        for a, b in product(range(5), repeat=2):
-            table[relabel[a]][relabel[b]] = relabel[rows[a][b]]
-        mt = tuple(map(tuple, table))
-        loop = FiniteGroup(mt, (relabel[1], relabel[2]))
-        bad = full_scan_failure(5, lambda a, b, c: mt[mt[a][b]][c] == mt[a][mt[b][c]], arity=3)
-        with pytest.raises(ValueError) as info:
-            loop.validate()
-        assert str(info.value) == "associativity fails at ({}, {}, {})".format(*bad)
+    """For every relabelling of the points of each action, validate fails at
+    the triple a scan of all triples of the derived table names first."""
+    for perms in POINT_ACTIONS:
+        n = len(perms[0])
+        for relabel in permutations(range(n)):
+            right = [[0] * n for _ in perms]
+            for r, p in zip(right, perms):
+                for a in range(n):
+                    r[relabel[a]] = relabel[p[a]]
+            loop = FiniteGroup(tuple(map(tuple, right)))
+            mt = loop.mul_table
+            bad = full_scan_failure(n, lambda a, b, c: mt[mt[a][b]][c] == mt[a][mt[b][c]], arity=3)
+            with pytest.raises(ValueError) as info:
+                loop.validate()
+            assert str(info.value) == "associativity fails at ({}, {}, {})".format(*bad)
 
 
 def test_is_abelian_matches_a_full_scan():
@@ -488,7 +502,8 @@ def test_action_check_names_the_full_scan_witness():
 
 
 def test_semidirect_inverses_follow_the_pair_formula():
-    """The inverses FiniteGroup derives from a product's table are
+    """The table FiniteGroup derives from a product's Cayley graph is
+    (f1, g1)(f2, g2) = (f1 * act(g1, f2), g1 * g2), and its inverses are
     (f, g)^-1 = (act(g^-1, f^-1), g^-1): on every product of check's twist
     sweep, on C2 x S4, and on S4 with C2 acting by a transposition."""
     s4 = group_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]])
@@ -504,6 +519,9 @@ def test_semidirect_inverses_follow_the_pair_formula():
     for action in actions:
         prod = semidirect_product(action)
         f_grp, g_grp = action.target, action.actor
+        for (f1, g1), (f2, g2) in product(product(range(f_grp.order), range(g_grp.order)), repeat=2):
+            ab = prod.pair_id(f_grp.mul(f1, action.act(g1, f2)), g_grp.mul(g1, g2))
+            assert prod.group.mul(prod.pair_id(f1, g1), prod.pair_id(f2, g2)) == ab
         expected = []
         for f in range(f_grp.order):
             for g in range(g_grp.order):
@@ -511,3 +529,11 @@ def test_semidirect_inverses_follow_the_pair_formula():
                 expected.append(prod.pair_id(action.act(gi, f_grp.inv(f)), gi))
         assert prod.group.inv_table == tuple(expected)
     assert len(actions) > 2 and prod.group.order == 48
+
+
+def test_s7_is_held_by_its_cayley_graph():
+    """Closing S7 keeps its Cayley graph and breadth-first words; neither
+    table is derived until it is read."""
+    s7 = group_from_generators([[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]])
+    assert s7.order == 5040 and len(s7.bfs_words) == 5039
+    assert "mul_table" not in vars(s7) and "inv_table" not in vars(s7)
