@@ -67,7 +67,7 @@ from .reduction import (
     reduce_stabilizer,
     reverse_isogeny,
 )
-from .workspace import Workspace
+from .workspace import Workspace, build_all
 
 __all__ = ["PropertyResult", "run_property_suite"]
 
@@ -874,16 +874,20 @@ def run_property_suite(
     coord_bound: int = 2,
     allow_random: bool = True,
 ) -> tuple[PropertyResult, ...]:
-    """Run every property over the corpus plus the workspace's objects."""
+    """Run every property over the corpus plus the workspace's objects.
+
+    Every workspace definition is built, in load order, before any
+    property runs; the first that fails raises its build error."""
     groups = list(builtin_groups())
     lattices = [(lat.name or "corpus", lat) for lat in builtin_lattices()]
     cocycles: list[tuple[str, Cocycle]] = []
     reductions = list(builtin_reductions())
     if workspace is not None:
-        groups += [(f"ws:{name}", grp) for name, grp in sorted(workspace.groups.items())]
-        lattices += [(f"ws:{name}", lat) for name, lat in sorted(workspace.lattices.items())]
-        cocycles += [(f"ws:{name}", x) for name, x in sorted(workspace.cocycles.items())]
-        reductions += [(f"ws:{name}", inp) for name, inp in sorted(workspace.reductions.items())]
+        built = build_all(workspace)
+        groups += [(f"ws:{name}", grp) for name, grp in sorted(built["groups"].items())]
+        lattices += [(f"ws:{name}", lat) for name, lat in sorted(built["lattices"].items())]
+        cocycles += [(f"ws:{name}", x) for name, x in sorted(built["cocycles"].items())]
+        reductions += [(f"ws:{name}", inp) for name, inp in sorted(built["reductions"].items())]
     ctx = _Context(
         groups=tuple(groups),
         lattices=tuple(lattices),

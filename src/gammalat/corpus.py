@@ -39,7 +39,33 @@ __all__ = [
     "builtin_reductions",
     "builtin_reduction",
     "twist_sweep_groups",
+    "BUILTIN_NAMES",
 ]
+
+# The built-ins' names by workspace section, known without building them,
+# so a workspace reference to one is checked at load.
+BUILTIN_NAMES = {
+    "groups": ("trivial", "c2", "c3", "c4", "v4", "c6", "s3"),
+    "lattices": (
+        "c2_trivial",
+        "c2_sign",
+        "c2_regular",
+        "c2_sign_plus_trivial",
+        "c3_regular",
+        "c3_augmentation",
+        "c4_sign",
+        "c4_gaussian",
+        "c4_regular",
+        "v4_character",
+        "v4_regular",
+        "c6_sign",
+        "s3_sign",
+        "s3_standard",
+        "s3_standard_plus_sign",
+        "c4_gaussian_plus_sign",
+    ),
+    "reductions": ("degenerate", "sign_component", "sign_galois"),
+}
 
 
 @lru_cache(maxsize=None)

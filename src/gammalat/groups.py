@@ -527,13 +527,15 @@ class GroupAction(Value):
     to ``table`` (``table[g][f]`` is the image of f under g), then checks
     table[gh] = table[g] o table[h] on the Cayley edges and that each
     generator acts as given, which fails where a generator id repeats or is
-    the identity.  Each error names its witness.
+    the identity.  Each error names its witness.  The edge g * s is read from
+    the actor's Cayley graph, so the actor's table is derived only when a
+    failure makes ``first_failure`` scan every pair.
     """
 
     def __init__(
         self, actor: FiniteGroup, target: FiniteGroup, images: Sequence[Sequence[int]]
     ) -> None:
-        ft, gt = target.mul_table, actor.mul_table
+        ft = target.mul_table
         if len(images) != len(actor.generator_ids):
             raise NotAHomomorphism("need one automorphism per actor generator")
         images = tuple(_check_permutation(p, target.order, k) for k, p in enumerate(images))
@@ -544,7 +546,13 @@ class GroupAction(Value):
         table = [tuple(range(target.order))] * actor.order
         for g, parent, k in actor.bfs_words:
             table[g] = tuple(map(table[parent].__getitem__, images[k]))
-        bad = first_failure(actor, lambda g, h: table[gt[g][h]] == tuple(map(table[g].__getitem__, table[h])))
+        edges = dict(zip(actor.generator_ids, actor.right))  # s -> (g -> g * s)
+
+        def acts(g: int, h: int) -> bool:
+            gh = edges[h][g] if h in edges else actor.mul(g, h)
+            return table[gh] == tuple(map(table[g].__getitem__, table[h]))
+
+        bad = first_failure(actor, acts)
         if bad is not None:
             raise NotAHomomorphism(f"action is not a homomorphism at {bad}")
         for k, gid in enumerate(actor.generator_ids):

@@ -360,8 +360,11 @@ def twist(m: GammaLattice, x: Cocycle) -> GammaLattice:
 
 
 def dual(m: GammaLattice) -> GammaLattice:
-    """Contragredient lattice: g acts by the transpose of the inverse."""
-    gens = tuple(m.matrices[m.group.inv(s)].transpose() for s in m.group.generator_ids)
+    """Contragredient lattice: g acts by the transpose of the inverse.  The
+    inverse of s_k is the a with a * s_k = e on the Cayley graph."""
+    inverses = [r.index(0) for r in m.group.right]
+    mats = m.matrices_of(inverses)
+    gens = tuple(mats[a].transpose() for a in inverses)
     return GammaLattice(m.group, m.rank, gens)
 
 

@@ -1,10 +1,16 @@
 """Workspace files: named inputs for the command-line front end.
 
 A workspace is one JSON document defining groups, actions, lattices,
-cocycles, and reduction inputs, cross-referenced by name.  Everything is
-resolved and validated at load time, before any command runs; commands
-then look objects up by name, falling back to the built-in corpus for
-names the file does not define.
+cocycles, and reduction inputs, cross-referenced by name.  Loading a file
+checks each definition's structure and builds nothing: JSON shapes, names,
+references, decimal integers, point counts, ranks, matrix shapes and
+``d``.  A definition is built (group closure, action and lattice law
+checks, cocycle law) on its first ``resolve`` and kept; a reference builds
+what it names first.  So a command builds only the definitions it names
+and what they reference, and a definition that fails a law check fails
+only the commands that reach it.  ``build_all`` builds every definition in
+load order (section order, then file order), as ``check`` does.  Names
+the file does not define fall back to the built-in corpus.
 
 Schema (all sections optional; a key repeated in any one object, such as a
 name defined twice in a section or a section given twice, is rejected)::
@@ -30,9 +36,9 @@ readers with small number types.
 
 Wherever a group is named, in the file or on the command line,
 ``semidirect:<action>`` names the semidirect product of an action defined
-earlier in the file.  A lattice over it lists one generator matrix per
-generator of the inner group followed by one per generator of the acting
-group.
+earlier in the file, so references never form a cycle.  A lattice over it
+lists one generator matrix per generator of the inner group followed by
+one per generator of the acting group.
 """
 
 from __future__ import annotations
@@ -53,34 +59,25 @@ from .groups import (
 )
 
 if TYPE_CHECKING:
-    from .intlinalg import IntMatrix
     from .lattices import GammaLattice
     from .reduction import ReductionInput
 
-__all__ = ["Workspace", "load_workspace", "empty_workspace", "resolve"]
+__all__ = ["Workspace", "load_workspace", "empty_workspace", "resolve", "build_all"]
 
 
 class Workspace:
-    """Named objects from one workspace file (or nothing, for builtins only).
+    """The definitions of one workspace file (none, for builtins only).
 
-    A ``semidirect:<action>`` group is ``semidirect_product(actions[action])``,
-    memoized there, so it is not stored here; ``resolve`` finds it wherever
-    a group is named.
+    ``definitions[section][name]`` holds the checked arguments of a
+    definition's builder, its references still by name, in file order;
+    ``built[section][name]`` the object once ``resolve`` has built it.  A
+    ``semidirect:<action>`` group is ``semidirect_product`` of the action,
+    memoized there, so it is not kept here.
     """
 
-    def __init__(
-        self,
-        groups: Optional[dict[str, FiniteGroup]] = None,
-        actions: Optional[dict[str, GroupAction]] = None,
-        lattices: Optional[dict[str, GammaLattice]] = None,
-        cocycles: Optional[dict[str, Cocycle]] = None,
-        reductions: Optional[dict[str, ReductionInput]] = None,
-    ) -> None:
-        self.groups = {} if groups is None else groups
-        self.actions = {} if actions is None else actions
-        self.lattices = {} if lattices is None else lattices
-        self.cocycles = {} if cocycles is None else cocycles
-        self.reductions = {} if reductions is None else reductions
+    def __init__(self) -> None:
+        self.definitions: dict[str, dict[str, tuple]] = {s: {} for s in _SECTIONS}
+        self.built: dict[str, dict[str, Any]] = {s: {} for s in _SECTIONS}
 
 
 def empty_workspace() -> Workspace:
@@ -124,12 +121,17 @@ def _as_section(doc: dict, key: str) -> dict:
 
 @contextmanager
 def _defining(where: str) -> Iterator[None]:
-    """Prefix ``where``, the definition being built, to any error its
-    constructor raises; the error keeps its class."""
+    """Prefix ``where``, the definition being checked or built, to any error
+    raised inside; the error keeps its class.  An error that already names
+    its definition, one that ``where`` references, passes through as is."""
     try:
         yield
     except GammalatError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
+        if hasattr(exc, "definition"):
+            raise
+        error = type(exc)(f"{where}: {exc}")
+        error.definition = where  # type: ignore[attr-defined]
+        raise error from exc
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -142,13 +144,39 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
-def _ref(ws: Workspace, section: str, entry: dict, key: str, where: str) -> Any:
-    """The object in ``section`` that ``entry[key]``, a string, names; an
-    unknown name is an error of the definition ``where``."""
+_NOUNS = {
+    "groups": "group",
+    "actions": "action",
+    "lattices": "lattice",
+    "cocycles": "cocycle",
+    "reductions": "reduction input",
+}
+
+
+def _known(ws: Workspace, section: str, name: str) -> None:
+    """Raise the UnknownName that ``resolve`` would for a name nothing
+    defines, building nothing: the workspace's definitions come first, then
+    for a group ``semidirect:<action>``, then the built-ins."""
+    if name in ws.definitions[section]:
+        return
+    if section == "groups" and name.startswith("semidirect:"):
+        return _known(ws, "actions", name[len("semidirect:") :])
+    from .corpus import BUILTIN_NAMES
+
+    if name not in BUILTIN_NAMES.get(section, ()):
+        where = "the workspace or the built-ins" if section in BUILTIN_NAMES else "the workspace"
+        raise UnknownName(f"no {_NOUNS[section]} named {name!r} in {where}")
+
+
+def _ref(ws: Workspace, section: str, entry: dict, key: str, where: str) -> str:
+    """``entry[key]``, a string naming an object in ``section`` among the
+    definitions loaded so far; an unknown name is an error of the
+    definition ``where``."""
     name = entry[key]
     _require(isinstance(name, str), f"{where}/{key}: expected a name")
     with _defining(where):
-        return resolve(ws, section, name)
+        _known(ws, section, name)
+    return name
 
 
 def _parse_int_list(obj: object, where: str) -> list[int]:
@@ -156,9 +184,8 @@ def _parse_int_list(obj: object, where: str) -> list[int]:
     return [_as_int(x, where) for x in obj]  # type: ignore[union-attr]
 
 
-def _parse_matrix(obj: object, where: str) -> IntMatrix:
-    from .intlinalg import IntMatrix
-
+def _parse_matrix(obj: object, where: str) -> tuple[list[list[int]], int]:
+    """A matrix's rows and column count, checked against its declared shape."""
     _require(isinstance(obj, dict), f"{where}: a matrix must be an object")
     assert isinstance(obj, dict)
     for key in ("rows", "cols", "entries"):
@@ -172,106 +199,142 @@ def _parse_matrix(obj: object, where: str) -> IntMatrix:
     _require(len(parsed) == rows, f"{where}: expected {rows} rows, got {len(parsed)}")
     for row in parsed:
         _require(len(row) == cols, f"{where}: expected {cols} columns, got {len(row)}")
-    return IntMatrix.from_rows(parsed, cols=cols)
+    return parsed, cols
 
 
-def _load_groups(section: dict) -> dict[str, FiniteGroup]:
-    out = {}
-    for name, entry in section.items():
-        where = f"groups/{name}"
-        _require("points" in entry and "generators" in entry, f"{where}: needs points and generators")
-        points = _as_int(entry["points"], f"{where}/points")
-        _require(points >= 1, f"{where}: points must be >= 1")
-        gens_obj = entry["generators"]
-        _require(isinstance(gens_obj, list) and gens_obj, f"{where}: generators must be a nonempty list")
-        gens = [_parse_int_list(g, f"{where}/generators") for g in gens_obj]
-        for g in gens:
-            _require(len(g) == points, f"{where}: each generator must list {points} images")
-        letters = None
-        if "labels" in entry:
-            labels_obj = entry["labels"]
-            _require(
-                isinstance(labels_obj, list)
-                and len(labels_obj) == len(gens)
-                and all(isinstance(s, str) for s in labels_obj),
-                f"{where}/labels: expected one string per generator",
-            )
-            letters = [str(s) for s in labels_obj]
-        with _defining(where):
-            out[name] = group_from_generators(gens, generator_letters=letters)
-    return out
+# One loader per section checks an entry's structure and returns its
+# builder's arguments; the builder, run by ``resolve`` under the
+# definition's prefix, resolves the references and constructs the object.
 
 
-def _load_actions(section: dict, ws: Workspace) -> None:
-    for name, entry in section.items():
-        where = f"actions/{name}"
-        for key in ("actor", "target", "generator_images"):
-            _require(key in entry, f"{where}: missing {key!r}")
-        actor = _ref(ws, "groups", entry, "actor", where)
-        target = _ref(ws, "groups", entry, "target", where)
-        images_obj = entry["generator_images"]
-        _require(isinstance(images_obj, list), f"{where}/generator_images: expected a list")
-        images = [_parse_int_list(img, f"{where}/generator_images") for img in images_obj]
-        with _defining(where):
-            ws.actions[name] = GroupAction(actor, target, images)
+def _load_group(ws: Workspace, name: str, entry: dict) -> tuple:
+    where = f"groups/{name}"
+    _require("points" in entry and "generators" in entry, f"{where}: needs points and generators")
+    points = _as_int(entry["points"], f"{where}/points")
+    _require(points >= 1, f"{where}: points must be >= 1")
+    gens_obj = entry["generators"]
+    _require(isinstance(gens_obj, list) and gens_obj, f"{where}: generators must be a nonempty list")
+    gens = [_parse_int_list(g, f"{where}/generators") for g in gens_obj]
+    for g in gens:
+        _require(len(g) == points, f"{where}: each generator must list {points} images")
+    letters = None
+    if "labels" in entry:
+        labels_obj = entry["labels"]
+        _require(
+            isinstance(labels_obj, list)
+            and len(labels_obj) == len(gens)
+            and all(isinstance(s, str) for s in labels_obj),
+            f"{where}/labels: expected one string per generator",
+        )
+        letters = [str(s) for s in labels_obj]
+    return gens, letters
 
 
-def _load_lattices(section: dict, ws: Workspace) -> None:
-    for name, entry in section.items():
-        where = f"lattices/{name}"
-        for key in ("group", "rank", "generator_matrices"):
-            _require(key in entry, f"{where}: missing {key!r}")
-        group = _ref(ws, "groups", entry, "group", where)
-        rank = _as_int(entry["rank"], f"{where}/rank")
-        _require(rank >= 0, f"{where}: rank must be >= 0")
-        mats_obj = entry["generator_matrices"]
-        _require(isinstance(mats_obj, list), f"{where}/generator_matrices: expected a list")
-        mats = [_parse_matrix(mat, f"{where}/generator_matrices") for mat in mats_obj]
-        from .lattices import lattice_from_action
-
-        with _defining(where):
-            ws.lattices[name] = lattice_from_action(group, rank, mats, name)
+def _build_group(ws: Workspace, gens: list, letters: Optional[list]) -> FiniteGroup:
+    return group_from_generators(gens, generator_letters=letters)
 
 
-def _load_cocycles(section: dict, ws: Workspace) -> None:
-    for name, entry in section.items():
-        where = f"cocycles/{name}"
-        for key in ("action", "values"):
-            _require(key in entry, f"{where}: missing {key!r}")
-        action = _ref(ws, "actions", entry, "action", where)
-        values = _parse_int_list(entry["values"], f"{where}/values")
-        try:
-            cocycle = Cocycle(action, tuple(values))
-        except ValueError as exc:
-            raise WorkspaceError(f"{where}: {exc}") from exc
-        bad = validate_cocycle(cocycle)
-        if bad is not None:
-            raise InvalidCocycle(f"{where}: cocycle law fails at pair {bad}")
-        ws.cocycles[name] = cocycle
+def _load_action(ws: Workspace, name: str, entry: dict) -> tuple:
+    where = f"actions/{name}"
+    for key in ("actor", "target", "generator_images"):
+        _require(key in entry, f"{where}: missing {key!r}")
+    actor = _ref(ws, "groups", entry, "actor", where)
+    target = _ref(ws, "groups", entry, "target", where)
+    images_obj = entry["generator_images"]
+    _require(isinstance(images_obj, list), f"{where}/generator_images: expected a list")
+    images = [_parse_int_list(img, f"{where}/generator_images") for img in images_obj]
+    return actor, target, images
 
 
-def _load_reductions(section: dict, ws: Workspace) -> None:
-    for name, entry in section.items():
-        where = f"reductions/{name}"
-        for key in ("hf", "gamma", "action", "t_hat", "gtor_hat"):
-            _require(key in entry, f"{where}: missing {key!r}")
-        hf = _ref(ws, "groups", entry, "hf", where)
-        gamma = _ref(ws, "groups", entry, "gamma", where)
-        action = _ref(ws, "actions", entry, "action", where)
-        t_hat = _ref(ws, "lattices", entry, "t_hat", where)
-        gtor_hat = _ref(ws, "lattices", entry, "gtor_hat", where)
-        d = _as_int(entry["d"], f"{where}/d") if "d" in entry else None
-        _require(d is None or d >= 1, f"{where}: d must be >= 1")
-        from .reduction import reduction_input
+def _build_action(ws: Workspace, actor: str, target: str, images: list) -> GroupAction:
+    return GroupAction(resolve(ws, "groups", actor), resolve(ws, "groups", target), images)
 
-        with _defining(where):
-            ws.reductions[name] = reduction_input(hf, gamma, action, t_hat, gtor_hat, d)
+
+def _load_lattice(ws: Workspace, name: str, entry: dict) -> tuple:
+    where = f"lattices/{name}"
+    for key in ("group", "rank", "generator_matrices"):
+        _require(key in entry, f"{where}: missing {key!r}")
+    group = _ref(ws, "groups", entry, "group", where)
+    rank = _as_int(entry["rank"], f"{where}/rank")
+    _require(rank >= 0, f"{where}: rank must be >= 0")
+    mats_obj = entry["generator_matrices"]
+    _require(isinstance(mats_obj, list), f"{where}/generator_matrices: expected a list")
+    mats = [_parse_matrix(mat, f"{where}/generator_matrices") for mat in mats_obj]
+    return group, rank, mats, name
+
+
+def _build_lattice(ws: Workspace, group: str, rank: int, mats: list, name: str) -> GammaLattice:
+    from .intlinalg import IntMatrix
+    from .lattices import lattice_from_action
+
+    matrices = [IntMatrix.from_rows(rows, cols=cols) for rows, cols in mats]
+    return lattice_from_action(resolve(ws, "groups", group), rank, matrices, name)
+
+
+def _load_cocycle(ws: Workspace, name: str, entry: dict) -> tuple:
+    where = f"cocycles/{name}"
+    for key in ("action", "values"):
+        _require(key in entry, f"{where}: missing {key!r}")
+    action = _ref(ws, "actions", entry, "action", where)
+    return action, tuple(_parse_int_list(entry["values"], f"{where}/values"))
+
+
+def _build_cocycle(ws: Workspace, action: str, values: tuple) -> Cocycle:
+    base = resolve(ws, "actions", action)
+    try:
+        cocycle = Cocycle(base, values)
+    except ValueError as exc:
+        raise WorkspaceError(str(exc)) from exc
+    bad = validate_cocycle(cocycle)
+    if bad is not None:
+        raise InvalidCocycle(f"cocycle law fails at pair {bad}")
+    return cocycle
+
+
+def _load_reduction(ws: Workspace, name: str, entry: dict) -> tuple:
+    where = f"reductions/{name}"
+    for key in ("hf", "gamma", "action", "t_hat", "gtor_hat"):
+        _require(key in entry, f"{where}: missing {key!r}")
+    hf = _ref(ws, "groups", entry, "hf", where)
+    gamma = _ref(ws, "groups", entry, "gamma", where)
+    action = _ref(ws, "actions", entry, "action", where)
+    t_hat = _ref(ws, "lattices", entry, "t_hat", where)
+    gtor_hat = _ref(ws, "lattices", entry, "gtor_hat", where)
+    d = _as_int(entry["d"], f"{where}/d") if "d" in entry else None
+    _require(d is None or d >= 1, f"{where}: d must be >= 1")
+    return hf, gamma, action, t_hat, gtor_hat, d
+
+
+def _build_reduction(
+    ws: Workspace, hf: str, gamma: str, action: str, t_hat: str, gtor_hat: str, d: Optional[int]
+) -> ReductionInput:
+    from .reduction import reduction_input
+
+    return reduction_input(
+        resolve(ws, "groups", hf),
+        resolve(ws, "groups", gamma),
+        resolve(ws, "actions", action),
+        resolve(ws, "lattices", t_hat),
+        resolve(ws, "lattices", gtor_hat),
+        d,
+    )
+
+
+# section -> (loader, builder)
+_SECTIONS = {
+    "groups": (_load_group, _build_group),
+    "actions": (_load_action, _build_action),
+    "lattices": (_load_lattice, _build_lattice),
+    "cocycles": (_load_cocycle, _build_cocycle),
+    "reductions": (_load_reduction, _build_reduction),
+}
 
 
 def load_workspace(path: str) -> Workspace:
-    """Parse and validate a workspace file; raises WorkspaceError/UnknownName
-    or, on a bad definition, the underlying validator's error with the
-    definition's ``<section>/<name>: `` prefixed."""
+    """Parse a workspace file and check the structure of every definition,
+    in section order, then file order; build nothing.  Raises
+    WorkspaceError, or UnknownName for a reference to nothing loaded before
+    it, with the definition's ``<section>/<name>: `` prefixed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
@@ -285,39 +348,48 @@ def load_workspace(path: str) -> Workspace:
     _require("format" in doc, 'workspace is missing the "format" field')
     fmt = doc["format"]
     _require(type(fmt) is int and fmt == 1, f"unsupported workspace format {fmt!r}")
-    known = {"format", "groups", "actions", "lattices", "cocycles", "reductions"}
+    known = {"format", *_SECTIONS}
     for key in doc:
         _require(key in known, f"unknown workspace section {key!r}")
 
-    ws = Workspace(groups=_load_groups(_as_section(doc, "groups")))
-    _load_actions(_as_section(doc, "actions"), ws)
-    _load_lattices(_as_section(doc, "lattices"), ws)
-    _load_cocycles(_as_section(doc, "cocycles"), ws)
-    _load_reductions(_as_section(doc, "reductions"), ws)
+    ws = Workspace()
+    for section, (load, _) in _SECTIONS.items():
+        for name, entry in _as_section(doc, section).items():
+            ws.definitions[section][name] = load(ws, name, entry)
     return ws
 
 
 def resolve(ws: Workspace, section: str, name: str) -> Any:
     """The object ``name`` names in ``section`` ("groups", "actions",
     "lattices", "cocycles" or "reductions"): the workspace's definition,
-    else for a group ``semidirect:<action>``, else a built-in."""
-    defined = getattr(ws, section)
-    if name in defined:
-        return defined[name]
+    built on first use, else for a group ``semidirect:<action>``, else a
+    built-in.  A definition's build error carries its ``<section>/<name>: ``
+    prefix and keeps its class."""
+    built, definitions = ws.built[section], ws.definitions[section]
+    if name in built:
+        return built[name]
+    if name in definitions:
+        _, build = _SECTIONS[section]
+        with _defining(f"{section}/{name}"):
+            built[name] = build(ws, *definitions[name])
+        return built[name]
     if section == "groups" and name.startswith("semidirect:"):
         return semidirect_product(resolve(ws, "actions", name[len("semidirect:") :])).group
+    _known(ws, section, name)
     from . import corpus
 
-    noun, builtin = {
-        "groups": ("group", corpus.builtin_group),
-        "actions": ("action", None),
-        "lattices": ("lattice", corpus.builtin_lattice),
-        "cocycles": ("cocycle", None),
-        "reductions": ("reduction input", corpus.builtin_reduction),
+    builtin = {
+        "groups": corpus.builtin_group,
+        "lattices": corpus.builtin_lattice,
+        "reductions": corpus.builtin_reduction,
     }[section]
-    if builtin is None:
-        raise UnknownName(f"no {noun} named {name!r} in the workspace")
-    try:
-        return builtin(name)
-    except UnknownName:
-        raise UnknownName(f"no {noun} named {name!r} in the workspace or the built-ins") from None
+    return builtin(name)
+
+
+def build_all(ws: Workspace) -> dict[str, dict[str, Any]]:
+    """Build every definition in load order, so a workspace with several bad
+    definitions reports the first; returns ``built``."""
+    for section, definitions in ws.definitions.items():
+        for name in definitions:
+            resolve(ws, section, name)
+    return ws.built

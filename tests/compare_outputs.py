@@ -9,20 +9,28 @@ seeds 1 and 2 in a temporary directory, then runs every command in JSON and
 ``--table`` form, each as a fresh ``python3 -m gammalat.cli``, once on this
 checkout's ``src`` and once on PARENT_SRC (for instance the ``src`` of a
 ``git archive`` of the parent commit).  Commands run from the root of this
-checkout, where the corpus commands find ``demo/workspace.json``.  Prints
-every run whose exit code or stdout SHA-256 differs, and exits 1 if any
-does.  Pytest does not collect this file.
+checkout, where the corpus commands find ``demo/workspace.json``.
+
+Then, for each workspace section, writes the demo workspace plus one bad
+definition in that section and runs three commands on it: ``check``, one
+naming the bad definition, and ``group-info s3``, which names a good one.
+So the error each bad definition raises is compared too, and so is which
+commands it fails.
+
+Prints every run whose exit code or stdout SHA-256 differs, and exits 1 if
+any does.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
-from typing import Optional
+from typing import Iterator, Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -31,6 +39,44 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2)
 FORMS = ((), ("--table",))
+DEMO = os.path.join(ROOT, "demo", "workspace.json")
+
+# (section, name, definition, a command naming it): one definition per
+# section that is well formed but fails its build.
+BAD_DEFINITIONS = (
+    ("groups", "bad_group", {"points": 2, "generators": [[0, 0]]}, ["group-info", "bad_group"]),
+    (
+        "actions",
+        "bad_action",
+        {"actor": "c2", "target": "c3", "generator_images": [[1, 2, 0]]},
+        ["group-info", "semidirect:bad_action"],
+    ),
+    (
+        "lattices",
+        "bad_lattice",
+        {"group": "c2", "rank": 1, "generator_matrices": [{"rows": 1, "cols": 1, "entries": [[2]]}]},
+        ["artin", "bad_lattice"],
+    ),
+    (
+        "cocycles",
+        "bad_cocycle",
+        {"action": "triv_on_c2", "values": [1]},
+        ["twist", "component_sign_demo", "bad_cocycle"],
+    ),
+    (
+        "reductions",
+        "bad_reduction",
+        {
+            "hf": "c2",
+            "gamma": "gamma1",
+            "action": "triv_on_c2",
+            "t_hat": "zero_demo",  # over gamma1, not the semidirect product
+            "gtor_hat": "zero_demo",
+        },
+        ["reduce", "bad_reduction"],
+    ),
+)
+GOOD_COMMAND = ["group-info", "s3"]
 
 
 def run(src: str, args: list[str]) -> tuple[int, str]:
@@ -46,29 +92,51 @@ def run(src: str, args: list[str]) -> tuple[int, str]:
     return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
 
 
+def workload_runs(tmp: str) -> Iterator[tuple[str, list[str]]]:
+    """(label, CLI arguments) of every benchmark command at each seed and form."""
+    for name, build in workloads.WORKLOADS.items():
+        for seed in SEEDS:
+            workload = build(seed, os.path.join(tmp, f"{name}-{seed}"))
+            for cmd in workload.commands:
+                for form in FORMS:
+                    yield f"{name} seed {seed}", [*form, *cmd.args]
+
+
+def bad_definition_runs(tmp: str) -> Iterator[tuple[str, list[str]]]:
+    """(label, CLI arguments) of the three commands on each bad-definition
+    workspace."""
+    with open(DEMO, encoding="utf-8") as fh:
+        demo = json.load(fh)
+    for section, name, definition, naming in BAD_DEFINITIONS:
+        doc = dict(demo, **{section: dict(demo[section], **{name: definition})})
+        path = os.path.join(tmp, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in (["check"], naming, GOOD_COMMAND):
+            yield f"demo + {section}/{name}", ["--workspace", path, *command]
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", metavar="PARENT_SRC", help="src directory to compare with")
     args = parser.parse_args(argv)
     here, there = os.path.join(ROOT, "src"), os.path.abspath(args.parent_src)
-    runs = differing = 0
+    total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, build in workloads.WORKLOADS.items():
-            for seed in SEEDS:
-                workload = build(seed, os.path.join(tmp, f"{name}-{seed}"))
-                for cmd in workload.commands:
-                    for form in FORMS:
-                        cli_args = [*form, *cmd.args]
-                        ours, theirs = run(here, cli_args), run(there, cli_args)
-                        runs += 1
-                        if ours != theirs:
-                            differing += 1
-                            print(
-                                f"{name} seed {seed}: {' '.join(cli_args)}: "
-                                f"exit {theirs[0]} -> {ours[0]}, stdout {theirs[1][:12]} -> {ours[1][:12]}"
-                            )
-    print(f"{differing} of {runs} runs differ")
-    return 1 if differing else 0
+        for kind, runs in (("workload", workload_runs(tmp)), ("bad-definition", bad_definition_runs(tmp))):
+            count = differing = 0
+            for label, cli_args in runs:
+                ours, theirs = run(here, cli_args), run(there, cli_args)
+                count += 1
+                if ours != theirs:
+                    differing += 1
+                    print(
+                        f"{label}: {' '.join(cli_args)}: "
+                        f"exit {theirs[0]} -> {ours[0]}, stdout {theirs[1][:12]} -> {ours[1][:12]}"
+                    )
+            print(f"{differing} of {count} {kind} runs differ")
+            total += differing
+    return 1 if total else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from gammalat import errors
 from gammalat.cli import _build_parser, cmd_check, cmd_ono, cmd_reduce, cmd_twist, main
 from gammalat.errors import InvalidCocycle, UnknownName, WorkspaceError
 from gammalat.groups import semidirect_product
-from gammalat.workspace import empty_workspace, load_workspace, resolve
+from gammalat.workspace import build_all, empty_workspace, load_workspace, resolve
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demo", "workspace.json")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -316,21 +316,28 @@ def test_check_seedless_reports_the_fallback_failures(capsys):
 
 
 def test_workspace_loads_and_resolves():
+    """Loading reads every definition and builds none; ``resolve`` builds
+    one on first use and keeps it."""
     ws = load_workspace(DEMO)
-    assert set(ws.groups) == {"s3", "gamma1"}
-    assert set(ws.actions) == {"inv3", "triv_on_c2"}
-    assert set(ws.lattices) == {"aug_twisted", "component_sign_demo", "zero_demo"}
-    assert set(ws.cocycles) == {"triv_inv3", "twist_inv3"}
-    assert set(ws.reductions) == {"demo_component"}
+    defined = {section: set(names) for section, names in ws.definitions.items()}
+    assert defined == {
+        "groups": {"s3", "gamma1"},
+        "actions": {"inv3", "triv_on_c2"},
+        "lattices": {"aug_twisted", "component_sign_demo", "zero_demo"},
+        "cocycles": {"triv_inv3", "twist_inv3"},
+        "reductions": {"demo_component"},
+    }
+    assert ws.built == {section: {} for section in ws.definitions}
     # workspace wins, then built-ins
     assert resolve(ws, "lattices", "c2_sign").rank == 1
     with pytest.raises(UnknownName):
         resolve(ws, "lattices", "nope")
     # semidirect:<action> lattices live over the action's memoized product.
-    inv3 = semidirect_product(ws.actions["inv3"]).group
-    assert ws.lattices["aug_twisted"].group is inv3
-    triv = semidirect_product(ws.actions["triv_on_c2"]).group
-    assert ws.reductions["demo_component"].t_hat.group is triv
+    inv3 = semidirect_product(resolve(ws, "actions", "inv3")).group
+    assert resolve(ws, "lattices", "aug_twisted").group is inv3
+    triv = semidirect_product(resolve(ws, "actions", "triv_on_c2")).group
+    assert resolve(ws, "reductions", "demo_component").t_hat.group is triv
+    assert resolve(ws, "lattices", "aug_twisted") is ws.built["lattices"]["aug_twisted"]
 
 
 def test_resolve_pins_each_sections_unknown_name():
@@ -351,8 +358,10 @@ def test_resolve_pins_each_sections_unknown_name():
     assert str(info.value) == "no action named 'nope' in the workspace"
     # The workspace's definition comes first, then semidirect:<action>, then
     # the built-ins.
-    assert resolve(ws, "groups", "s3") is ws.groups["s3"]
-    assert resolve(ws, "groups", "semidirect:inv3") is semidirect_product(ws.actions["inv3"]).group
+    assert resolve(ws, "groups", "s3") is ws.built["groups"]["s3"]
+    assert resolve(ws, "groups", "s3").label(1) == "t"
+    inv3 = semidirect_product(resolve(ws, "actions", "inv3")).group
+    assert resolve(ws, "groups", "semidirect:inv3") is inv3
     assert resolve(ws, "reductions", "degenerate").d == 1
 
 
@@ -378,9 +387,10 @@ def test_semidirect_product_is_a_group_wherever_a_group_is_named(tmp_path, capsy
     path = tmp_path / "d4.json"
     path.write_text(json.dumps(doc))
     ws = load_workspace(str(path))
-    d4 = semidirect_product(ws.actions["d4"]).group
-    assert ws.actions["d4_on_point"].actor is d4
-    assert ws.reductions["r"].gamma is d4 and ws.reductions["r"].d == 8
+    d4 = semidirect_product(resolve(ws, "actions", "d4")).group
+    assert resolve(ws, "actions", "d4_on_point").actor is d4
+    r = resolve(ws, "reductions", "r")
+    assert r.gamma is d4 and r.d == 8
     rc, out = run_json(capsys, "--workspace", str(path), "group-info", "semidirect:d4")
     assert rc == 0
     assert out["group"]["order"] == "8" and out["group"]["generator_ids"] == [2, 1]
@@ -396,9 +406,9 @@ def test_readme_workspace_example_loads(tmp_path):
     block = section[start : section.index("```\n", start)]
     path = tmp_path / "readme.json"
     path.write_text(block, encoding="utf-8")
-    ws = load_workspace(str(path))
-    assert set(ws.lattices) == {"std", "sign", "zero"}
-    assert set(ws.cocycles) == {"x"} and set(ws.reductions) == {"r"}
+    built = build_all(load_workspace(str(path)))
+    assert set(built["lattices"]) == {"std", "sign", "zero"}
+    assert set(built["cocycles"]) == {"x"} and set(built["reductions"]) == {"r"}
 
 
 def test_workspace_error_paths(tmp_path, capsys):
@@ -430,8 +440,10 @@ def test_workspace_error_paths(tmp_path, capsys):
             }
         )
     )
-    with pytest.raises(InvalidCocycle):
-        load_workspace(str(bad_cocycle))
+    # The cocycle law is checked when the cocycle is first resolved.
+    ws = load_workspace(str(bad_cocycle))
+    with pytest.raises(InvalidCocycle, match=r"^cocycles/bad: cocycle law fails at pair \(1, 1\)$"):
+        resolve(ws, "cocycles", "bad")
 
     bad_matrix = tmp_path / "matrix.json"
     bad_matrix.write_text(
@@ -517,7 +529,7 @@ def test_workspace_error_paths(tmp_path, capsys):
     rc, doc = run_json(capsys, "--workspace", str(odd), "group-info", "g")
     assert (rc, doc["error"]["code"]) == (2, "WorkspaceError")
     odd.write_text(json.dumps({"format": 1, "groups": {"g": dict(points, points="+2")}}))
-    assert load_workspace(str(odd)).groups["g"].order == 2
+    assert resolve(load_workspace(str(odd)), "groups", "g").order == 2
 
     with open(DEMO, encoding="utf-8") as fh:
         demo = json.load(fh)
@@ -593,8 +605,8 @@ def test_workspace_identity_generator_conflict(tmp_path, capsys):
 
 def test_workspace_lattice_error_names_the_lattice(tmp_path, capsys):
     """An error raised while a definition is built names it, and keeps its
-    class and exit code; the whole workspace is built on load, so any
-    command reports it."""
+    class and exit code.  A definition is built on first use, so the
+    commands that name it, and ``check``, report it; others do not."""
     doc = {
         "format": 1,
         "groups": {"c2g": {"points": 2, "generators": [[1, 0]]}},
@@ -608,12 +620,15 @@ def test_workspace_lattice_error_names_the_lattice(tmp_path, capsys):
     }
     path = tmp_path / "bad_lattice.json"
     path.write_text(json.dumps(doc))
+    for command in (["artin", "bad"], ["check"]):
+        rc, out = run_json(capsys, "--workspace", str(path), *command)
+        assert rc == 2
+        assert out["error"] == {
+            "code": "NotUnimodular",
+            "message": "lattices/bad: generator matrix 0 has determinant 2",
+        }
     rc, out = run_json(capsys, "--workspace", str(path), "group-info", "c2g")
-    assert rc == 2
-    assert out["error"] == {
-        "code": "NotUnimodular",
-        "message": "lattices/bad: generator matrix 0 has determinant 2",
-    }
+    assert rc == 0 and out["group"]["order"] == "2"
 
 
 def test_workspace_torus_lattice_needs_the_products_generators(tmp_path, capsys):
@@ -636,13 +651,161 @@ def test_workspace_torus_lattice_needs_the_products_generators(tmp_path, capsys)
     }
     path = tmp_path / "plain_s3.json"
     path.write_text(json.dumps(doc))
-    for command in (["reduce", "r"], ["group-info", "gamma1"]):
+    for command in (["reduce", "r"], ["check"]):
         rc, out = run_json(capsys, "--workspace", str(path), *command)
         assert rc == 2
         assert out["error"] == {
             "code": "GroupMismatch",
             "message": "reductions/r: torus lattice is not defined over the semidirect product",
         }
+
+
+def test_load_builds_nothing_and_imports_no_lattice_layer(tmp_path):
+    """Loading a workspace with S5 and lattices over it closes no group and
+    loads neither ``lattices`` nor ``intlinalg``; resolving a lattice does
+    both, once."""
+    one = {"rows": 1, "cols": 1, "entries": [[1]]}
+    minus = {"rows": 1, "cols": 1, "entries": [[-1]]}
+    doc = {
+        "format": 1,
+        "groups": {"s5": {"points": 5, "generators": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]}},
+        "actions": {"s5_on_c2": {"actor": "s5", "target": "c2", "generator_images": [[0, 1], [0, 1]]}},
+        "lattices": {
+            "sign": {"group": "s5", "rank": 1, "generator_matrices": [one, minus]},
+            "torus": {"group": "semidirect:s5_on_c2", "rank": 1, "generator_matrices": [minus, one, minus]},
+        },
+    }
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gammalat.__file__)))
+    code = (
+        "import sys\n"
+        "import gammalat.workspace as w\n"
+        "closures = []\n"
+        "close = w.group_from_generators\n"
+        "w.group_from_generators = lambda *a, **k: closures.append(a) or close(*a, **k)\n"
+        "layers = lambda: [m for m in ('gammalat.intlinalg', 'gammalat.lattices') if m in sys.modules]\n"
+        "ws = w.load_workspace(sys.argv[1])\n"
+        "print(len(closures), layers())\n"
+        "w.resolve(ws, 'lattices', 'sign')\n"
+        "w.resolve(ws, 'lattices', 'sign')\n"
+        "print(len(closures), layers())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["0 []", "1 ['gammalat.intlinalg', 'gammalat.lattices']"]
+
+
+def test_twist_builds_only_its_lattice_its_cocycle_and_their_references(monkeypatch, capsys):
+    import gammalat.cli as cli
+
+    loaded = []
+
+    def load(path):
+        loaded.append(load_workspace(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_workspace", load)
+    rc, _ = run_json(capsys, "--workspace", DEMO, "twist", "aug_twisted", "twist_inv3")
+    assert rc == 0
+    assert {section: sorted(objects) for section, objects in loaded[0].built.items()} == {
+        "groups": [],
+        "actions": ["inv3"],
+        "lattices": ["aug_twisted"],
+        "cocycles": ["twist_inv3"],
+        "reductions": [],
+    }
+
+
+def test_forward_semidirect_reference_is_rejected_at_load(tmp_path):
+    """``semidirect:<action>`` names an action defined earlier, so two
+    actions acting through each other's products, or one through its own,
+    are rejected at load with the reference's text, and no build can
+    recurse."""
+    path = tmp_path / "cycle.json"
+    for actions, message in (
+        (
+            {
+                "a": {"actor": "semidirect:b", "target": "c2", "generator_images": [[0, 1], [0, 1]]},
+                "b": {"actor": "semidirect:a", "target": "c2", "generator_images": [[0, 1], [0, 1]]},
+            },
+            "actions/a: no action named 'b' in the workspace",
+        ),
+        (
+            {"a": {"actor": "semidirect:a", "target": "c2", "generator_images": [[0, 1]]}},
+            "actions/a: no action named 'a' in the workspace",
+        ),
+    ):
+        path.write_text(json.dumps({"format": 1, "actions": actions}))
+        with pytest.raises(UnknownName) as info:
+            load_workspace(str(path))
+        assert str(info.value) == message
+
+
+def test_check_reports_the_first_bad_definition_in_load_order(tmp_path, capsys):
+    """Two bad lattices and a bad cocycle: ``check`` builds in section
+    order, then file order, so it reports the lattice listed first, not the
+    first by name.  A command reports the bad definition it reaches, under
+    that definition's own prefix."""
+    def lattice(det):
+        return {"group": "c2", "rank": 1, "generator_matrices": [{"rows": 1, "cols": 1, "entries": [[det]]}]}
+
+    doc = {
+        "format": 1,
+        "groups": {"gamma1": {"points": 1, "generators": [[0]]}},
+        "actions": {"triv": {"actor": "c2", "target": "c3", "generator_images": [[0, 1, 2]]}},
+        "lattices": {"zz": lattice(2), "aa": lattice(3), "ok": lattice(-1)},
+        "cocycles": {"bad": {"action": "triv", "values": [0, 1]}},
+        "reductions": {
+            "r": {"hf": "gamma1", "gamma": "c2", "action": "triv", "t_hat": "aa", "gtor_hat": "ok"}
+        },
+    }
+    path = tmp_path / "two_bad.json"
+    path.write_text(json.dumps(doc))
+    for command, code, message in (
+        (["check"], "NotUnimodular", "lattices/zz: generator matrix 0 has determinant 2"),
+        (["artin", "aa"], "NotUnimodular", "lattices/aa: generator matrix 0 has determinant 3"),
+        (["reduce", "r"], "NotUnimodular", "lattices/aa: generator matrix 0 has determinant 3"),
+        (["twist", "ok", "bad"], "InvalidCocycle", "cocycles/bad: cocycle law fails at pair (1, 1)"),
+    ):
+        rc, out = run_json(capsys, "--workspace", str(path), *command)
+        assert rc == 2
+        assert out["error"] == {"code": code, "message": message}
+    rc, out = run_json(capsys, "--workspace", str(path), "artin", "ok")
+    assert rc == 0
+
+
+def test_group_info_ignores_a_bad_reduction_it_does_not_name(tmp_path, capsys):
+    """The demo workspace plus a reduction whose torus lattice is over the
+    wrong group: only the commands that build that reduction fail."""
+    with open(DEMO, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["reductions"]["wrong"] = dict(doc["reductions"]["demo_component"], t_hat="zero_demo")
+    path = tmp_path / "wrong_t_hat.json"
+    path.write_text(json.dumps(doc))
+    rc, out = run_json(capsys, "--workspace", str(path), "group-info", "c2")
+    assert rc == 0 and out["group"]["order"] == "2"
+    for command in (["reduce", "wrong"], ["check"]):
+        rc, out = run_json(capsys, "--workspace", str(path), *command)
+        assert rc == 2
+        assert out["error"] == {
+            "code": "GroupMismatch",
+            "message": "reductions/wrong: torus lattice is not defined over the semidirect product",
+        }
+
+
+def test_builtin_names_are_the_corpus_names():
+    """A workspace reference to a built-in is checked at load against
+    ``BUILTIN_NAMES``, which must list what the corpus builds, in order."""
+    from gammalat import corpus
+
+    assert corpus.BUILTIN_NAMES == {
+        "groups": tuple(name for name, _ in corpus.builtin_groups()),
+        "lattices": tuple(lat.name for lat in corpus.builtin_lattices()),
+        "reductions": tuple(name for name, _ in corpus.builtin_reductions()),
+    }
 
 
 def _load_demo_with(tmp_path, capsys, section, name, key, value):
@@ -715,8 +878,7 @@ def test_workspace_big_integer_entries(tmp_path):
     }
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
-    ws = load_workspace(str(path))
-    lat = ws.lattices["big"]
+    lat = resolve(load_workspace(str(path)), "lattices", "big")
     assert lat.matrices[1].entries[0][1] == big
 
 

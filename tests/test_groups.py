@@ -537,3 +537,12 @@ def test_s7_is_held_by_its_cayley_graph():
     s7 = group_from_generators([[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]])
     assert s7.order == 5040 and len(s7.bfs_words) == 5039
     assert "mul_table" not in vars(s7) and "inv_table" not in vars(s7)
+
+
+def test_trivial_action_of_s7_reads_the_cayley_graph():
+    """An action's laws hold on the actor's Cayley edges, read from its
+    graph, so acting with S7 derives no table of S7."""
+    s7 = group_from_generators([[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]])
+    action = GroupAction.trivial(s7, builtin_group("c2"))
+    assert action.is_trivial() and len(action.table) == 5040
+    assert "mul_table" not in vars(s7)

@@ -160,6 +160,19 @@ def test_dual_involution_and_character():
     for lat in builtin_lattices():
         assert dual(dual(lat)) == lat
         assert character(dual(lat)).values == character(lat).values
+        inverse_transposes = [lat.matrices[lat.group.inv(s)].transpose() for s in lat.group.generator_ids]
+        assert list(dual(lat).generators) == inverse_transposes
+
+
+def test_dual_over_s7_reads_the_cayley_graph():
+    """The generators' inverses come from the Cayley graph and only their
+    matrices are multiplied out, so the dual derives no table of S7."""
+    perms = [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]
+    s7 = group_from_generators(perms)
+    # S7 permuting the coordinates of Z^7; permutation matrices are orthogonal.
+    gens = tuple(IntMatrix.from_rows([[int(p[j] == i) for j in range(7)] for i in range(7)]) for p in perms)
+    assert dual(GammaLattice(s7, 7, gens)).generators == gens
+    assert "mul_table" not in vars(s7)
 
 
 def test_restrict_action():
