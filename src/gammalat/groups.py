@@ -2,19 +2,20 @@
 
 Groups are held by their Cayley graphs over element ids ``0..order-1``, with
 0 the identity: one right-multiplication array per generator.  A group
-derives its order and breadth-first words when built, and its
-multiplication table and inverses once, on first use.  Construction from
-permutation generators numbers elements breadth-first from the identity,
-multiplying on the right by the generators in input order, which makes
-every derived object (conjugacy classes, coset lists, reports) canonical.
+derives its order and breadth-first words when built, the rest when asked.
+Only this module knows how elements multiply: along a Cayley edge from the
+graph, otherwise from the table.  Construction from permutation generators
+numbers elements breadth-first from the identity, multiplying on the right
+by the generators in input order, which makes every derived object
+(conjugacy classes, coset lists, reports) canonical.
 
 Also here: group actions by automorphisms, given on the generators,
 semidirect products, 1-cocycles for the twisting construction, and the
 twisted sections they induce.
 Semidirect products are memoized like the derived tables: one per action.
-Every law check (associativity, commutativity, the homomorphism,
-automorphism and cocycle laws, and the lattice law in ``lattices``) runs
-through ``first_failure``, on the generator edges of the Cayley graph.
+Every law check (associativity, the homomorphism, automorphism and cocycle
+laws, and the lattice law in ``lattices``) runs through ``first_failure``,
+which hands each law the product it needs.
 """
 
 from __future__ import annotations
@@ -73,9 +74,12 @@ class FiniteGroup(Value):
     ids ``right[k][0]``) and ``bfs_words``: one ``(g, parent, k)`` triple
     per non-identity element, g = parent * s_k, in the walk's queue order.
     So generator data (matrices, automorphisms) extends along it in one
-    pass.  ``mul_table`` and ``inv_table`` are derived from the graph on
-    first use.  Two groups are equal when graph and labels are; the hash is
-    computed once, since every memoized function of a group hashes it.
+    pass, as does ``left(a)``, the row a * b for every b.  ``mul_table``
+    and ``inv_table`` are derived on first use by what multiplies arbitrary
+    elements: subgroups, cosets, ``element_order``, ``conjugate``,
+    ``validate``, and the acted-on side of actions, semidirect products,
+    homomorphisms and cocycles.  Two groups are equal when graph and labels
+    are; the hash is computed once, since every memoized function hashes it.
     """
 
     def __init__(
@@ -123,18 +127,22 @@ class FiniteGroup(Value):
     def __hash__(self) -> int:
         return self._hash
 
+    def left(self, a: int) -> tuple[int, ...]:
+        """The row a * b for every b, one lookup per element: b was reached
+        as p * s_k, so a * b = (a * p) * s_k."""
+        right, row = self.right, [a] * self.order
+        for b, p, k in self.bfs_words:
+            row[b] = right[k][row[p]]
+        return tuple(row)
+
     @cached_property
     def mul_table(self) -> tuple[tuple[int, ...], ...]:
-        """Each element b was reached as p * s_k, so a * b = (a * p) * s_k:
-        one lookup per entry, row by row in breadth-first order."""
-        steps = [(b, p, self.right[k]) for b, p, k in self.bfs_words]
-        rows = []
-        for a in range(self.order):
-            row = [a] * self.order
-            for b, p, r in steps:
-                row[b] = r[row[p]]
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(map(self.left, range(self.order)))
+
+    @cached_property
+    def generator_inverses(self) -> tuple[int, ...]:
+        """s_k^-1 for each generator: the a with a * s_k = e."""
+        return tuple(r.index(0) for r in self.right)
 
     @cached_property
     def inv_table(self) -> tuple[int, ...]:
@@ -164,39 +172,42 @@ class FiniteGroup(Value):
         return str(g)
 
     def is_abelian(self) -> bool:
-        """ab = ba for all a and b."""
-        mt = self.mul_table
-        return first_failure(self, lambda a, b: mt[a][b] == mt[b][a]) is None
+        """ab = ba for all a and b, which holds exactly when the generators
+        commute: s_j * s_k = s_k * s_j, read off the graph."""
+        pairs = list(zip(self.generator_ids, self.right))
+        return all(rk[sj] == rj[sk] for sj, rj in pairs for sk, rk in pairs)
 
     def validate(self) -> None:
         """Associativity, (ab)c = a(bc), on top of the constructor checks."""
         mt = self.mul_table
-        bad = first_failure(self, lambda a, b, c: mt[mt[a][b]][c] == mt[a][mt[b][c]], arity=3)
+        bad = first_failure(self, lambda a, b, c, bc: mt[mt[a][b]][c] == mt[a][bc], arity=3)
         if bad is not None:
             raise ValueError(f"associativity fails at {bad}")
 
 
 def first_failure(group: FiniteGroup, law: Callable[..., bool], arity: int = 2) -> Optional[tuple]:
-    """The first ``arity``-tuple of element ids, in ascending order, at which
-    ``law`` fails; None if there is none.  Only the edges of the Cayley
-    graph, the tuples whose last entry is a generator, are checked, unless
-    one fails: then all tuples are scanned.
+    """The first ``arity``-tuple t of element ids, in ascending order, at
+    which ``law(*t, p)`` fails, where p is the product of t's last two
+    entries; None if there is none.  Only the edges of the Cayley graph,
+    the tuples whose last entry is a generator s_k, are checked, with p
+    read off the graph as ``right[k][t[-2]]``, unless one fails: then all
+    tuples are scanned, with p from ``mul_table``.
 
     The edges suffice, on associative tables.  If f(gs) = f(g)f(s) for every
     g and generator s, then f(g(h's)) = f((gh')s) = f(gh')f(s) =
     f(g)f(h')f(s) = f(g)f(h's), so the law holds for all h by induction on
-    word length (``FiniteGroup`` checks that the generators generate).  The base case f(e) = 1 holds by
-    construction (row 0 of an action, matrix 0 of a lattice, the
-    ``images[0]`` test of a ``GroupHom``) or from the edge at g = e when f(s)
-    is invertible.  Associativity: (ab)(c's) = ((ab)c')s = (a(bc'))s =
-    a((bc')s) = a(b(c's)).  An element that commutes with every generator
-    commutes with everything.  The cocycle law is the homomorphism law of
-    g -> (x_g, g) into the semidirect product.
+    word length (``FiniteGroup`` checks that the generators generate).  The
+    base case f(e) = 1 holds by construction (row 0 of an action, matrix 0
+    of a lattice, the ``images[0]`` test of a ``GroupHom``) or from the
+    edge at g = e when f(s) is invertible.  Associativity: (ab)(c's) =
+    ((ab)c')s = (a(bc'))s = a((bc')s) = a(b(c's)).  The cocycle law is the
+    homomorphism law of g -> (x_g, g) into the semidirect product.
     """
-    ids = range(group.order)
-    if all(law(*t, s) for t in product(ids, repeat=arity - 1) for s in group.generator_ids):
+    ids, edges = range(group.order), list(zip(group.generator_ids, group.right))
+    if all(law(*t, s, r[t[-1]]) for t in product(ids, repeat=arity - 1) for s, r in edges):
         return None
-    return next(t for t in product(ids, repeat=arity) if not law(*t))
+    mt = group.mul_table
+    return next(t for t in product(ids, repeat=arity) if not law(*t, mt[t[-2]][t[-1]]))
 
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -331,16 +342,15 @@ def is_subgroup(group: FiniteGroup, ids: Sequence[int]) -> bool:
 
 
 def _conjugacy_orbit(group: FiniteGroup, sub: frozenset[int]) -> set[frozenset[int]]:
-    """Every conjugate of ``sub``, reached by conjugating along the
-    generators: |orbit| * (number of generators) conjugations instead of one
-    per group element."""
-    mt, inv = group.mul_table, group.inv_table
-    gens = [(mt[s], inv[s]) for s in group.generator_ids]
+    """Every conjugate of ``sub``, reached by conjugating by the generators'
+    inverses, x -> s^-1 * x * s: |orbit| * (number of generators)
+    conjugations instead of one per group element, and no table."""
+    gens = [(group.left(s_inv), r) for s_inv, r in zip(group.generator_inverses, group.right)]
     orbit = {sub}
     queue = [sub]
     for h in queue:
-        for row, s_inv in gens:
-            conj = frozenset([mt[row[x]][s_inv] for x in h])
+        for row, r in gens:
+            conj = frozenset([r[row[x]] for x in h])
             if conj not in orbit:
                 orbit.add(conj)
                 queue.append(conj)
@@ -503,8 +513,8 @@ class GroupHom(Value):
                 raise NotAHomomorphism(f"image {x} out of range")
         if images[0] != 0:
             raise NotAHomomorphism("identity does not map to identity")
-        src, tgt = source.mul_table, target.mul_table
-        bad = first_failure(source, lambda a, b: images[src[a][b]] == tgt[images[a]][images[b]])
+        tgt = target.mul_table
+        bad = first_failure(source, lambda a, b, ab: images[ab] == tgt[images[a]][images[b]])
         if bad is not None:
             raise NotAHomomorphism(f"multiplicativity fails at {bad}")
         self.__dict__.update(source=source, target=target, images=images)
@@ -525,11 +535,9 @@ class GroupAction(Value):
     The constructor checks that each image is a bijection and an
     automorphism, extends the images along the actor's breadth-first words
     to ``table`` (``table[g][f]`` is the image of f under g), then checks
-    table[gh] = table[g] o table[h] on the Cayley edges and that each
-    generator acts as given, which fails where a generator id repeats or is
-    the identity.  Each error names its witness.  The edge g * s is read from
-    the actor's Cayley graph, so the actor's table is derived only when a
-    failure makes ``first_failure`` scan every pair.
+    table[gh] = table[g] o table[h] and that each generator acts as given,
+    which fails where a generator id repeats or is the identity.  Each
+    error names its witness.
     """
 
     def __init__(
@@ -540,19 +548,13 @@ class GroupAction(Value):
             raise NotAHomomorphism("need one automorphism per actor generator")
         images = tuple(_check_permutation(p, target.order, k) for k, p in enumerate(images))
         for gid, row in zip(actor.generator_ids, images):
-            bad = first_failure(target, lambda a, b: row[ft[a][b]] == ft[row[a]][row[b]])
+            bad = first_failure(target, lambda a, b, ab: row[ab] == ft[row[a]][row[b]])
             if bad is not None:
                 raise NotAHomomorphism(f"actor element {gid} does not act by an automorphism at {bad}")
         table = [tuple(range(target.order))] * actor.order
         for g, parent, k in actor.bfs_words:
             table[g] = tuple(map(table[parent].__getitem__, images[k]))
-        edges = dict(zip(actor.generator_ids, actor.right))  # s -> (g -> g * s)
-
-        def acts(g: int, h: int) -> bool:
-            gh = edges[h][g] if h in edges else actor.mul(g, h)
-            return table[gh] == tuple(map(table[g].__getitem__, table[h]))
-
-        bad = first_failure(actor, acts)
+        bad = first_failure(actor, lambda g, h, gh: table[gh] == tuple(map(table[g].__getitem__, table[h])))
         if bad is not None:
             raise NotAHomomorphism(f"action is not a homomorphism at {bad}")
         for k, gid in enumerate(actor.generator_ids):
@@ -670,9 +672,8 @@ class Cocycle(Value):
 def validate_cocycle(x: Cocycle) -> Optional[tuple[int, int]]:
     """The first pair (g, h), in ascending order, at which the cocycle law
     x_(gh) = x_g * act(g, x_h) fails; None if it holds."""
-    values, table = x.values, x.base.table
-    ft, gt = x.base.target.mul_table, x.base.actor.mul_table
-    return first_failure(x.base.actor, lambda g, h: values[gt[g][h]] == ft[values[g]][table[g][values[h]]])
+    values, table, ft = x.values, x.base.table, x.base.target.mul_table
+    return first_failure(x.base.actor, lambda g, h, gh: values[gh] == ft[values[g]][table[g][values[h]]])
 
 
 def twisted_section(x: Cocycle) -> GroupHom:
@@ -716,7 +717,7 @@ def automorphisms(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     out = []
     for rest in permutations(range(1, group.order)):
         phi = (0,) + rest
-        if first_failure(group, lambda a, b: phi[mt[a][b]] == mt[phi[a]][phi[b]]) is None:
+        if first_failure(group, lambda a, b, ab: phi[ab] == mt[phi[a]][phi[b]]) is None:
             out.append(phi)
     return tuple(sorted(out))
 

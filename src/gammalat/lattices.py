@@ -210,8 +210,8 @@ class GammaLattice(Value):
         generator must act as given, which can fail where a generator id
         repeats or is the identity.
         """
-        mt, mats, reduce = self.group.mul_table, self.matrices, self._reduce
-        bad = first_failure(self.group, lambda g, h: mats[mt[g][h]] == reduce(mats[g].mul(mats[h])))
+        mats, reduce = self.matrices, self._reduce
+        bad = first_failure(self.group, lambda g, h, gh: mats[gh] == reduce(mats[g].mul(mats[h])))
         if bad is not None:
             raise NotAHomomorphism(f"action fails to multiply at pair {bad}")
         for k, gid in enumerate(self.group.generator_ids):
@@ -360,9 +360,8 @@ def twist(m: GammaLattice, x: Cocycle) -> GammaLattice:
 
 
 def dual(m: GammaLattice) -> GammaLattice:
-    """Contragredient lattice: g acts by the transpose of the inverse.  The
-    inverse of s_k is the a with a * s_k = e on the Cayley graph."""
-    inverses = [r.index(0) for r in m.group.right]
+    """Contragredient lattice: g acts by the transpose of the inverse."""
+    inverses = m.group.generator_inverses
     mats = m.matrices_of(inverses)
     gens = tuple(mats[a].transpose() for a in inverses)
     return GammaLattice(m.group, m.rank, gens)

@@ -27,6 +27,7 @@ from gammalat.groups import (
     conjugacy_classes,
     cyclic_subgroup_class_reps,
     enumerate_cocycles,
+    first_failure,
     fixed_coset_counts,
     group_from_generators,
     left_cosets,
@@ -378,9 +379,13 @@ def test_transitive_subgroup_classes_of_symmetric_groups():
 
 def test_group_tables_match_reference():
     """Tables read off the closure's right-multiplication steps equal those
-    from composing every pair of permutations."""
+    from composing every pair of permutations, and so do the rows ``left``
+    gives and the generators' inverses, which derive no table."""
     gens = {
         "s4": [[1, 0, 2, 3], [1, 2, 3, 0]],
+        "s4 relabelled": [[1, 2, 3, 0], [0, 2, 1, 3]],
+        "c2 twice": [[1, 0], [1, 0]],
+        "c3 and the identity": [[0, 1, 2], [1, 2, 0]],
         "a5": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]],
         "s5": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],
         "c2 x c4": [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]],
@@ -395,10 +400,15 @@ def test_group_tables_match_reference():
     for name, perms in gens.items():
         group = group_from_generators(perms)
         expected = reference_group_tables(perms)
+        mul_table, inv_table, generator_ids, _ = expected
+        assert tuple(map(group.left, range(group.order))) == mul_table, name
+        assert group.generator_inverses == tuple(inv_table[s] for s in generator_ids), name
+        assert "mul_table" not in vars(group), name
         assert (group.mul_table, group.inv_table, group.generator_ids, group.labels) == expected, name
         if name in ("trivial", "c2", "c3", "c4", "v4", "c6", "s3"):
             assert group.mul_table == builtin_group(name).mul_table
     assert group_from_generators(gens["a5"]).order == 60
+    assert group_from_generators(gens["s4 relabelled"]).order == 24
     assert group_from_generators(gens["s5"]).order == 120
 
 
@@ -435,11 +445,34 @@ def test_is_abelian_matches_a_full_scan():
     # C2 x S3 with the central involution as its first generator.
     c2_s3 = group_from_generators([[0, 1, 2, 4, 3], [1, 0, 2, 3, 4], [1, 2, 0, 3, 4]])
     s4 = group_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]])
-    for group in (*(g for _, g in builtin_groups()), s4, c2_s3):
+    c2_twice = group_from_generators([[1, 0], [1, 0]])
+    s3_and_e = group_from_generators([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
+    for group in (*(g for _, g in builtin_groups()), s4, c2_s3, c2_twice, s3_and_e):
         mt = group.mul_table
         bad = full_scan_failure(group.order, lambda a, b: mt[a][b] == mt[b][a])
         assert group.is_abelian() == (bad is None)
     assert not c2_s3.is_abelian()
+
+
+def test_first_failure_hands_the_law_the_product():
+    """On every Cayley edge and every tuple of the full scan the law gets
+    the product of the tuple's last two entries, b * c at arity 3, also
+    where a generator id repeats or is the identity.  The law fails only at
+    the last edge, so every edge is checked up to its first occurrence, and
+    the full scan runs up to it and names it."""
+    c2_twice = group_from_generators([[1, 0], [1, 0]])
+    c3_and_e = group_from_generators([[0, 1, 2], [1, 2, 0]])
+    for group in (*(g for _, g in builtin_groups()), s3(), c2_twice, c3_and_e):
+        n, mt = group.order, group.mul_table
+        for arity in (2, 3):
+            edges = [(*t, s) for t in product(range(n), repeat=arity - 1) for s in group.generator_ids]
+            scan = list(product(range(n), repeat=arity))
+            calls = []
+            law = lambda *args: calls.append(args) or args[:-1] != edges[-1]
+            assert first_failure(group, law, arity) == edges[-1]
+            assert all(p == mt[t[-2]][t[-1]] for *t, p in calls)
+            expected = edges[: edges.index(edges[-1]) + 1] + scan[: scan.index(edges[-1]) + 1]
+            assert [tuple(t) for *t, _ in calls] == expected
 
 
 def _full_scan_action_error(actor, target, images):
@@ -502,10 +535,11 @@ def test_action_check_names_the_full_scan_witness():
 
 
 def test_semidirect_inverses_follow_the_pair_formula():
-    """The table FiniteGroup derives from a product's Cayley graph is
-    (f1, g1)(f2, g2) = (f1 * act(g1, f2), g1 * g2), and its inverses are
-    (f, g)^-1 = (act(g^-1, f^-1), g^-1): on every product of check's twist
-    sweep, on C2 x S4, and on S4 with C2 acting by a transposition."""
+    """The rows ``left`` reads off a product's Cayley graph, and so its
+    table, are (f1, g1)(f2, g2) = (f1 * act(g1, f2), g1 * g2), and its
+    inverses, the generators' included, are (f, g)^-1 = (act(g^-1, f^-1),
+    g^-1): on every product of check's twist sweep, on C2 x S4, and on S4
+    with C2 acting by a transposition."""
     s4 = group_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]])
     by_transposition = tuple(s4.conjugate(f, s4.generator_ids[0]) for f in range(s4.order))
     actions = [
@@ -519,24 +553,42 @@ def test_semidirect_inverses_follow_the_pair_formula():
     for action in actions:
         prod = semidirect_product(action)
         f_grp, g_grp = action.target, action.actor
+        rows = tuple(map(prod.group.left, range(prod.group.order)))
         for (f1, g1), (f2, g2) in product(product(range(f_grp.order), range(g_grp.order)), repeat=2):
             ab = prod.pair_id(f_grp.mul(f1, action.act(g1, f2)), g_grp.mul(g1, g2))
-            assert prod.group.mul(prod.pair_id(f1, g1), prod.pair_id(f2, g2)) == ab
+            assert rows[prod.pair_id(f1, g1)][prod.pair_id(f2, g2)] == ab
+        assert prod.group.mul_table == rows
         expected = []
         for f in range(f_grp.order):
             for g in range(g_grp.order):
                 gi = g_grp.inv(g)
                 expected.append(prod.pair_id(action.act(gi, f_grp.inv(f)), gi))
         assert prod.group.inv_table == tuple(expected)
+        assert prod.group.generator_inverses == tuple(expected[s] for s in prod.group.generator_ids)
     assert len(actions) > 2 and prod.group.order == 48
 
 
 def test_s7_is_held_by_its_cayley_graph():
-    """Closing S7 keeps its Cayley graph and breadth-first words; neither
-    table is derived until it is read."""
+    """Closing S7 keeps its Cayley graph and breadth-first words; its
+    conjugacy classes (conjugating along the generators) and commutativity
+    (of the generators) are read off the graph, and neither table is
+    derived until it is read."""
     s7 = group_from_generators([[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]])
     assert s7.order == 5040 and len(s7.bfs_words) == 5039
+    classes = conjugacy_classes(s7)
+    # 7! / z for each cycle type of S7.
+    sizes = [1, 21, 70, 105, 105, 210, 210, 280, 420, 420, 504, 504, 630, 720, 840]
+    assert [len(cls) for cls in classes] == sizes and sorted(sum(classes, ())) == list(range(5040))
+    assert not s7.is_abelian()
     assert "mul_table" not in vars(s7) and "inv_table" not in vars(s7)
+
+
+def test_cocycle_check_over_s6_reads_the_cayley_graph():
+    """The cocycle law is checked on the actor's Cayley edges, so the
+    zero cocycle of S6 acting trivially on C2 derives no table of S6."""
+    s6 = group_from_generators([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]])
+    assert validate_cocycle(Cocycle(GroupAction.trivial(s6, builtin_group("c2")), (0,) * 720)) is None
+    assert "mul_table" not in vars(s6)
 
 
 def test_trivial_action_of_s7_reads_the_cayley_graph():

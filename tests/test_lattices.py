@@ -175,6 +175,17 @@ def test_dual_over_s7_reads_the_cayley_graph():
     assert "mul_table" not in vars(s7)
 
 
+def test_sign_lattice_over_s6_and_its_character_read_the_cayley_graph():
+    """A lattice's law is checked on the Cayley edges and its character
+    conjugates along the generators, so neither derives a table of S6."""
+    s6 = group_from_generators([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]])
+    minus = IntMatrix.from_rows([[-1]])
+    values = character(lattice_from_action(s6, 1, [minus, minus])).values
+    # Eleven cycle types; the five with an odd number of even cycles are odd.
+    assert len(values) == 11 and values.count(-1) == 5 and values.count(1) == 6
+    assert "mul_table" not in vars(s6)
+
+
 def test_restrict_action():
     s3 = builtin_group("s3")
     c2 = builtin_group("c2")

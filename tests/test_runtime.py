@@ -102,3 +102,18 @@ def test_every_exported_name_is_defined():
         module = importlib.import_module(name)
         missing += [f"{path.name} exports {n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, missing
+
+
+def test_only_groups_reads_the_cayley_graph_and_tables():
+    """Multiplying elements is the business of ``groups``: no other module
+    reads a group's ``right``, ``mul_table`` or ``inv_table``, apart from
+    the two grouping keys of ``checks``, whose case counts
+    ``bench/golden.json`` pins."""
+    reads = Counter(
+        (path.name, node.attr)
+        for path, tree in _trees()
+        if path.name != "groups.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("right", "mul_table", "inv_table")
+    )
+    assert reads == Counter({("checks.py", "right"): 1, ("checks.py", "mul_table"): 1}), reads
