@@ -78,12 +78,7 @@ class PropertyResult(Value):
     """One property's outcome: whether it held, on how many cases, and the
     first failure."""
 
-    def __init__(self, name: str, passed: bool, cases: int, detail: str) -> None:
-        self.__dict__.update(name=name, passed=passed, cases=cases, detail=detail)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.name, self.passed, self.cases, self.detail)
+    _fields = ("name", "passed", "cases", "detail")
 
 
 class _Context:

@@ -74,13 +74,15 @@ class FiniteGroup(Value):
     ids ``right[k][0]``) and ``bfs_words``: one ``(g, parent, k)`` triple
     per non-identity element, g = parent * s_k, in the walk's queue order.
     So generator data (matrices, automorphisms) extends along it in one
-    pass, as does ``left(a)``, the row a * b for every b.  ``mul_table``
-    and ``inv_table`` are derived on first use by what multiplies arbitrary
+    pass, as do ``left(a)``, the row a * b for every b, and ``inv_table``.
+    ``mul_table`` is derived on first use by what multiplies arbitrary
     elements: subgroups, cosets, ``element_order``, ``conjugate``,
     ``validate``, and the acted-on side of actions, semidirect products,
     homomorphisms and cocycles.  Two groups are equal when graph and labels
     are; the hash is computed once, since every memoized function hashes it.
     """
+
+    _fields = ("right", "labels")
 
     def __init__(
         self,
@@ -120,10 +122,6 @@ class FiniteGroup(Value):
             _hash=hash((right, labels)),
         )
 
-    @property
-    def _key(self) -> tuple:
-        return (self.right, self.labels)
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -146,7 +144,12 @@ class FiniteGroup(Value):
 
     @cached_property
     def inv_table(self) -> tuple[int, ...]:
-        return tuple(row.index(0) for row in self.mul_table)
+        """g^-1 for each g: g = p * s_k gives g^-1 = s_k^-1 * p^-1."""
+        rows = tuple(map(self.left, self.generator_inverses))
+        inv = [0] * self.order
+        for g, p, k in self.bfs_words:
+            inv[g] = rows[k][inv[p]]
+        return tuple(inv)
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -505,6 +508,8 @@ def fixed_coset_counts(group: FiniteGroup, delta: tuple[int, ...]) -> tuple[int,
 class GroupHom(Value):
     """Group homomorphism given by its full image table; validated eagerly."""
 
+    _fields = ("source", "target", "images")
+
     def __init__(self, source: FiniteGroup, target: FiniteGroup, images: tuple[int, ...]) -> None:
         if len(images) != source.order:
             raise NotAHomomorphism("image table has the wrong length")
@@ -518,10 +523,6 @@ class GroupHom(Value):
         if bad is not None:
             raise NotAHomomorphism(f"multiplicativity fails at {bad}")
         self.__dict__.update(source=source, target=target, images=images)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.source, self.target, self.images)
 
     def apply(self, g: int) -> int:
         return self.images[g]
@@ -539,6 +540,8 @@ class GroupAction(Value):
     which fails where a generator id repeats or is the identity.  Each
     error names its witness.
     """
+
+    _fields = ("actor", "target", "images")
 
     def __init__(
         self, actor: FiniteGroup, target: FiniteGroup, images: Sequence[Sequence[int]]
@@ -562,10 +565,6 @@ class GroupAction(Value):
                 raise NotAHomomorphism(f"generator {k} image conflicts with the extension")
         self.__dict__.update(actor=actor, target=target, images=images, table=tuple(table))
 
-    @property
-    def _key(self) -> tuple:
-        return (self.actor, self.target, self.images)
-
     def act(self, g: int, f: int) -> int:
         return self.table[g][f]
 
@@ -588,21 +587,7 @@ class SemidirectProduct(Value):
     the quotient map onto Gamma.
     """
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        action: GroupAction,
-        embed_f: tuple[int, ...],
-        section: tuple[int, ...],
-        projection: tuple[int, ...],
-    ) -> None:
-        self.__dict__.update(
-            group=group, action=action, embed_f=embed_f, section=section, projection=projection
-        )
-
-    @property
-    def _key(self) -> tuple:
-        return (self.group, self.action, self.embed_f, self.section, self.projection)
+    _fields = ("group", "action", "embed_f", "section", "projection")
 
     def pair_id(self, f: int, g: int) -> int:
         return f * self.action.actor.order + g
@@ -656,6 +641,8 @@ class Cocycle(Value):
     ``validate_cocycle`` to check it.
     """
 
+    _fields = ("base", "values")
+
     def __init__(self, base: GroupAction, values: tuple[int, ...]) -> None:
         if len(values) != base.actor.order:
             raise ValueError("cocycle must assign a value to every actor element")
@@ -663,10 +650,6 @@ class Cocycle(Value):
             if not 0 <= x < base.target.order:
                 raise ValueError(f"cocycle value {x} out of range")
         self.__dict__.update(base=base, values=values)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.base, self.values)
 
 
 def validate_cocycle(x: Cocycle) -> Optional[tuple[int, int]]:

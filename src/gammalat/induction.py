@@ -25,7 +25,6 @@ from .groups import FiniteGroup, conjugacy_classes, cyclic_subgroup_class_reps, 
 from .intlinalg import SnfDecomposition, column_matrix, smith_normal_form
 from .lattices import (
     GammaLattice,
-    LatticeEmbedding,
     RationalCharacter,
     character,
     direct_sum,
@@ -69,6 +68,8 @@ class ArtinSolution(Value):
     ``reps`` (canonical order), r >= 1 is minimal, and min(n[i], m[i]) = 0.
     """
 
+    _fields = ("group", "r", "reps", "n", "m")
+
     def __init__(
         self,
         group: FiniteGroup,
@@ -85,10 +86,6 @@ class ArtinSolution(Value):
             if a < 0 or b < 0 or min(a, b) != 0:
                 raise ValueError("multiplicities must be nonnegative with disjoint support")
         self.__dict__.update(group=group, r=r, reps=reps, n=n, m=m)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.group, self.r, self.reps, self.n, self.m)
 
 
 def artin_decompose(m: GammaLattice) -> ArtinSolution:
@@ -142,14 +139,7 @@ class OnoResult(Value):
     S_hat.
     """
 
-    def __init__(
-        self, solution: ArtinSolution, m0: GammaLattice, m1: GammaLattice, embedding: LatticeEmbedding
-    ) -> None:
-        self.__dict__.update(solution=solution, m0=m0, m1=m1, embedding=embedding)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.solution, self.m0, self.m1, self.embedding)
+    _fields = ("solution", "m0", "m1", "embedding")
 
     @property
     def r(self) -> int:

@@ -43,6 +43,8 @@ __all__ = [
 class IntMatrix(Value):
     """Immutable integer matrix stored as a tuple of row tuples."""
 
+    _fields = ("rows", "cols", "entries")
+
     def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
@@ -52,10 +54,6 @@ class IntMatrix(Value):
             if len(row) != cols:
                 raise ValueError(f"expected {cols} columns, got {len(row)}")
         self.__dict__.update(rows=rows, cols=cols, entries=entries)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.rows, self.cols, self.entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -223,6 +221,8 @@ class FiniteAbelianGroup(Value):
     next; the trivial group is the empty tuple.
     """
 
+    _fields = ("invariant_factors",)
+
     def __init__(self, invariant_factors: tuple[int, ...]) -> None:
         for d in invariant_factors:
             if d < 2:
@@ -231,10 +231,6 @@ class FiniteAbelianGroup(Value):
             if b % a != 0:
                 raise ValueError(f"invariant factors {a}, {b} violate the divisibility chain")
         self.__dict__.update(invariant_factors=invariant_factors)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.invariant_factors,)
 
     @property
     def order(self) -> int:
@@ -268,14 +264,7 @@ class SnfDecomposition(Value):
     the first solve that needs it.
     """
 
-    def __init__(
-        self, a: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix, elementary_divisors: tuple[int, ...]
-    ) -> None:
-        self.__dict__.update(a=a, u=u, d=d, v=v, elementary_divisors=elementary_divisors)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.a, self.u, self.d, self.v, self.elementary_divisors)
+    _fields = ("a", "u", "d", "v", "elementary_divisors")
 
     @property
     def kernel(self) -> tuple[tuple[int, ...], ...]:

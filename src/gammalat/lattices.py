@@ -134,6 +134,8 @@ class GammaLattice(Value):
     ``name`` is a display label and takes no part in equality.
     """
 
+    _fields = ("group", "rank", "generators", "factors")
+
     def __init__(
         self,
         group: FiniteGroup,
@@ -156,10 +158,6 @@ class GammaLattice(Value):
             FiniteAbelianGroup(factors)  # each factor >= 2, a divisibility chain
             generators = tuple(map(self._reduce, generators))
         self.__dict__.update(generators=generators)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.group, self.rank, self.generators, self.factors)
 
     def _reduce(self, m: IntMatrix) -> IntMatrix:
         """Row i of ``m`` modulo ``factors[i]``; ``m`` itself for a lattice."""
@@ -230,15 +228,13 @@ class RationalCharacter(Value):
     integer matrices or a count of fixed cosets.
     """
 
+    _fields = ("group", "values")
+
     def __init__(self, group: FiniteGroup, values: Sequence[int]) -> None:
         values = tuple(map(index, values))
         if len(values) != len(conjugacy_classes(group)):
             raise ValueError("need one value per conjugacy class")
         self.__dict__.update(group=group, values=values)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.group, self.values)
 
     def __add__(self, other: "RationalCharacter") -> "RationalCharacter":
         if not same_group(self.group, other.group):
@@ -343,8 +339,9 @@ def restrict_action(m: GammaLattice, hom: GroupHom) -> GammaLattice:
     """Pull the action back along a verified homomorphism into m's group."""
     if not same_group(hom.target, m.group):
         raise GroupMismatch("homomorphism target is not the lattice's group")
-    gens = tuple(m.matrices[hom.apply(h)] for h in hom.source.generator_ids)
-    return GammaLattice(hom.source, m.rank, gens)
+    images = tuple(map(hom.apply, hom.source.generator_ids))
+    mats = m.matrices_of(images)
+    return GammaLattice(hom.source, m.rank, tuple(mats[g] for g in images))
 
 
 def twist(m: GammaLattice, x: Cocycle) -> GammaLattice:
@@ -378,14 +375,12 @@ class LatticeEmbedding(Value):
     agree).  Two embeddings are equal when source, target and matrix are.
     """
 
+    _fields = ("source", "target", "matrix")
+
     def __init__(
         self, source: GammaLattice, target: GammaLattice, matrix: IntMatrix, snf: SnfDecomposition
     ) -> None:
         self.__dict__.update(source=source, target=target, matrix=matrix, snf=snf)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.source, self.target, self.matrix)
 
     @property
     def cokernel(self) -> FiniteAbelianGroup:
@@ -920,12 +915,7 @@ class PermutationCertificate(Value):
     search exhausted without a certificate either way).
     """
 
-    def __init__(self, status: str, basis: Optional[tuple[tuple[int, ...], ...]], reason: str) -> None:
-        self.__dict__.update(status=status, basis=basis, reason=reason)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.status, self.basis, self.reason)
+    _fields = ("status", "basis", "reason")
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ from typing import Optional
 from ._value import Value
 from .errors import GroupMismatch, InternalContradiction, NotAHomomorphism, NotFiniteIndex
 from .groups import FiniteGroup, GroupAction, same_group, semidirect_product
-from .induction import OnoResult, ono_construct
+from .induction import ono_construct
 from .intlinalg import IntMatrix
 from .lattices import GammaLattice, LatticeEmbedding, lattice_embedding
 
@@ -46,6 +46,8 @@ class ReductionInput(Value):
     degree used in m = n*d.
     """
 
+    _fields = ("hf", "gamma", "gamma_on_hf", "t_hat", "gtor_hat", "d")
+
     def __init__(
         self,
         hf: FiniteGroup,
@@ -68,10 +70,6 @@ class ReductionInput(Value):
         self.__dict__.update(
             hf=hf, gamma=gamma, gamma_on_hf=gamma_on_hf, t_hat=t_hat, gtor_hat=gtor_hat, d=d
         )
-
-    @property
-    def _key(self) -> tuple:
-        return (self.hf, self.gamma, self.gamma_on_hf, self.t_hat, self.gtor_hat, self.d)
 
 
 def reduction_input(
@@ -166,12 +164,7 @@ def reverse_isogeny(iso: LatticeEmbedding) -> LatticeEmbedding:
 class NarrativeEntry(Value):
     """One step of the reduction narrative."""
 
-    def __init__(self, step: int, title: str, status: str, detail: str) -> None:
-        self.__dict__.update(step=step, title=title, status=status, detail=detail)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.step, self.title, self.status, self.detail)
+    _fields = ("step", "title", "status", "detail")
 
 
 class ReductionReport(Value):
@@ -183,43 +176,9 @@ class ReductionReport(Value):
     through 4 computed.
     """
 
-    def __init__(
-        self,
-        input: ReductionInput,
-        ono: OnoResult,
-        m: int,
-        a: GammaLattice,
-        ambient_ono: OnoResult,
-        reversed_embedding: LatticeEmbedding,
-        a_prime: GammaLattice,
-        kernel_order_of_F: int,
-        narrative: tuple[NarrativeEntry, ...],
-    ) -> None:
-        self.__dict__.update(
-            input=input,
-            ono=ono,
-            m=m,
-            a=a,
-            ambient_ono=ambient_ono,
-            reversed_embedding=reversed_embedding,
-            a_prime=a_prime,
-            kernel_order_of_F=kernel_order_of_F,
-            narrative=narrative,
-        )
-
-    @property
-    def _key(self) -> tuple:
-        return (
-            self.input,
-            self.ono,
-            self.m,
-            self.a,
-            self.ambient_ono,
-            self.reversed_embedding,
-            self.a_prime,
-            self.kernel_order_of_F,
-            self.narrative,
-        )
+    _fields = (
+        "input", "ono", "m", "a", "ambient_ono", "reversed_embedding", "a_prime", "kernel_order_of_F", "narrative"
+    )
 
 
 def reduce_stabilizer(inp: ReductionInput, *, allow_random: bool = True) -> ReductionReport:

@@ -2,6 +2,9 @@
 
 from gammalat import checks, intlinalg
 from gammalat.errors import InternalContradiction
+from gammalat.groups import group_from_generators
+from gammalat.intlinalg import IntMatrix
+from gammalat.lattices import lattice_from_action
 
 
 def _by_name(results):
@@ -30,3 +33,14 @@ def test_crashing_property_keeps_its_name(monkeypatch):
         0,
         "crashed: InternalContradiction('boom')",
     )
+
+
+def test_character_laws_over_s6_read_the_cayley_graph():
+    """The character is compared at each element and its inverse, and the
+    inverses are read off the Cayley graph, so the property derives no
+    table of S6."""
+    s6 = group_from_generators([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]])
+    minus = IntMatrix.from_rows([[-1]])
+    ctx = checks._Context((), (("sign", lattice_from_action(s6, 1, [minus, minus])),), (), (), 1, False)
+    assert checks._prop_character_laws(ctx) == (1, [])
+    assert "mul_table" not in vars(s6)

@@ -380,7 +380,8 @@ def test_transitive_subgroup_classes_of_symmetric_groups():
 def test_group_tables_match_reference():
     """Tables read off the closure's right-multiplication steps equal those
     from composing every pair of permutations, and so do the rows ``left``
-    gives and the generators' inverses, which derive no table."""
+    gives, the generators' inverses and ``inv_table``, which derive no
+    table; ``inv_table`` is also each table row's identity column."""
     gens = {
         "s4": [[1, 0, 2, 3], [1, 2, 3, 0]],
         "s4 relabelled": [[1, 2, 3, 0], [0, 2, 1, 3]],
@@ -403,10 +404,14 @@ def test_group_tables_match_reference():
         mul_table, inv_table, generator_ids, _ = expected
         assert tuple(map(group.left, range(group.order))) == mul_table, name
         assert group.generator_inverses == tuple(inv_table[s] for s in generator_ids), name
+        assert group.inv_table == inv_table, name
         assert "mul_table" not in vars(group), name
         assert (group.mul_table, group.inv_table, group.generator_ids, group.labels) == expected, name
+        assert group.inv_table == tuple(row.index(0) for row in group.mul_table), name
         if name in ("trivial", "c2", "c3", "c4", "v4", "c6", "s3"):
-            assert group.mul_table == builtin_group(name).mul_table
+            builtin = builtin_group(name)
+            assert group.mul_table == builtin.mul_table
+            assert builtin.inv_table == tuple(row.index(0) for row in builtin.mul_table), name
     assert group_from_generators(gens["a5"]).order == 60
     assert group_from_generators(gens["s4 relabelled"]).order == 24
     assert group_from_generators(gens["s5"]).order == 120
@@ -563,7 +568,7 @@ def test_semidirect_inverses_follow_the_pair_formula():
             for g in range(g_grp.order):
                 gi = g_grp.inv(g)
                 expected.append(prod.pair_id(action.act(gi, f_grp.inv(f)), gi))
-        assert prod.group.inv_table == tuple(expected)
+        assert prod.group.inv_table == tuple(expected) == tuple(row.index(0) for row in rows)
         assert prod.group.generator_inverses == tuple(expected[s] for s in prod.group.generator_ids)
     assert len(actions) > 2 and prod.group.order == 48
 

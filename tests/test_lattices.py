@@ -27,6 +27,7 @@ from gammalat.groups import (
     semidirect_product,
     subgroup_closure,
     trivial_group,
+    twisted_section,
 )
 from gammalat.induction import artin_decompose, build_multiplicity_lattice
 from gammalat.intlinalg import IntMatrix, bareiss_det
@@ -195,6 +196,22 @@ def test_restrict_action():
     assert res.group.order == 2
     assert res.matrices[1] == std.matrices[1]
     assert res.matrices[1].entries == ((-1, 1), (0, 1))
+
+
+def test_twist_multiplies_out_only_the_sections_images():
+    """Restricting reads the images of the source's generators through
+    ``matrices_of``, so twisting an unvalidated induced lattice over a
+    semidirect product leaves its ``matrices`` underived, and the twist is
+    still the restriction of the multiplied-out action."""
+    c2, c4 = builtin_group("c2"), builtin_group("c4")
+    inversion = next(a for a in all_actions(c2, c4) if not a.is_trivial())
+    prod = semidirect_product(inversion)
+    lat = induced_lattice(prod.group, (0,)).with_name("fresh")
+    twists = [twist(lat, x) for x in enumerate_cocycles(inversion)]
+    assert "matrices" not in vars(lat) and len(twists) > 1
+    for x, tw in zip(enumerate_cocycles(inversion), twists):
+        section = twisted_section(x)
+        assert tw.generators == tuple(lat.matrices[section.apply(h)] for h in c2.generator_ids)
 
 
 def test_intertwiner_basis_dimensions():

@@ -117,3 +117,19 @@ def test_only_groups_reads_the_cayley_graph_and_tables():
         if isinstance(node, ast.Attribute) and node.attr in ("right", "mul_table", "inv_table")
     )
     assert reads == Counter({("checks.py", "right"): 1, ("checks.py", "mul_table"): 1}), reads
+
+
+def test_only_value_defines_the_key_and_every_value_lists_its_fields():
+    """Identity is built from the fields in one place: no module but
+    ``_value.py`` defines ``_key``, and every ``Value`` subclass lists its
+    ``_fields``."""
+    keys, unlisted = [], []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if path.name != "_value.py" and "_key" in (getattr(node, "name", None), getattr(node, "id", None)):
+                keys.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "Value" for b in node.bases):
+                assigned = {t.id for stmt in node.body if isinstance(stmt, ast.Assign) for t in stmt.targets}
+                if "_fields" not in assigned:
+                    unlisted.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not keys and not unlisted, (keys, unlisted)
