@@ -337,11 +337,26 @@ def subgroup_closure(group: FiniteGroup, seed: Sequence[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
+def _generating_subset(group: FiniteGroup, elements: Sequence[int]) -> list[int]:
+    """The elements, in order, that do not lie in the subgroup generated by
+    those kept before them; together they generate what all the listed
+    elements generate."""
+    kept: list[int] = []
+    closure = frozenset((0,))
+    for g in elements:
+        if g not in closure:
+            kept.append(g)
+            closure = subgroup_closure(group, kept)
+    return kept
+
+
 def is_subgroup(group: FiniteGroup, ids: Sequence[int]) -> bool:
+    """Whether the ids form a subgroup: whether they are what a generating
+    subset of them generates, which takes no |ids|^2 products."""
     s = set(int(x) for x in ids)
     if 0 not in s or any(not 0 <= x < group.order for x in s):
         return False
-    return all(group.mul(a, b) in s for a in s for b in s)
+    return subgroup_closure(group, _generating_subset(group, sorted(s))) == s
 
 
 def _conjugacy_orbit(group: FiniteGroup, sub: frozenset[int]) -> set[frozenset[int]]:

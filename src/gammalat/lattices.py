@@ -62,6 +62,7 @@ from .groups import (
     Cocycle,
     FiniteGroup,
     GroupHom,
+    _generating_subset,
     class_index_map,
     conjugacy_classes,
     first_failure,
@@ -69,7 +70,6 @@ from .groups import (
     left_cosets,
     same_group,
     semidirect_product,
-    subgroup_closure,
     subgroup_conjugacy_reps,
     twisted_section,
 )
@@ -516,19 +516,6 @@ def _permutation_intertwiners(m: GammaLattice, n: GammaLattice) -> list[tuple[in
                     flat[i * m.rank + y] = c
             out.append(tuple(flat))
     return out
-
-
-def _generating_subset(group: FiniteGroup, elements: Sequence[int]) -> list[int]:
-    """The elements, in order, that do not lie in the subgroup generated by
-    those kept before them; together they generate what all the listed
-    elements generate."""
-    kept: list[int] = []
-    closure = frozenset((0,))
-    for g in elements:
-        if g not in closure:
-            kept.append(g)
-            closure = subgroup_closure(group, kept)
-    return kept
 
 
 def _fixed_sublattice(rank: int, matrices: Sequence[IntMatrix]) -> tuple[tuple[int, ...], ...]:

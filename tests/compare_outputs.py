@@ -15,7 +15,9 @@ Then, for each workspace section, writes the demo workspace plus one bad
 definition in that section and runs three commands on it: ``check``, one
 naming the bad definition, and ``group-info s3``, which names a good one.
 So the error each bad definition raises is compared too, and so is which
-commands it fails.
+commands it fails.  Last, one command per built-in section names a built-in
+that does not exist, in both forms, so the UnknownName each raises is
+compared as well.
 
 Prints every run whose exit code or stdout SHA-256 differs, and exits 1 if
 any does.  Pytest does not collect this file.
@@ -77,6 +79,7 @@ BAD_DEFINITIONS = (
     ),
 )
 GOOD_COMMAND = ["group-info", "s3"]
+UNKNOWN_BUILTINS = (["group-info", "s4"], ["ono", "s4_sign"], ["reduce", "nosuch"])
 
 
 def run(src: str, args: list[str]) -> tuple[int, str]:
@@ -116,6 +119,13 @@ def bad_definition_runs(tmp: str) -> Iterator[tuple[str, list[str]]]:
             yield f"demo + {section}/{name}", ["--workspace", path, *command]
 
 
+def unknown_name_runs() -> Iterator[tuple[str, list[str]]]:
+    """(label, CLI arguments) of each unknown built-in name in each form."""
+    for command in UNKNOWN_BUILTINS:
+        for form in FORMS:
+            yield "corpus", [*form, *command]
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", metavar="PARENT_SRC", help="src directory to compare with")
@@ -123,7 +133,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     here, there = os.path.join(ROOT, "src"), os.path.abspath(args.parent_src)
     total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for kind, runs in (("workload", workload_runs(tmp)), ("bad-definition", bad_definition_runs(tmp))):
+        for kind, runs in (
+            ("workload", workload_runs(tmp)),
+            ("bad-definition", bad_definition_runs(tmp)),
+            ("unknown-name", unknown_name_runs()),
+        ):
             count = differing = 0
             for label, cli_args in runs:
                 ours, theirs = run(here, cli_args), run(there, cli_args)

@@ -955,3 +955,37 @@ def test_builtin_ono_leaves_reduction_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "['gammalat.corpus']"
+
+
+def test_builtin_name_builds_only_what_it_names():
+    """A fresh command that names a built-in builds that built-in and what
+    it references, not the rest of the corpus: ``artin c2_sign`` closes C2
+    and builds one lattice, and ``reduce sign_galois`` closes the trivial
+    group and C2 and builds the one lattice it references."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gammalat.__file__)))
+    code = (
+        "import io, sys, contextlib\n"
+        "from gammalat import groups, lattices\n"
+        "from gammalat.cli import main\n"
+        "closed, built = [], []\n"
+        "def counted(module, name, log, arg):\n"
+        "    original = getattr(module, name)\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        log.append(args[arg])\n"
+        "        return original(*args, **kwargs)\n"
+        "    setattr(module, name, wrapper)\n"
+        "counted(groups, 'group_from_generators', closed, 0)\n"
+        "counted(lattices, 'lattice_from_action', built, 3)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(closed, built)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    for command, expected in (
+        (["artin", "c2_sign"], "[[[1, 0]]] ['c2_sign']"),
+        (["reduce", "sign_galois"], "[[[0]], [[1, 0]]] ['c2_sign']"),
+    ):
+        out = subprocess.run(
+            [sys.executable, "-c", code, *command], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == expected, command

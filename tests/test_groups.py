@@ -30,6 +30,7 @@ from gammalat.groups import (
     first_failure,
     fixed_coset_counts,
     group_from_generators,
+    is_subgroup,
     left_cosets,
     semidirect_product,
     subgroup_conjugacy_reps,
@@ -148,6 +149,29 @@ def test_left_cosets_and_fixed_counts():
     assert fixed_coset_counts(g, tuple(range(6))) == (1, 1, 1)
     with pytest.raises(NotASubgroup):
         left_cosets(g, (0, 2))
+
+
+def test_is_subgroup_matches_a_product_check():
+    """Closing a generating subset answers as checking every product does:
+    on every subset of S3, on seeded random subsets of S4, half of them
+    with the identity added, and on every subgroup of S4."""
+
+    def closed(group, ids):
+        s, mt = set(ids), group.mul_table
+        return 0 in s and all(mt[a][b] in s for a in s for b in s)
+
+    g = s3()
+    for bits in range(1 << 6):
+        ids = [x for x in range(6) if bits >> x & 1]
+        assert is_subgroup(g, ids) == closed(g, ids), ids
+    s4 = group_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]])
+    rng = random.Random(31)
+    for trial in range(3000):
+        ids = rng.sample(range(24), rng.randint(0, 24)) + [0] * (trial % 2)
+        assert is_subgroup(s4, ids) == closed(s4, ids), ids
+    subgroups = all_subgroups(s4)
+    assert len(subgroups) == 30
+    assert all(is_subgroup(s4, sub) for sub in subgroups)
 
 
 def test_group_hom_validation():

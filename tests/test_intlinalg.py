@@ -151,13 +151,15 @@ def test_hermite_randomized():
         h, u = hermite_normal_form(a)
         assert abs(u.det()) == 1
         assert u.mul(a) == h
-        pivots = []
-        for row in h.entries:
-            nz = [j for j, x in enumerate(row) if x]
-            if nz:
-                assert row[nz[0]] > 0
-                pivots.append(nz[0])
-        assert pivots == sorted(pivots)
+        # Nonzero rows first, with strictly increasing positive pivots and
+        # every entry above a pivot in [0, pivot).
+        pivots = [next((j for j, x in enumerate(row) if x), None) for row in h.entries]
+        nonzero = [p for p in pivots if p is not None]
+        assert pivots == nonzero + [None] * (rows - len(nonzero))
+        assert all(p < q for p, q in zip(nonzero, nonzero[1:]))
+        for i, p in enumerate(nonzero):
+            assert h.entries[i][p] > 0
+            assert all(0 <= h.entries[k][p] < h.entries[i][p] for k in range(i))
         assert hermite_normal_form(a) == (h, u)
 
 
@@ -179,10 +181,12 @@ def test_smith_randomized():
         assert abs(snf.u.det()) == 1
         assert abs(snf.v.det()) == 1
         assert snf.u.mul(a).mul(snf.v) == snf.d
+        assert all(x == 0 for i, row in enumerate(snf.d.entries) for j, x in enumerate(row) if i != j)
         divs = snf.elementary_divisors
         assert all(d > 0 for d in divs)
         assert all(b % d == 0 for d, b in zip(divs, divs[1:]))
         assert len(divs) == len(column_echelon(matrix_columns(a.entries), rows))
+        assert smith_normal_form(a) == snf
 
 
 def test_smith_form_of_a_multiple_keeps_the_transforms():
@@ -228,13 +232,21 @@ def test_cokernel_order_against_coset_walk():
 
 
 def test_block_diagonal_cokernel_multiplies():
-    a = IntMatrix.from_rows([[2, 0], [0, 2]])
-    b = IntMatrix.from_rows([[3]])
-    ta, fa = cokernel_structure(a)
-    tb, fb = cokernel_structure(b)
-    tc, fc = cokernel_structure(block_diagonal([a, b]))
-    assert tc.order == ta.order * tb.order == 12
-    assert fc == fa + fb == 0
+    """Free ranks add and torsion orders multiply, on a fixed pair and on
+    40 seeded random pairs."""
+    rng = random.Random(909)
+    pairs = [(IntMatrix.from_rows([[2, 0], [0, 2]]), IntMatrix.from_rows([[3]]))]
+    pairs += [
+        tuple(rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), bound=5) for _ in range(2))
+        for _ in range(40)
+    ]
+    for a, b in pairs:
+        ta, fa = cokernel_structure(a)
+        tb, fb = cokernel_structure(b)
+        tc, fc = cokernel_structure(block_diagonal([a, b]))
+        assert tc.order == ta.order * tb.order
+        assert fc == fa + fb
+    assert cokernel_structure(block_diagonal(pairs[0]))[0].order == 12
 
 
 def test_finite_abelian_group_accessors():
@@ -302,8 +314,9 @@ def test_minimal_multiplier_randomized_is_minimal():
         cases += 1
         combo = [sum(c * basis[j][i] for j, c in enumerate(coeffs)) for i in range(n)]
         assert combo == [r * x for x in v]
+        assert multiplier_is_minimal(v, basis, r)
         bmat = IntMatrix.from_rows([[w[i] for w in basis] for i in range(n)], cols=k)
-        for smaller in range(1, min(r, 25)):
+        for smaller in range(1, r):
             assert solve_integer_linear(bmat, [smaller * x for x in v]) is None
 
 
