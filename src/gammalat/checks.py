@@ -40,7 +40,7 @@ from .groups import (
     twisted_section,
     validate_cocycle,
 )
-from .induction import OnoResult, artin_decompose, certify_minimality, induced_trivial_character, ono_construct
+from .induction import artin_decompose, certify_minimality, induced_trivial_character, ono_construct
 from .intlinalg import (
     IntMatrix,
     block_diagonal,
@@ -99,7 +99,7 @@ class _Context:
         self.reductions = reductions
         self.coord_bound = coord_bound
         self.allow_random = allow_random
-        self.ono_cache: dict[str, OnoResult] = {}
+        self.results: dict[object, object] = {}
 
     @cached_property
     def sweep(self) -> tuple[tuple, ...]:
@@ -116,10 +116,11 @@ class _Context:
         return tuple(cells)
 
 
-def _ono(ctx: _Context, name: str, lattice: GammaLattice) -> OnoResult:
-    if name not in ctx.ono_cache:
-        ctx.ono_cache[name] = ono_construct(lattice, allow_random=ctx.allow_random)
-    return ctx.ono_cache[name]
+def _run(ctx: _Context, search: Callable, value: object):
+    """``search(value)`` once per value, however many names it goes by."""
+    if value not in ctx.results:
+        ctx.results[value] = search(value, allow_random=ctx.allow_random)
+    return ctx.results[value]
 
 
 def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9) -> IntMatrix:
@@ -551,7 +552,8 @@ def _prop_intertwiner_relation(ctx: _Context) -> tuple[int, list[str]]:
     # intertwiners to check.
     by_table: dict[tuple, list[tuple[str, GammaLattice]]] = {}
     for name, lat in ctx.lattices:
-        by_table.setdefault(lat.group.mul_table, []).append((name, lat))
+        table = tuple(map(lat.group.left, range(lat.group.order)))
+        by_table.setdefault(table, []).append((name, lat))
     for entries in by_table.values():
         front = entries[:3]
         for i in range(len(front)):
@@ -706,7 +708,7 @@ def _prop_ono_soundness(ctx: _Context) -> tuple[int, list[str]]:
     for name, lat in ctx.lattices:
         cases += 1
         try:
-            result = _ono(ctx, name, lat)
+            result = _run(ctx, ono_construct, lat)
         except Exception as exc:
             failures.append(f"{name}: {exc}")
             continue
@@ -736,7 +738,7 @@ def _prop_ono_reversal(ctx: _Context) -> tuple[int, list[str]]:
     for name, lat in ctx.lattices:
         cases += 1
         try:
-            result = _ono(ctx, name, lat)
+            result = _run(ctx, ono_construct, lat)
         except Exception as exc:
             failures.append(f"{name}: {exc}")
             continue
@@ -770,7 +772,7 @@ def _prop_isogeny_kernel_order(ctx: _Context) -> tuple[int, list[str]]:
     cases = 0
     for name, lat in ctx.lattices:
         try:
-            result = _ono(ctx, name, lat)
+            result = _run(ctx, ono_construct, lat)
         except Exception as exc:
             failures.append(f"{name}: {exc}")
             continue
@@ -786,7 +788,7 @@ def _prop_reduction_pipeline(ctx: _Context) -> tuple[int, list[str]]:
     for name, inp in ctx.reductions:
         cases += 1
         try:
-            report = reduce_stabilizer(inp, allow_random=ctx.allow_random)
+            report = _run(ctx, reduce_stabilizer, inp)
         except Exception as exc:
             failures.append(f"{name}: {exc}")
             continue
@@ -819,7 +821,7 @@ def _prop_reduction_fixture_values(ctx: _Context) -> tuple[int, list[str]]:
     available = dict(builtin_reductions())
     for name, (m, a_factors, ap_factors, kernel_order) in sorted(expected.items()):
         cases += 1
-        report = reduce_stabilizer(available[name], allow_random=ctx.allow_random)
+        report = _run(ctx, reduce_stabilizer, available[name])
         got = (
             report.m,
             report.a.structure.invariant_factors,

@@ -2,9 +2,10 @@
 
 Groups are held by their Cayley graphs over element ids ``0..order-1``, with
 0 the identity: one right-multiplication array per generator.  A group
-derives its order and breadth-first words when built, the rest when asked.
-Only this module knows how elements multiply: along a Cayley edge from the
-graph, otherwise from the table.  Construction from permutation generators
+derives its order and breadth-first words when built, the rest when asked,
+and keeps no multiplication table.  Only this module knows how elements
+multiply: along a Cayley edge from the graph, otherwise along the second
+factor's breadth-first word.  Construction from permutation generators
 numbers elements breadth-first from the identity, multiplying on the right
 by the generators in input order, which makes every derived object
 (conjugacy classes, coset lists, reports) canonical.
@@ -12,7 +13,7 @@ by the generators in input order, which makes every derived object
 Also here: group actions by automorphisms, given on the generators,
 semidirect products, 1-cocycles for the twisting construction, and the
 twisted sections they induce.
-Semidirect products are memoized like the derived tables: one per action.
+Semidirect products are memoized like the derived data: one per action.
 Every law check (associativity, the homomorphism, automorphism and cocycle
 laws, and the lattice law in ``lattices``) runs through ``first_failure``,
 which hands each law the product it needs.
@@ -75,11 +76,11 @@ class FiniteGroup(Value):
     per non-identity element, g = parent * s_k, in the walk's queue order.
     So generator data (matrices, automorphisms) extends along it in one
     pass, as do ``left(a)``, the row a * b for every b, and ``inv_table``.
-    ``mul_table`` is derived on first use by what multiplies arbitrary
-    elements: subgroups, cosets, ``element_order``, ``conjugate``,
-    ``validate``, and the acted-on side of actions, semidirect products,
-    homomorphisms and cocycles.  Two groups are equal when graph and labels
-    are; the hash is computed once, since every memoized function hashes it.
+    No multiplication table is kept: ``mul(a, b)`` walks b's word from a,
+    one ``right`` lookup per letter, with each element's word derived on
+    first use, so memory grows like |G| * (generators + word length).
+    Two groups are equal when graph and labels are; the hash is computed
+    once, since every memoized function hashes it.
     """
 
     _fields = ("right", "labels")
@@ -134,8 +135,12 @@ class FiniteGroup(Value):
         return tuple(row)
 
     @cached_property
-    def mul_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(self.left, range(self.order)))
+    def _paths(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each b's ``right`` arrays: b = p * s_k extends p's by ``right[k]``."""
+        paths: list[tuple[tuple[int, ...], ...]] = [()] * self.order
+        for b, p, k in self.bfs_words:
+            paths[b] = paths[p] + (self.right[k],)
+        return tuple(paths)
 
     @cached_property
     def generator_inverses(self) -> tuple[int, ...]:
@@ -152,7 +157,9 @@ class FiniteGroup(Value):
         return tuple(inv)
 
     def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
+        for r in self._paths[b]:
+            a = r[a]
+        return a
 
     def inv(self, a: int) -> int:
         return self.inv_table[a]
@@ -182,8 +189,8 @@ class FiniteGroup(Value):
 
     def validate(self) -> None:
         """Associativity, (ab)c = a(bc), on top of the constructor checks."""
-        mt = self.mul_table
-        bad = first_failure(self, lambda a, b, c, bc: mt[mt[a][b]][c] == mt[a][bc], arity=3)
+        mul = self.mul
+        bad = first_failure(self, lambda a, b, c, bc: mul(mul(a, b), c) == mul(a, bc), arity=3)
         if bad is not None:
             raise ValueError(f"associativity fails at {bad}")
 
@@ -194,9 +201,9 @@ def first_failure(group: FiniteGroup, law: Callable[..., bool], arity: int = 2) 
     entries; None if there is none.  Only the edges of the Cayley graph,
     the tuples whose last entry is a generator s_k, are checked, with p
     read off the graph as ``right[k][t[-2]]``, unless one fails: then all
-    tuples are scanned, with p from ``mul_table``.
+    tuples are scanned, with p from ``group.mul``.
 
-    The edges suffice, on associative tables.  If f(gs) = f(g)f(s) for every
+    The edges suffice, on an associative product.  If f(gs) = f(g)f(s) for every
     g and generator s, then f(g(h's)) = f((gh')s) = f(gh')f(s) =
     f(g)f(h')f(s) = f(g)f(h's), so the law holds for all h by induction on
     word length (``FiniteGroup`` checks that the generators generate).  The
@@ -209,13 +216,12 @@ def first_failure(group: FiniteGroup, law: Callable[..., bool], arity: int = 2) 
     ids, edges = range(group.order), list(zip(group.generator_ids, group.right))
     if all(law(*t, s, r[t[-1]]) for t in product(ids, repeat=arity - 1) for s, r in edges):
         return None
-    mt = group.mul_table
-    return next(t for t in product(ids, repeat=arity) if not law(*t, mt[t[-2]][t[-1]]))
+    return next(t for t in product(ids, repeat=arity) if not law(*t, group.mul(t[-2], t[-1])))
 
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Structural identity: equal Cayley graphs, so equal multiplication
-    tables and generator ids, since generator-held data (lattice matrices,
+    """Structural identity: equal Cayley graphs, so equal products and
+    generator ids, since generator-held data (lattice matrices,
     action images) is matched by position."""
     return a is b or a.right == b.right
 
@@ -323,14 +329,13 @@ def class_index_map(group: FiniteGroup) -> tuple[int, ...]:
 
 def subgroup_closure(group: FiniteGroup, seed: Sequence[int]) -> frozenset[int]:
     """Subgroup generated by ``seed``."""
-    mt = group.mul_table
+    mul = group.mul
     seen = {0}
     queue = [0]
     gens = [int(g) for g in seed]
     for g in queue:
-        row = mt[g]
         for s in gens:
-            h = row[s]
+            h = mul(g, s)
             if h not in seen:
                 seen.add(h)
                 queue.append(h)
@@ -397,7 +402,8 @@ def _subgroup_classes(group: FiniteGroup) -> tuple[frozenset[frozenset[int]], ..
     is extended.
 
     Extending a member H by g outside it gives <H, g>, and <H, g> =
-    <H, gh> for every h in H, so one g per left coset gH is enough.  Each
+    <H, hgh'> for all h and h' in H, so one g per double coset HgH is
+    enough: the cosets yH with y = hg, h in H, are marked covered.  Each
     extension starts from H and adds whole left cosets yH until the set is
     closed under right multiplication by g; a union of left cosets of H is
     closed under right multiplication by H already, so the result is
@@ -408,7 +414,7 @@ def _subgroup_classes(group: FiniteGroup) -> tuple[frozenset[frozenset[int]], ..
     K = <M, g> for any g in K outside M.  By induction some conjugate
     P = M^x was extended, and <P, g^x> = K^x, with g^x outside P.
     """
-    mt = group.mul_table
+    mul = group.mul
     trivial = frozenset({0})
     classes = [frozenset({trivial})]
     known = {trivial}
@@ -422,15 +428,17 @@ def _subgroup_classes(group: FiniteGroup) -> tuple[frozenset[frozenset[int]], ..
         for g in range(1, group.order):
             if covered[g]:
                 continue
-            row_g = mt[g]
             for h in members:
-                covered[row_g[h]] = True
+                y = mul(h, g)
+                if not covered[y]:
+                    for z in members:
+                        covered[mul(y, z)] = True
             seen = set(sub)
             queue = list(members)
             for x in queue:
-                y = mt[x][g]
+                y = mul(x, g)
                 if y not in seen:
-                    coset = [mt[y][h] for h in members]
+                    coset = [mul(y, h) for h in members]
                     seen.update(coset)
                     queue.extend(coset)
             bigger = frozenset(seen)
@@ -533,8 +541,8 @@ class GroupHom(Value):
                 raise NotAHomomorphism(f"image {x} out of range")
         if images[0] != 0:
             raise NotAHomomorphism("identity does not map to identity")
-        tgt = target.mul_table
-        bad = first_failure(source, lambda a, b, ab: images[ab] == tgt[images[a]][images[b]])
+        mul = target.mul
+        bad = first_failure(source, lambda a, b, ab: images[ab] == mul(images[a], images[b]))
         if bad is not None:
             raise NotAHomomorphism(f"multiplicativity fails at {bad}")
         self.__dict__.update(source=source, target=target, images=images)
@@ -561,12 +569,12 @@ class GroupAction(Value):
     def __init__(
         self, actor: FiniteGroup, target: FiniteGroup, images: Sequence[Sequence[int]]
     ) -> None:
-        ft = target.mul_table
+        mul = target.mul
         if len(images) != len(actor.generator_ids):
             raise NotAHomomorphism("need one automorphism per actor generator")
         images = tuple(_check_permutation(p, target.order, k) for k, p in enumerate(images))
         for gid, row in zip(actor.generator_ids, images):
-            bad = first_failure(target, lambda a, b, ab: row[ab] == ft[row[a]][row[b]])
+            bad = first_failure(target, lambda a, b, ab: row[ab] == mul(row[a], row[b]))
             if bad is not None:
                 raise NotAHomomorphism(f"actor element {gid} does not act by an automorphism at {bad}")
         table = [tuple(range(target.order))] * actor.order
@@ -616,9 +624,9 @@ def semidirect_product(action: GroupAction) -> SemidirectProduct:
     group passes ``same_group`` by identity.  Raises ClosureTooLarge past
     DEFAULT_MAX_ORDER elements, before the Cayley graph is built.  The
     graph has F's generators (s, 1) first, then Gamma's (1, t):
-    (f, g)(s, 1) = (f * act(g, s), g) and (f, g)(1, t) = (f, g * t).  The
-    table and the inverses, (f, g)^-1 = (act(g^-1, f^-1), g^-1), are
-    derived from it on first use.
+    (f, g)(s, 1) = (f * act(g, s), g) and (f, g)(1, t) = (f, g * t).
+    Products and the inverses, (f, g)^-1 = (act(g^-1, f^-1), g^-1), come
+    from the graph like any group's.
     """
     f_grp = action.target
     g_grp = action.actor
@@ -630,9 +638,9 @@ def semidirect_product(action: GroupAction) -> SemidirectProduct:
     def pid(f: int, g: int) -> int:
         return f * ng + g
 
-    ft, table = f_grp.mul_table, action.table
+    mul, table = f_grp.mul, action.table
     pairs = [divmod(a, ng) for a in range(n)]
-    right = tuple(tuple(pid(ft[f][table[g][s]], g) for f, g in pairs) for s in f_grp.generator_ids)
+    right = tuple(tuple(pid(mul(f, table[g][s]), g) for f, g in pairs) for s in f_grp.generator_ids)
     right += tuple(tuple(pid(f, r[g]) for f, g in pairs) for r in g_grp.right)
     labels = None
     if f_grp.labels is not None and g_grp.labels is not None:
@@ -670,8 +678,8 @@ class Cocycle(Value):
 def validate_cocycle(x: Cocycle) -> Optional[tuple[int, int]]:
     """The first pair (g, h), in ascending order, at which the cocycle law
     x_(gh) = x_g * act(g, x_h) fails; None if it holds."""
-    values, table, ft = x.values, x.base.table, x.base.target.mul_table
-    return first_failure(x.base.actor, lambda g, h, gh: values[gh] == ft[values[g]][table[g][values[h]]])
+    values, table, mul = x.values, x.base.table, x.base.target.mul
+    return first_failure(x.base.actor, lambda g, h, gh: values[gh] == mul(values[g], table[g][values[h]]))
 
 
 def twisted_section(x: Cocycle) -> GroupHom:
@@ -711,11 +719,11 @@ def automorphisms(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """
     if group.order > 8:
         raise ValueError("automorphism enumeration is limited to order <= 8")
-    mt = group.mul_table
+    mul = group.mul
     out = []
     for rest in permutations(range(1, group.order)):
         phi = (0,) + rest
-        if first_failure(group, lambda a, b, ab: phi[ab] == mt[phi[a]][phi[b]]) is None:
+        if first_failure(group, lambda a, b, ab: phi[ab] == mul(phi[a], phi[b])) is None:
             out.append(phi)
     return tuple(sorted(out))
 

@@ -15,9 +15,10 @@ Then, for each workspace section, writes the demo workspace plus one bad
 definition in that section and runs three commands on it: ``check``, one
 naming the bad definition, and ``group-info s3``, which names a good one.
 So the error each bad definition raises is compared too, and so is which
-commands it fails.  Last, one command per built-in section names a built-in
+commands it fails.  Next, one command per built-in section names a built-in
 that does not exist, in both forms, so the UnknownName each raises is
-compared as well.
+compared as well.  Last, ``group-info`` runs in both forms on S6 defined in
+a workspace, the largest group compared: the benchmark's largest is S5.
 
 Prints every run whose exit code or stdout SHA-256 differs, and exits 1 if
 any does.  Pytest does not collect this file.
@@ -80,6 +81,7 @@ BAD_DEFINITIONS = (
 )
 GOOD_COMMAND = ["group-info", "s3"]
 UNKNOWN_BUILTINS = (["group-info", "s4"], ["ono", "s4_sign"], ["reduce", "nosuch"])
+S6 = {"points": 6, "generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]}
 
 
 def run(src: str, args: list[str]) -> tuple[int, str]:
@@ -126,6 +128,15 @@ def unknown_name_runs() -> Iterator[tuple[str, list[str]]]:
             yield "corpus", [*form, *command]
 
 
+def s6_runs(tmp: str) -> Iterator[tuple[str, list[str]]]:
+    """(label, CLI arguments) of ``group-info`` on a workspace S6 in each form."""
+    path = os.path.join(tmp, "s6.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"format": 1, "groups": {"s6": S6}}, fh)
+    for form in FORMS:
+        yield "workspace s6", [*form, "--workspace", path, "group-info", "s6"]
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", metavar="PARENT_SRC", help="src directory to compare with")
@@ -137,6 +148,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             ("workload", workload_runs(tmp)),
             ("bad-definition", bad_definition_runs(tmp)),
             ("unknown-name", unknown_name_runs()),
+            ("s6", s6_runs(tmp)),
         ):
             count = differing = 0
             for label, cli_args in runs:

@@ -286,9 +286,16 @@ def reference_embedding_matrix(basis, n: int) -> Optional[list[list[int]]]:
 # choices and built box images from packed partial column sums.
 
 
+def left_table(group) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table, one ``left`` row per element, built once
+    per reference call rather than multiplying through ``group.mul``."""
+    return tuple(map(group.left, range(group.order)))
+
+
 def reference_all_subgroups(group) -> tuple[tuple[int, ...], ...]:
     """Every subgroup, as sorted id tuples ordered by (order, tuple), by
     closing each subgroup found together with every element outside it."""
+    mt = left_table(group)
 
     def closure(seed):
         seen = {0}
@@ -297,7 +304,7 @@ def reference_all_subgroups(group) -> tuple[tuple[int, ...], ...]:
         while queue:
             g = queue.pop()
             for s in gens:
-                h = group.mul(g, s)
+                h = mt[g][s]
                 if h not in seen:
                     seen.add(h)
                     queue.append(h)
@@ -320,11 +327,13 @@ def reference_all_subgroups(group) -> tuple[tuple[int, ...], ...]:
 def reference_conjugacy_classes(group) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes as sorted id tuples, ordered by (size, least id),
     by conjugating each element by every element of the group."""
+    mt = left_table(group)
+    inv = [row.index(0) for row in mt]
     seen = set()
     classes = []
     for g in range(group.order):
         if g not in seen:
-            cls = {group.mul(group.mul(x, g), group.inv(x)) for x in range(group.order)}
+            cls = {mt[mt[x][g]][inv[x]] for x in range(group.order)}
             seen |= cls
             classes.append(tuple(sorted(cls)))
     return tuple(sorted(classes, key=lambda cls: (len(cls), cls[0])))
@@ -334,14 +343,14 @@ def reference_class_reps(group, subgroups) -> tuple[tuple[int, ...], ...]:
     """The smallest member (as a sorted id tuple) of each conjugacy class
     met in ``subgroups`` (sorted id tuples), ordered by (order, tuple), by
     conjugating each subgroup by every element."""
+    mt = left_table(group)
+    inv = [row.index(0) for row in mt]
     assigned = set()
     reps = []
     for sub in subgroups:
         if sub in assigned:
             continue
-        orbit = {
-            tuple(sorted(group.mul(group.mul(x, g), group.inv(x)) for g in sub)) for x in range(group.order)
-        }
+        orbit = {tuple(sorted(mt[mt[x][g]][inv[x]] for g in sub)) for x in range(group.order)}
         assigned |= orbit
         reps.append(min(orbit))
     return tuple(sorted(reps, key=lambda r: (len(r), r)))
@@ -448,7 +457,8 @@ def reference_homomorphism_witness(lattice) -> Optional[str]:
     """The message naming the first pair (g, h), in id order, with
     M(gh) != M(g)M(h); None when there is none."""
     group, mats = lattice.group, lattice.matrices
-    bad = full_scan_failure(group.order, lambda g, h: mats[group.mul(g, h)] == mats[g].mul(mats[h]))
+    mt = left_table(group)
+    bad = full_scan_failure(group.order, lambda g, h: mats[mt[g][h]] == mats[g].mul(mats[h]))
     return None if bad is None else "action fails to multiply at pair ({}, {})".format(*bad)
 
 

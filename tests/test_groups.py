@@ -40,6 +40,7 @@ from gammalat.groups import (
 )
 from oracle import (
     full_scan_failure,
+    left_table,
     reference_all_subgroups,
     reference_class_reps,
     reference_conjugacy_classes,
@@ -157,7 +158,7 @@ def test_is_subgroup_matches_a_product_check():
     with the identity added, and on every subgroup of S4."""
 
     def closed(group, ids):
-        s, mt = set(ids), group.mul_table
+        s, mt = set(ids), left_table(group)
         return 0 in s and all(mt[a][b] in s for a in s for b in s)
 
     g = s3()
@@ -200,7 +201,7 @@ def test_group_hom_validation():
             cases.append((actor, prod.group, images))
     homs = 0
     for source, target, images in cases:
-        smt, tmt = source.mul_table, target.mul_table
+        smt, tmt = left_table(source), left_table(target)
         law = lambda a, b: images[smt[a][b]] == tmt[images[a]][images[b]]
         bad = full_scan_failure(source.order, law)
         if bad is None:
@@ -219,7 +220,7 @@ def test_automorphisms_counts():
     assert len(automorphisms(builtin_group("v4"))) == 6
     assert len(automorphisms(trivial_group())) == 1
     for name, group in builtin_groups():
-        mt, n = group.mul_table, group.order
+        mt, n = left_table(group), group.order
         expected = [
             phi
             for phi in ((0,) + rest for rest in permutations(range(1, n)))
@@ -300,7 +301,7 @@ def test_cocycle_validation():
     pairs = ((c2, c3), (c2, c4), (c2, v4), (s3(), c2), (s3(), c3), (v4, c2))
     for action in (a for actor, target in pairs for a in all_actions(actor, target)):
         gamma, f_grp = action.actor, action.target
-        gmt, fmt = gamma.mul_table, f_grp.mul_table
+        gmt, fmt = left_table(gamma), left_table(f_grp)
         found = []
         for values in product(range(f_grp.order), repeat=gamma.order):
             law = lambda g, h: values[gmt[g][h]] == fmt[values[g]][action.table[g][values[h]]]
@@ -402,13 +403,17 @@ def test_transitive_subgroup_classes_of_symmetric_groups():
 
 
 def test_group_tables_match_reference():
-    """Tables read off the closure's right-multiplication steps equal those
-    from composing every pair of permutations, and so do the rows ``left``
-    gives, the generators' inverses and ``inv_table``, which derive no
-    table; ``inv_table`` is also each table row's identity column."""
+    """Products walked along the closure's right-multiplication steps,
+    by ``mul`` and by the rows ``left`` gives, equal those from composing
+    every pair of permutations, and so do the generators' inverses and
+    ``inv_table``, which is also each table row's identity column.  The
+    built-ins and two semidirect products (C4 x| C4 by inversion, given
+    by permutations and as a product) multiply as their references."""
     gens = {
         "s4": [[1, 0, 2, 3], [1, 2, 3, 0]],
         "s4 relabelled": [[1, 2, 3, 0], [0, 2, 1, 3]],
+        # a = (0 1 2 3); b inverts a on 0..3 and cycles 4..7.
+        "c4 x| c4": [[1, 2, 3, 0, 4, 5, 6, 7], [0, 3, 2, 1, 5, 6, 7, 4]],
         "c2 twice": [[1, 0], [1, 0]],
         "c3 and the identity": [[0, 1, 2], [1, 2, 0]],
         "a5": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]],
@@ -426,19 +431,30 @@ def test_group_tables_match_reference():
         group = group_from_generators(perms)
         expected = reference_group_tables(perms)
         mul_table, inv_table, generator_ids, _ = expected
-        assert tuple(map(group.left, range(group.order))) == mul_table, name
+        assert left_table(group) == mul_table, name
+        assert _mul_table(group) == mul_table, name
         assert group.generator_inverses == tuple(inv_table[s] for s in generator_ids), name
-        assert group.inv_table == inv_table, name
-        assert "mul_table" not in vars(group), name
-        assert (group.mul_table, group.inv_table, group.generator_ids, group.labels) == expected, name
-        assert group.inv_table == tuple(row.index(0) for row in group.mul_table), name
+        assert (group.inv_table, group.generator_ids, group.labels) == expected[1:], name
+        assert group.inv_table == tuple(row.index(0) for row in mul_table), name
         if name in ("trivial", "c2", "c3", "c4", "v4", "c6", "s3"):
             builtin = builtin_group(name)
-            assert group.mul_table == builtin.mul_table
-            assert builtin.inv_table == tuple(row.index(0) for row in builtin.mul_table), name
+            assert _mul_table(builtin) == mul_table, name
+            assert builtin.inv_table == inv_table, name
     assert group_from_generators(gens["a5"]).order == 60
     assert group_from_generators(gens["s4 relabelled"]).order == 24
     assert group_from_generators(gens["s5"]).order == 120
+    assert group_from_generators(gens["c4 x| c4"]).order == 16
+    c4, c4_inv = reference_group_tables(gens["c4"])[:2]
+    prod = semidirect_product(GroupAction(builtin_group("c4"), builtin_group("c4"), [c4_inv]))
+    for a, b in product(range(16), repeat=2):
+        (f1, g1), (f2, g2) = divmod(a, 4), divmod(b, 4)
+        acted = c4_inv[f2] if g1 % 2 else f2
+        assert prod.group.mul(a, b) == prod.pair_id(c4[f1][acted], c4[g1][g2]), (a, b)
+
+
+def _mul_table(group):
+    """Every product, one ``mul`` call each."""
+    return tuple(tuple(group.mul(a, b) for b in range(group.order)) for a in range(group.order))
 
 
 # Generators of S3, S4, A4 and A5 acting on points.  Their arrays are
@@ -463,7 +479,7 @@ def test_associativity_names_the_full_scan_witness():
                 for a in range(n):
                     r[relabel[a]] = relabel[p[a]]
             loop = FiniteGroup(tuple(map(tuple, right)))
-            mt = loop.mul_table
+            mt = left_table(loop)
             bad = full_scan_failure(n, lambda a, b, c: mt[mt[a][b]][c] == mt[a][mt[b][c]], arity=3)
             with pytest.raises(ValueError) as info:
                 loop.validate()
@@ -477,7 +493,7 @@ def test_is_abelian_matches_a_full_scan():
     c2_twice = group_from_generators([[1, 0], [1, 0]])
     s3_and_e = group_from_generators([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
     for group in (*(g for _, g in builtin_groups()), s4, c2_s3, c2_twice, s3_and_e):
-        mt = group.mul_table
+        mt = left_table(group)
         bad = full_scan_failure(group.order, lambda a, b: mt[a][b] == mt[b][a])
         assert group.is_abelian() == (bad is None)
     assert not c2_s3.is_abelian()
@@ -492,7 +508,7 @@ def test_first_failure_hands_the_law_the_product():
     c2_twice = group_from_generators([[1, 0], [1, 0]])
     c3_and_e = group_from_generators([[0, 1, 2], [1, 2, 0]])
     for group in (*(g for _, g in builtin_groups()), s3(), c2_twice, c3_and_e):
-        n, mt = group.order, group.mul_table
+        n, mt = group.order, left_table(group)
         for arity in (2, 3):
             edges = [(*t, s) for t in product(range(n), repeat=arity - 1) for s in group.generator_ids]
             scan = list(product(range(n), repeat=arity))
@@ -509,7 +525,7 @@ def _full_scan_action_error(actor, target, images):
     scans of every pair; None for an action.  The images are checked in
     generator order, then the table they extend to along the breadth-first
     words."""
-    n, fmt, gmt = target.order, target.mul_table, actor.mul_table
+    n, fmt, gmt = target.order, left_table(target), left_table(actor)
     for k, img in enumerate(images):
         if sorted(img) != list(range(n)):
             return NotAPermutation, f"generator {k} is not a bijection on 0..{n - 1}"
@@ -564,8 +580,8 @@ def test_action_check_names_the_full_scan_witness():
 
 
 def test_semidirect_inverses_follow_the_pair_formula():
-    """The rows ``left`` reads off a product's Cayley graph, and so its
-    table, are (f1, g1)(f2, g2) = (f1 * act(g1, f2), g1 * g2), and its
+    """The rows ``left`` reads off a product's Cayley graph, and ``mul``,
+    are (f1, g1)(f2, g2) = (f1 * act(g1, f2), g1 * g2), and its
     inverses, the generators' included, are (f, g)^-1 = (act(g^-1, f^-1),
     g^-1): on every product of check's twist sweep, on C2 x S4, and on S4
     with C2 acting by a transposition."""
@@ -584,9 +600,9 @@ def test_semidirect_inverses_follow_the_pair_formula():
         f_grp, g_grp = action.target, action.actor
         rows = tuple(map(prod.group.left, range(prod.group.order)))
         for (f1, g1), (f2, g2) in product(product(range(f_grp.order), range(g_grp.order)), repeat=2):
+            a, b = prod.pair_id(f1, g1), prod.pair_id(f2, g2)
             ab = prod.pair_id(f_grp.mul(f1, action.act(g1, f2)), g_grp.mul(g1, g2))
-            assert rows[prod.pair_id(f1, g1)][prod.pair_id(f2, g2)] == ab
-        assert prod.group.mul_table == rows
+            assert rows[a][b] == prod.group.mul(a, b) == ab
         expected = []
         for f in range(f_grp.order):
             for g in range(g_grp.order):
@@ -600,7 +616,7 @@ def test_semidirect_inverses_follow_the_pair_formula():
 def test_s7_is_held_by_its_cayley_graph():
     """Closing S7 keeps its Cayley graph and breadth-first words; its
     conjugacy classes (conjugating along the generators) and commutativity
-    (of the generators) are read off the graph, and neither table is
+    (of the generators) are read off the graph, and ``inv_table`` is not
     derived until it is read."""
     s7 = group_from_generators([[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]])
     assert s7.order == 5040 and len(s7.bfs_words) == 5039
@@ -609,21 +625,37 @@ def test_s7_is_held_by_its_cayley_graph():
     sizes = [1, 21, 70, 105, 105, 210, 210, 280, 420, 420, 504, 504, 630, 720, 840]
     assert [len(cls) for cls in classes] == sizes and sorted(sum(classes, ())) == list(range(5040))
     assert not s7.is_abelian()
-    assert "mul_table" not in vars(s7) and "inv_table" not in vars(s7)
+    assert "inv_table" not in vars(s7)
 
 
 def test_cocycle_check_over_s6_reads_the_cayley_graph():
-    """The cocycle law is checked on the actor's Cayley edges, so the
-    zero cocycle of S6 acting trivially on C2 derives no table of S6."""
+    """The cocycle law is checked on the actor's Cayley edges: the zero
+    cocycle of S6 acting trivially on C2 holds."""
     s6 = group_from_generators([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]])
     assert validate_cocycle(Cocycle(GroupAction.trivial(s6, builtin_group("c2")), (0,) * 720)) is None
-    assert "mul_table" not in vars(s6)
 
 
 def test_trivial_action_of_s7_reads_the_cayley_graph():
     """An action's laws hold on the actor's Cayley edges, read from its
-    graph, so acting with S7 derives no table of S7."""
+    graph: S7 acts trivially on C2."""
     s7 = group_from_generators([[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]])
     action = GroupAction.trivial(s7, builtin_group("c2"))
     assert action.is_trivial() and len(action.table) == 5040
-    assert "mul_table" not in vars(s7)
+
+
+def test_s6_keeps_no_quadratic_table():
+    """The subgroup search, cosets and element orders multiply along the
+    Cayley graph: after them no attribute of S6 holds |G|^2 entries."""
+    s6 = group_from_generators([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]])
+    reps = subgroup_conjugacy_reps(s6)
+    assert (len(reps), len(cyclic_subgroup_class_reps(s6))) == (56, 11)
+    assert all(fixed_coset_counts(s6, rep)[0] == 720 // len(rep) for rep in reps)
+    assert sorted(set(map(s6.element_order, range(720)))) == [1, 2, 3, 4, 5, 6]
+
+    def entries(value):
+        if not isinstance(value, tuple):
+            return 0
+        return len(value) + sum(len(x) for x in value if isinstance(x, tuple))
+
+    sizes = {name: entries(value) for name, value in vars(s6).items()}
+    assert max(sizes.values()) < 720 * 720, sizes

@@ -105,18 +105,26 @@ def test_every_exported_name_is_defined():
 
 
 def test_only_groups_reads_the_cayley_graph_and_tables():
-    """Multiplying elements is the business of ``groups``: no other module
-    reads a group's ``right``, ``mul_table`` or ``inv_table``, apart from
-    the two grouping keys of ``checks``, whose case counts
+    """Multiplying elements is the business of ``groups``, which keeps no
+    multiplication table: no module defines or reads ``mul_table``, and no
+    other module reads a group's ``right`` or ``inv_table``, apart from the
+    grouping key of ``checks``'s character property, whose case count
     ``bench/golden.json`` pins."""
+    trees = list(_trees())
+    tables = [
+        path.name
+        for path, tree in trees
+        if "mul_table" in {*_references(tree), *(getattr(node, "name", None) for node in ast.walk(tree))}
+    ]
+    assert not tables, tables
     reads = Counter(
         (path.name, node.attr)
-        for path, tree in _trees()
+        for path, tree in trees
         if path.name != "groups.py"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("right", "mul_table", "inv_table")
+        if isinstance(node, ast.Attribute) and node.attr in ("right", "inv_table")
     )
-    assert reads == Counter({("checks.py", "right"): 1, ("checks.py", "mul_table"): 1}), reads
+    assert reads == Counter({("checks.py", "right"): 1}), reads
 
 
 def test_only_value_defines_the_key_and_every_value_lists_its_fields():
