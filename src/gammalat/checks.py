@@ -117,10 +117,12 @@ class _Context:
 
 
 def _run(ctx: _Context, search: Callable, value: object):
-    """``search(value)`` once per value, however many names it goes by."""
-    if value not in ctx.results:
-        ctx.results[value] = search(value, allow_random=ctx.allow_random)
-    return ctx.results[value]
+    """``search(value)`` once per search and value, however many names the
+    value goes by."""
+    key = (search, value)
+    if key not in ctx.results:
+        ctx.results[key] = search(value, allow_random=ctx.allow_random)
+    return ctx.results[key]
 
 
 def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9) -> IntMatrix:
@@ -177,16 +179,15 @@ def _prop_cyclic_subgroup_reps(ctx: _Context) -> tuple[int, list[str]]:
         if any(not _is_cyclic(group, r) for r in rep_sets):
             failures.append(f"{name}: a representative is not cyclic")
             continue
-        # Every cyclic subgroup must be conjugate to exactly one representative.
+        # Every cyclic subgroup <g> must be conjugate to exactly one
+        # representative r: h<g>h^-1 = r exactly when |r| = |<g>| and
+        # h g h^-1 lies in r, since r is a subgroup.
         for g in range(group.order):
             sub = subgroup_closure(group, [g])
             hits = sum(
                 1
                 for r in rep_sets
-                if any(
-                    frozenset(group.conjugate(x, h) for x in sub) == r
-                    for h in range(group.order)
-                )
+                if len(r) == len(sub) and any(group.conjugate(g, h) in r for h in range(group.order))
             )
             if hits != 1:
                 failures.append(f"{name}: <{g}> matches {hits} representatives")
@@ -232,12 +233,13 @@ def _prop_fixed_coset_character(ctx: _Context) -> tuple[int, list[str]]:
             for idx, coset in enumerate(cosets):
                 for x in coset:
                     coset_of[x] = idx
+            steps = [group.times(coset[0]) for coset in cosets]
             for cls_idx, cls in enumerate(conjugacy_classes(group)):
                 for g in cls:
                     direct = sum(
                         1
-                        for idx, coset in enumerate(cosets)
-                        if coset_of[group.mul(g, coset[0])] == idx
+                        for idx, step in enumerate(steps)
+                        if coset_of[step(g)] == idx
                     )
                     if direct != counts[cls_idx]:
                         failures.append(f"{name}/{rep}: count differs at element {g}")
@@ -547,13 +549,15 @@ def _prop_dual_involution(ctx: _Context) -> tuple[int, list[str]]:
 def _prop_intertwiner_relation(ctx: _Context) -> tuple[int, list[str]]:
     failures = []
     cases = 0
-    # The first three lattices per multiplication table; a pair over two
-    # groups that share the table but not the generator ids has no
-    # intertwiners to check.
+    # The first three lattices per multiplication table, built once per
+    # group; a pair over two groups that share the table but not the
+    # generator ids has no intertwiners to check.
+    tables: dict[FiniteGroup, tuple] = {}
     by_table: dict[tuple, list[tuple[str, GammaLattice]]] = {}
     for name, lat in ctx.lattices:
-        table = tuple(map(lat.group.left, range(lat.group.order)))
-        by_table.setdefault(table, []).append((name, lat))
+        if lat.group not in tables:
+            tables[lat.group] = tuple(map(lat.group.left, range(lat.group.order)))
+        by_table.setdefault(tables[lat.group], []).append((name, lat))
     for entries in by_table.values():
         front = entries[:3]
         for i in range(len(front)):

@@ -5,7 +5,8 @@ Groups are held by their Cayley graphs over element ids ``0..order-1``, with
 derives its order and breadth-first words when built, the rest when asked,
 and keeps no multiplication table.  Only this module knows how elements
 multiply: along a Cayley edge from the graph, otherwise along the second
-factor's breadth-first word.  Construction from permutation generators
+factor's breadth-first word, or along its row where many products share
+that factor.  Construction from permutation generators
 numbers elements breadth-first from the identity, multiplying on the right
 by the generators in input order, which makes every derived object
 (conjugacy classes, coset lists, reports) canonical.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import permutations, product
+from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._value import Value
@@ -77,10 +79,10 @@ class FiniteGroup(Value):
     So generator data (matrices, automorphisms) extends along it in one
     pass, as do ``left(a)``, the row a * b for every b, and ``inv_table``.
     No multiplication table is kept: ``mul(a, b)`` walks b's word from a,
-    one ``right`` lookup per letter, with each element's word derived on
-    first use, so memory grows like |G| * (generators + word length).
-    Two groups are equal when graph and labels are; the hash is computed
-    once, since every memoized function hashes it.
+    one ``right`` lookup per letter, read off each element's parent, and
+    ``times(g)`` serves many products by g, so memory grows like
+    |G| * generators.  Two groups are equal when graph and labels are; the
+    hash is computed once, since every memoized function hashes it.
     """
 
     _fields = ("right", "labels")
@@ -135,12 +137,20 @@ class FiniteGroup(Value):
         return tuple(row)
 
     @cached_property
-    def _paths(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Each b's ``right`` arrays: b = p * s_k extends p's by ``right[k]``."""
-        paths: list[tuple[tuple[int, ...], ...]] = [()] * self.order
+    def _parents(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(p, right[k]) for each b = p * s_k, and (0, ()) for the identity."""
+        steps: list[tuple[int, tuple[int, ...]]] = [(0, ())] * self.order
         for b, p, k in self.bfs_words:
-            paths[b] = paths[p] + (self.right[k],)
-        return tuple(paths)
+            steps[b] = (p, self.right[k])
+        return tuple(steps)
+
+    def _word(self, b: int) -> list[tuple[int, ...]]:
+        """b's breadth-first word, as the ``right`` arrays that walk e to b."""
+        word, parents = [], self._parents
+        while b:
+            b, r = parents[b]
+            word.append(r)
+        return word[::-1]
 
     @cached_property
     def generator_inverses(self) -> tuple[int, ...]:
@@ -157,9 +167,29 @@ class FiniteGroup(Value):
         return tuple(inv)
 
     def mul(self, a: int, b: int) -> int:
-        for r in self._paths[b]:
+        for r in self._word(b):
             a = r[a]
         return a
+
+    def times(self, g: int) -> Callable[[int], int]:
+        """x -> x * g, for many x.  Calls walk g's word until the walks have
+        taken |G| lookups in all; then g's row, x * g = (g^-1 * x^-1)^-1, is
+        built once in about 2|G| and read.  So n products cost at most about
+        twice the cheaper of n walks and one row, however long g's word is."""
+        word, row, budget = self._word(g), [], [self.order]
+
+        def step(x: int) -> int:
+            if not row:
+                budget[0] -= len(word)
+                if budget[0] >= 0:
+                    for r in word:
+                        x = r[x]
+                    return x
+                back, inv = self.left(self.inv(g)), self.inv_table
+                row.extend(inv[back[y]] for y in inv)
+            return row[x]
+
+        return step
 
     def inv(self, a: int) -> int:
         return self.inv_table[a]
@@ -169,12 +199,7 @@ class FiniteGroup(Value):
         return self.mul(self.mul(by, g), self.inv(by))
 
     def element_order(self, g: int) -> int:
-        k = 1
-        x = g
-        while x != 0:
-            x = self.mul(x, g)
-            k += 1
-        return k
+        return len(_cyclic(self, g))
 
     def label(self, g: int) -> str:
         if self.labels is not None:
@@ -188,9 +213,10 @@ class FiniteGroup(Value):
         return all(rk[sj] == rj[sk] for sj, rj in pairs for sk, rk in pairs)
 
     def validate(self) -> None:
-        """Associativity, (ab)c = a(bc), on top of the constructor checks."""
-        mul = self.mul
-        bad = first_failure(self, lambda a, b, c, bc: mul(mul(a, b), c) == mul(a, bc), arity=3)
+        """Associativity, (ab)c = a(bc), on top of the constructor checks,
+        with a's products read off its row ``left(a)``, built once per a."""
+        row = lru_cache(maxsize=1)(self.left)
+        bad = first_failure(self, lambda a, b, c, bc: self.mul(row(a)[b], c) == row(a)[bc], arity=3)
         if bad is not None:
             raise ValueError(f"associativity fails at {bad}")
 
@@ -329,17 +355,46 @@ def class_index_map(group: FiniteGroup) -> tuple[int, ...]:
 
 def subgroup_closure(group: FiniteGroup, seed: Sequence[int]) -> frozenset[int]:
     """Subgroup generated by ``seed``."""
-    mul = group.mul
-    seen = {0}
-    queue = [0]
-    gens = [int(g) for g in seed]
-    for g in queue:
-        for s in gens:
-            h = mul(g, s)
-            if h not in seen:
-                seen.add(h)
-                queue.append(h)
+    return _closure([0], [group.times(int(g)) for g in seed])
+
+
+def _closure(start: Iterable, steps: Sequence[Callable]) -> frozenset:
+    """What ``start`` reaches by the ``steps``: for steps x -> x * s, from
+    e the subgroup the s generate, from y the coset y<s>."""
+    seen = set(start)
+    queue = list(seen)
+    for x in queue:
+        for step in steps:
+            y = step(x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
     return frozenset(seen)
+
+
+@lru_cache(maxsize=None)
+def _powers(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(p, j) for each element x = p[j], p the powers e, g, g^2, ... of the
+    first g whose powers include x.  No generator of a listed <g> lies in an
+    earlier one, so the lists hold at most |G| * max(m / phi(m)) ids."""
+    index: list[Optional[tuple[tuple[int, ...], int]]] = [None] * group.order
+    for g in range(group.order):
+        if index[g] is None:
+            powers, x, step = [0], g, group.times(g)
+            while x:
+                powers.append(x)
+                x = step(x)
+            listed = tuple(powers)
+            for j, x in enumerate(listed):
+                if index[x] is None:
+                    index[x] = (listed, j)
+    return tuple(index)
+
+
+def _cyclic(group: FiniteGroup, g: int) -> frozenset[int]:
+    """<g> = <p[gcd(j, |p|)]>, read off ``_powers``."""
+    powers, j = _powers(group)[g]
+    return frozenset(powers[:: gcd(j, len(powers))])
 
 
 def _generating_subset(group: FiniteGroup, elements: Sequence[int]) -> list[int]:
@@ -364,20 +419,12 @@ def is_subgroup(group: FiniteGroup, ids: Sequence[int]) -> bool:
     return subgroup_closure(group, _generating_subset(group, sorted(s))) == s
 
 
-def _conjugacy_orbit(group: FiniteGroup, sub: frozenset[int]) -> set[frozenset[int]]:
+def _conjugacy_orbit(group: FiniteGroup, sub: frozenset[int]) -> frozenset[frozenset[int]]:
     """Every conjugate of ``sub``, reached by conjugating by the generators'
     inverses, x -> s^-1 * x * s: |orbit| * (number of generators)
     conjugations instead of one per group element, and no table."""
     gens = [(group.left(s_inv), r) for s_inv, r in zip(group.generator_inverses, group.right)]
-    orbit = {sub}
-    queue = [sub]
-    for h in queue:
-        for row, r in gens:
-            conj = frozenset([r[row[x]] for x in h])
-            if conj not in orbit:
-                orbit.add(conj)
-                queue.append(conj)
-    return orbit
+    return _closure([sub], [lambda h, row=row, r=r: frozenset([r[row[x]] for x in h]) for row, r in gens])
 
 
 def _smallest_member(orbit: Iterable[frozenset[int]]) -> tuple[int, ...]:
@@ -392,61 +439,52 @@ def cyclic_subgroup_class_reps(group: FiniteGroup) -> tuple[tuple[int, ...], ...
     class (as a sorted id tuple); the list is ordered by (subgroup order,
     element tuple), so the trivial subgroup comes first.
     """
-    return _class_reps(group, {subgroup_closure(group, [g]) for g in range(group.order)})
+    return _class_reps(group, {_cyclic(group, g) for g in range(group.order)})
 
 
 @lru_cache(maxsize=None)
 def _subgroup_classes(group: FiniteGroup) -> tuple[frozenset[frozenset[int]], ...]:
     """The conjugacy classes of subgroups, each as the set of its members,
     by the cyclic extension method: only one member of each class found
-    is extended.
+    is extended, starting from the cyclic subgroups.
 
-    Extending a member H by g outside it gives <H, g>, and <H, g> =
-    <H, hgh'> for all h and h' in H, so one g per double coset HgH is
-    enough: the cosets yH with y = hg, h in H, are marked covered.  Each
-    extension starts from H and adds whole left cosets yH until the set is
-    closed under right multiplication by g; a union of left cosets of H is
-    closed under right multiplication by H already, so the result is
-    <H, g>.  A result in a class already found is dropped; otherwise its
-    class is computed and the result itself is extended in turn.
+    A member H is kept with generators s, whose steps x -> x * s serve
+    every extension of H.  Extending H by g outside it gives <H, g> =
+    <H, hgh'> for h and h' in H, so one g per double coset HgH is enough:
+    the cosets yH with y = hg, h in H, are marked covered.  A result in a
+    class already found is dropped; otherwise it is extended in turn.
 
-    Every class is reached.  A subgroup K > 1 has a maximal subgroup M, and
-    K = <M, g> for any g in K outside M.  By induction some conjugate
-    P = M^x was extended, and <P, g^x> = K^x, with g^x outside P.
+    Every class is reached.  A subgroup K > 1 is cyclic or has a maximal
+    subgroup M > 1, and K = <M, g> for any g in K outside M.  By induction
+    some conjugate P = M^x was extended, and <P, g^x> = K^x.
     """
-    mul = group.mul
     trivial = frozenset({0})
     classes = [frozenset({trivial})]
     known = {trivial}
-    work = [trivial]
+    work: list[tuple[frozenset[int], list[int]]] = []
+
+    def reach(sub: frozenset[int], gens: list[int]) -> None:
+        if sub not in known:
+            orbit = _conjugacy_orbit(group, sub)
+            known.update(orbit)
+            classes.append(orbit)
+            work.append((sub, gens))
+
+    for g in range(1, group.order):
+        reach(_cyclic(group, g), [g])
     while work:
-        sub = work.pop()
-        members = list(sub)
-        covered = [False] * group.order
-        for x in members:
-            covered[x] = True
+        sub, gens = work.pop()
+        steps = [group.times(s) for s in gens]
+        covered = [x in sub for x in range(group.order)]
         for g in range(1, group.order):
             if covered[g]:
                 continue
-            for h in members:
-                y = mul(h, g)
+            step = group.times(g)
+            for y in map(step, sub):
                 if not covered[y]:
-                    for z in members:
-                        covered[mul(y, z)] = True
-            seen = set(sub)
-            queue = list(members)
-            for x in queue:
-                y = mul(x, g)
-                if y not in seen:
-                    coset = [mul(y, h) for h in members]
-                    seen.update(coset)
-                    queue.extend(coset)
-            bigger = frozenset(seen)
-            if bigger not in known:
-                orbit = _conjugacy_orbit(group, bigger)
-                known |= orbit
-                classes.append(frozenset(orbit))
-                work.append(bigger)
+                    for z in _closure([y], steps):
+                        covered[z] = True
+            reach(_closure([0], [*steps, step]), [*gens, g])
     return tuple(classes)
 
 
@@ -493,13 +531,13 @@ def left_cosets(group: FiniteGroup, delta: tuple[int, ...]) -> tuple[tuple[int, 
     """Left cosets of the subgroup ``delta``, ordered by minimal representative."""
     if not is_subgroup(group, delta):
         raise NotASubgroup(f"{delta} is not a subgroup")
-    dset = sorted(set(delta))
+    steps = [group.times(d) for d in sorted(set(delta))]
     seen = [False] * group.order
     cosets = []
     for g in range(group.order):
         if seen[g]:
             continue
-        coset = tuple(sorted(group.mul(g, d) for d in dset))
+        coset = tuple(sorted(step(g) for step in steps))
         for x in coset:
             seen[x] = True
         cosets.append(coset)
@@ -517,12 +555,13 @@ def fixed_coset_counts(group: FiniteGroup, delta: tuple[int, ...]) -> tuple[int,
     for idx, coset in enumerate(cosets):
         for x in coset:
             coset_of[x] = idx
+    steps = [group.times(coset[0]) for coset in cosets]
     counts = []
     for cls in conjugacy_classes(group):
         g = cls[0]
         fixed = 0
-        for idx, coset in enumerate(cosets):
-            if coset_of[group.mul(g, coset[0])] == idx:
+        for idx, step in enumerate(steps):
+            if coset_of[step(g)] == idx:
                 fixed += 1
         counts.append(fixed)
     return tuple(counts)

@@ -17,8 +17,10 @@ naming the bad definition, and ``group-info s3``, which names a good one.
 So the error each bad definition raises is compared too, and so is which
 commands it fails.  Next, one command per built-in section names a built-in
 that does not exist, in both forms, so the UnknownName each raises is
-compared as well.  Last, ``group-info`` runs in both forms on S6 defined in
-a workspace, the largest group compared: the benchmark's largest is S5.
+compared as well.  Last, ``group-info`` runs in both forms on three groups
+defined in a workspace: S6, the largest group compared (the benchmark's
+largest is S5), and C360 and D120, whose breadth-first words are as long
+as 359 and 61 letters.
 
 Prints every run whose exit code or stdout SHA-256 differs, and exits 1 if
 any does.  Pytest does not collect this file.
@@ -81,7 +83,11 @@ BAD_DEFINITIONS = (
 )
 GOOD_COMMAND = ["group-info", "s3"]
 UNKNOWN_BUILTINS = (["group-info", "s4"], ["ono", "s4_sign"], ["reduce", "nosuch"])
-S6 = {"points": 6, "generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]}
+WORKSPACE_GROUPS = {
+    "s6": {"points": 6, "generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]},
+    "c360": {"points": 360, "generators": [[*range(1, 360), 0]]},
+    "d120": {"points": 120, "generators": [[*range(1, 120), 0], [-i % 120 for i in range(120)]]},
+}
 
 
 def run(src: str, args: list[str]) -> tuple[int, str]:
@@ -128,13 +134,15 @@ def unknown_name_runs() -> Iterator[tuple[str, list[str]]]:
             yield "corpus", [*form, *command]
 
 
-def s6_runs(tmp: str) -> Iterator[tuple[str, list[str]]]:
-    """(label, CLI arguments) of ``group-info`` on a workspace S6 in each form."""
-    path = os.path.join(tmp, "s6.json")
+def workspace_group_runs(tmp: str) -> Iterator[tuple[str, list[str]]]:
+    """(label, CLI arguments) of ``group-info`` on each workspace group in
+    each form."""
+    path = os.path.join(tmp, "groups.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format": 1, "groups": {"s6": S6}}, fh)
-    for form in FORMS:
-        yield "workspace s6", [*form, "--workspace", path, "group-info", "s6"]
+        json.dump({"format": 1, "groups": WORKSPACE_GROUPS}, fh)
+    for name in WORKSPACE_GROUPS:
+        for form in FORMS:
+            yield f"workspace {name}", [*form, "--workspace", path, "group-info", name]
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -148,7 +156,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             ("workload", workload_runs(tmp)),
             ("bad-definition", bad_definition_runs(tmp)),
             ("unknown-name", unknown_name_runs()),
-            ("s6", s6_runs(tmp)),
+            ("workspace-group", workspace_group_runs(tmp)),
         ):
             count = differing = 0
             for label, cli_args in runs:

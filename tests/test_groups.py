@@ -429,6 +429,7 @@ def test_group_tables_match_reference():
     }
     for name, perms in gens.items():
         group = group_from_generators(perms)
+        assert "_parents" not in vars(group), name
         expected = reference_group_tables(perms)
         mul_table, inv_table, generator_ids, _ = expected
         assert left_table(group) == mul_table, name
@@ -616,8 +617,8 @@ def test_semidirect_inverses_follow_the_pair_formula():
 def test_s7_is_held_by_its_cayley_graph():
     """Closing S7 keeps its Cayley graph and breadth-first words; its
     conjugacy classes (conjugating along the generators) and commutativity
-    (of the generators) are read off the graph, and ``inv_table`` is not
-    derived until it is read."""
+    (of the generators) are read off the graph, and neither ``inv_table``
+    nor the words' parents are derived until they are read."""
     s7 = group_from_generators([[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]])
     assert s7.order == 5040 and len(s7.bfs_words) == 5039
     classes = conjugacy_classes(s7)
@@ -625,22 +626,24 @@ def test_s7_is_held_by_its_cayley_graph():
     sizes = [1, 21, 70, 105, 105, 210, 210, 280, 420, 420, 504, 504, 630, 720, 840]
     assert [len(cls) for cls in classes] == sizes and sorted(sum(classes, ())) == list(range(5040))
     assert not s7.is_abelian()
-    assert "inv_table" not in vars(s7)
+    assert "inv_table" not in vars(s7) and "_parents" not in vars(s7)
 
 
 def test_cocycle_check_over_s6_reads_the_cayley_graph():
-    """The cocycle law is checked on the actor's Cayley edges: the zero
-    cocycle of S6 acting trivially on C2 holds."""
+    """The cocycle law is checked on the actor's Cayley edges, so the zero
+    cocycle of S6 acting trivially on C2 walks no word of S6."""
     s6 = group_from_generators([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]])
     assert validate_cocycle(Cocycle(GroupAction.trivial(s6, builtin_group("c2")), (0,) * 720)) is None
+    assert "_parents" not in vars(s6)
 
 
 def test_trivial_action_of_s7_reads_the_cayley_graph():
     """An action's laws hold on the actor's Cayley edges, read from its
-    graph: S7 acts trivially on C2."""
+    graph, so acting with S7 walks no word of S7."""
     s7 = group_from_generators([[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]])
     action = GroupAction.trivial(s7, builtin_group("c2"))
     assert action.is_trivial() and len(action.table) == 5040
+    assert "_parents" not in vars(s7)
 
 
 def test_s6_keeps_no_quadratic_table():
@@ -659,3 +662,33 @@ def test_s6_keeps_no_quadratic_table():
 
     sizes = {name: entries(value) for name, value in vars(s6).items()}
     assert max(sizes.values()) < 720 * 720, sizes
+
+
+class _CountingArray(tuple):
+    """A Cayley-graph array that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingArray.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_long_words_cost_a_few_tables_of_reads():
+    """C_120 from one 120-cycle has words as long as the group, and D_60
+    (a 60-cycle and a reflection) words of up to 31 letters.  Element
+    orders, cyclic subgroups and the subgroup search on them read the
+    Cayley graph fewer than 10 * |G|^2 times: each fixed right factor is
+    walked or built into a row, whichever is cheaper, and the cyclic
+    subgroups come from one list of powers each."""
+    n = 60
+    rotate = [(a % n + (1 if a < n else -1)) % n + a // n * n for a in range(2 * n)]
+    reflect = [a % n + (1 - a // n) * n for a in range(2 * n)]
+    cases = (([[(a + 1) % 120 for a in range(120)]], 120, 16, 16), ([rotate, reflect], 60, 14, 32))
+    for right, exponent, cyclic, classes in cases:
+        _CountingArray.reads = 0
+        group = FiniteGroup(tuple(map(_CountingArray, right)))
+        assert max(map(group.element_order, range(group.order))) == exponent
+        assert len(cyclic_subgroup_class_reps(group)) == cyclic
+        assert len(subgroup_conjugacy_reps(group)) == classes
+        assert _CountingArray.reads < 10 * group.order**2, _CountingArray.reads

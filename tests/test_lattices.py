@@ -168,22 +168,24 @@ def test_dual_involution_and_character():
 
 def test_dual_over_s7_reads_the_cayley_graph():
     """The generators' inverses come from the Cayley graph and only their
-    matrices are multiplied out."""
+    matrices are multiplied out, so the dual walks no word of S7."""
     perms = [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]
     s7 = group_from_generators(perms)
     # S7 permuting the coordinates of Z^7; permutation matrices are orthogonal.
     gens = tuple(IntMatrix.from_rows([[int(p[j] == i) for j in range(7)] for i in range(7)]) for p in perms)
     assert dual(GammaLattice(s7, 7, gens)).generators == gens
+    assert "_parents" not in vars(s7)
 
 
 def test_sign_lattice_over_s6_and_its_character_read_the_cayley_graph():
     """A lattice's law is checked on the Cayley edges and its character
-    conjugates along the generators."""
+    conjugates along the generators, so neither walks a word of S6."""
     s6 = group_from_generators([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]])
     minus = IntMatrix.from_rows([[-1]])
     values = character(lattice_from_action(s6, 1, [minus, minus])).values
     # Eleven cycle types; the five with an odd number of even cycles are odd.
     assert len(values) == 11 and values.count(-1) == 5 and values.count(1) == 6
+    assert "_parents" not in vars(s6)
 
 
 def test_restrict_action():
