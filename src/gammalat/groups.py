@@ -47,6 +47,8 @@ __all__ = [
     "conjugacy_classes",
     "class_index_map",
     "cyclic_subgroup_class_reps",
+    "rational_classes",
+    "rational_class_products",
     "subgroup_closure",
     "is_subgroup",
     "all_subgroups",
@@ -214,20 +216,27 @@ class FiniteGroup(Value):
 
     def validate(self) -> None:
         """Associativity, (ab)c = a(bc), on top of the constructor checks,
-        with a's products read off its row ``left(a)``, built once per a."""
-        row = lru_cache(maxsize=1)(self.left)
-        bad = first_failure(self, lambda a, b, c, bc: self.mul(row(a)[b], c) == row(a)[bc], arity=3)
+        with a's products read off its row ``left(a)``, built once per a.
+        Every other product walks a word: the graph under test need not be
+        a group's, and the rows of ``times`` assume one."""
+        row, mul = lru_cache(maxsize=1)(self.left), self.mul
+        bad = first_failure(self, lambda a, b, c, bc: mul(row(a)[b], c) == row(a)[bc], arity=3, mul=mul)
         if bad is not None:
             raise ValueError(f"associativity fails at {bad}")
 
 
-def first_failure(group: FiniteGroup, law: Callable[..., bool], arity: int = 2) -> Optional[tuple]:
+def first_failure(
+    group: FiniteGroup,
+    law: Callable[..., bool],
+    arity: int = 2,
+    mul: Optional[Callable[[int, int], int]] = None,
+) -> Optional[tuple]:
     """The first ``arity``-tuple t of element ids, in ascending order, at
     which ``law(*t, p)`` fails, where p is the product of t's last two
     entries; None if there is none.  Only the edges of the Cayley graph,
     the tuples whose last entry is a generator s_k, are checked, with p
     read off the graph as ``right[k][t[-2]]``, unless one fails: then all
-    tuples are scanned, with p from ``group.mul``.
+    tuples are scanned, with p from ``mul``, by default ``_multiplier``.
 
     The edges suffice, on an associative product.  If f(gs) = f(g)f(s) for every
     g and generator s, then f(g(h's)) = f((gh')s) = f(gh')f(s) =
@@ -242,7 +251,25 @@ def first_failure(group: FiniteGroup, law: Callable[..., bool], arity: int = 2) 
     ids, edges = range(group.order), list(zip(group.generator_ids, group.right))
     if all(law(*t, s, r[t[-1]]) for t in product(ids, repeat=arity - 1) for s, r in edges):
         return None
-    return next(t for t in product(ids, repeat=arity) if not law(*t, group.mul(t[-2], t[-1])))
+    mul = mul or _multiplier(group)
+    return next(t for t in product(ids, repeat=arity) if not law(*t, mul(t[-2], t[-1])))
+
+
+def _multiplier(group: FiniteGroup) -> Callable[[int, int], int]:
+    """(a, b) -> a * b through one ``times(b)`` per second factor b met, so
+    the products that share b cost at most about twice the cheaper of
+    walking b's word for each and building b's row once.  A row is built
+    only after its walks have spent |G| lookups, so the rows kept never
+    outgrow the work already done."""
+    steps: dict[int, Callable[[int], int]] = {}
+
+    def mul(a: int, b: int) -> int:
+        step = steps.get(b)
+        if step is None:
+            step = steps[b] = group.times(b)
+        return step(a)
+
+    return mul
 
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -443,6 +470,41 @@ def cyclic_subgroup_class_reps(group: FiniteGroup) -> tuple[tuple[int, ...], ...
 
 
 @lru_cache(maxsize=None)
+def rational_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The rational classes: for each representative of
+    ``cyclic_subgroup_class_reps``, in that order, the ascending ids of the
+    elements whose cyclic subgroup is conjugate to it.  Each is a union of
+    conjugacy classes, and the identity's comes first."""
+    reps = cyclic_subgroup_class_reps(group)
+    index = {sub: i for i, rep in enumerate(reps) for sub in _conjugacy_orbit(group, frozenset(rep))}
+    classes: list[list[int]] = [[] for _ in reps]
+    for g in range(group.order):
+        classes[index[_cyclic(group, g)]].append(g)
+    return tuple(map(tuple, classes))
+
+
+@lru_cache(maxsize=None)
+def rational_class_products(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """a[i][t][j], the number of x in rational class i with x^-1 * g_t in
+    class j, g_t the least id of class t: the sums z_i of the rational
+    classes multiply as z_i z_j = sum_t a[i][t][j] z_t.  One ``times``
+    row per class."""
+    classes = rational_classes(group)
+    r = len(classes)
+    of = [0] * group.order
+    for i, members in enumerate(classes):
+        for x in members:
+            of[x] = i
+    a = [[[0] * r for _ in range(r)] for _ in range(r)]
+    inv = group.inv_table
+    for t, members in enumerate(classes):
+        step = group.times(members[0])
+        for x in range(group.order):
+            a[of[x]][t][of[step(inv[x])]] += 1
+    return tuple(tuple(map(tuple, rows)) for rows in a)
+
+
+@lru_cache(maxsize=None)
 def _subgroup_classes(group: FiniteGroup) -> tuple[frozenset[frozenset[int]], ...]:
     """The conjugacy classes of subgroups, each as the set of its members,
     by the cyclic extension method: only one member of each class found
@@ -580,7 +642,7 @@ class GroupHom(Value):
                 raise NotAHomomorphism(f"image {x} out of range")
         if images[0] != 0:
             raise NotAHomomorphism("identity does not map to identity")
-        mul = target.mul
+        mul = _multiplier(target)
         bad = first_failure(source, lambda a, b, ab: images[ab] == mul(images[a], images[b]))
         if bad is not None:
             raise NotAHomomorphism(f"multiplicativity fails at {bad}")
@@ -608,7 +670,7 @@ class GroupAction(Value):
     def __init__(
         self, actor: FiniteGroup, target: FiniteGroup, images: Sequence[Sequence[int]]
     ) -> None:
-        mul = target.mul
+        mul = _multiplier(target)
         if len(images) != len(actor.generator_ids):
             raise NotAHomomorphism("need one automorphism per actor generator")
         images = tuple(_check_permutation(p, target.order, k) for k, p in enumerate(images))
@@ -677,7 +739,7 @@ def semidirect_product(action: GroupAction) -> SemidirectProduct:
     def pid(f: int, g: int) -> int:
         return f * ng + g
 
-    mul, table = f_grp.mul, action.table
+    mul, table = _multiplier(f_grp), action.table
     pairs = [divmod(a, ng) for a in range(n)]
     right = tuple(tuple(pid(mul(f, table[g][s]), g) for f, g in pairs) for s in f_grp.generator_ids)
     right += tuple(tuple(pid(f, r[g]) for f, g in pairs) for r in g_grp.right)
@@ -717,7 +779,7 @@ class Cocycle(Value):
 def validate_cocycle(x: Cocycle) -> Optional[tuple[int, int]]:
     """The first pair (g, h), in ascending order, at which the cocycle law
     x_(gh) = x_g * act(g, x_h) fails; None if it holds."""
-    values, table, mul = x.values, x.base.table, x.base.target.mul
+    values, table, mul = x.values, x.base.table, _multiplier(x.base.target)
     return first_failure(x.base.actor, lambda g, h, gh: values[gh] == mul(values[g], table[g][values[h]]))
 
 
@@ -758,7 +820,7 @@ def automorphisms(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """
     if group.order > 8:
         raise ValueError("automorphism enumeration is limited to order <= 8")
-    mul = group.mul
+    mul = _multiplier(group)
     out = []
     for rest in permutations(range(1, group.order)):
         phi = (0,) + rest

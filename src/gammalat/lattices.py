@@ -26,12 +26,18 @@ column subset, are shared by all settings of the later blocks, and the
 last block costs one dot product per candidate.  Each block's settings are
 walked in reflected Gray-code order, so each differs from the last by one
 basis matrix.  Where an operation count says splitting does not pay, one
-merged block holds every row and basis member.  Its rows are then packed,
-each into one integer whose digits are its entries, so a Gray step adds
-or subtracts one pre-packed basis matrix row by row, and a candidate costs
-one fraction-free (Bareiss) elimination on the packed rows: n^2/2
-big-integer operations instead of n^3/3 entry by entry.  Either way the
-same candidates meet the same total order, so the answer is the same.
+merged block holds every row and basis member, and a candidate's
+determinant is taken block by block along the Q-isotypic components
+instead (Schur's lemma): every intertwiner commutes with the rational
+class sums, so it maps each joint eigenlattice of them in the source into
+the matching one in the target, and its determinant is a fixed ratio times
+the product of those small blocks' determinants.  Each block's rows are
+packed, each into one integer whose digits are its entries, so a Gray step
+adds or subtracts one pre-packed basis matrix row by row, and a block costs
+one fraction-free (Bareiss) elimination on its packed rows.  The seeded
+draws take their determinants the same way.  Either way the same
+candidates meet the same total order with the same exact determinants, so
+the answer is the same.
 
 All searches are deterministic: fixed candidate sets, a total order on
 candidates, and a fixed-seed pseudorandom fallback for the one search whose
@@ -47,7 +53,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from math import comb
 from operator import add, index, mul, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from ._value import Value
 from .errors import (
@@ -78,13 +84,14 @@ from .intlinalg import (
     IntMatrix,
     SnfDecomposition,
     block_diagonal,
-    det_width,
     hermite_normal_form,
     kernel_basis,
     pack_row,
-    packed_det,
     smith_normal_form,
 )
+
+if TYPE_CHECKING:
+    from .isotypic import IsotypicBlocks
 
 __all__ = [
     "GammaLattice",
@@ -633,17 +640,17 @@ def _row_blocks(
 # Operation counts in units of one Laplace move: a term of the last block's
 # dot product, and the fixed cost per candidate of either method.  The walk
 # counts n^3/3 units per candidate, one per multiply-subtract of an entrywise
-# Bareiss elimination; its packed elimination does n^2/2 big-integer
-# operations instead.  Timed (medians of 7, Python 3.11 on a 2-vCPU VM), the
-# expansion gets through 1.45 times as many units per second as the packed
-# walk at n = 12 (2.85 with the entrywise elimination) and 2.2 to 4.5 times
-# at n <= 6, where per-candidate overhead dominates, so the count leans to
-# the walk.  S4 standard (n = 12, k = 7, row blocks of 3, 3 and 6 rows at
-# bound 1) counts 1.15M expansion units against the walk's 0.64M; the walk,
-# which the count picks, takes 0.095 s against 0.118 s (0.19 s against
-# 0.12 s before packing).  Every corpus search the count gives to the
-# expansion runs 5 to 14 times faster there.  So no choice would change for
-# the better, and the terms stay.
+# Bareiss elimination of the whole candidate, though it eliminates only the
+# candidate's isotypic blocks, packed, and stops at the first singular one;
+# so the count leans to the walk.  Timed (medians of 7, Python 3.11 on a
+# 2-vCPU VM, the walk with the set-up of its blocks from cold caches): S4
+# standard (n = 12, k = 7, row blocks of 3, 3 and 6 rows, isotypic blocks of
+# 1, 2, 3 and 6, bound 1) counts 1.15M expansion units against the walk's
+# 0.64M; the walk, which the count picks, takes 20 ms (5 ms of it set-up)
+# against 66 ms.  Every corpus search the count gives to the expansion (n <=
+# 6) runs 6 to 8 times faster there than the walk would: 0.6 to 7.6 ms
+# against 4.1 to 61 ms.  So no choice would change for the better, and the
+# terms stay.
 _DOT_TERM_COST = 0.25
 _CANDIDATE_COST = 8
 
@@ -674,49 +681,31 @@ def _expansion_pays(blocks: list[tuple[tuple[int, ...], tuple[int, ...]]], n: in
     return cost < walk
 
 
-def _packed_moves(
-    nonzeros: list[list[tuple[int, int]]], n: int, members: Sequence[int], bound: int
-) -> tuple[int, list[list[tuple[int, int]]]]:
-    """The digit width of every candidate sum c_j * basis_j over ``members``
-    with |c_j| <= bound, fixed once from the entrywise bound bound * sum_j
-    |basis_j|, and each member's nonzero rows packed at it (``pack_row``)
-    as (row, packed row) pairs."""
-    total = [[0] * n for _ in range(n)]
-    for j in members:
-        for idx, val in nonzeros[j]:
-            total[idx // n][idx % n] += bound * abs(val)
-    width = det_width(total)
-    moves = []
-    for j in members:
-        rows: dict[int, list[int]] = {}
-        for idx, val in nonzeros[j]:
-            rows.setdefault(idx // n, [0] * n)[idx % n] = val
-        moves.append([(r, pack_row(row, width)) for r, row in rows.items()])
-    return width, moves
-
-
 def _block_settings(
     nonzeros: list[list[tuple[int, int]]],
     n: int,
     block: tuple[tuple[int, ...], tuple[int, ...]],
     bound: int,
     first: bool,
+    isotypic: Optional[IsotypicBlocks] = None,
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """The block's coefficient vectors c in [-bound, bound]^members whose
     part (its rows of sum c_j * basis_j) has full row rank, each with the
     part's maximal minors; with ``first`` only one of each pair +-c, the
     one whose first nonzero coefficient is positive.  The box is walked in
     reflected Gray-code order, each step adding or subtracting one basis
-    matrix on the block's rows.  A block of all n rows is held as packed
-    rows, and its one minor is their ``packed_det``; a smaller block is held
-    entry by entry, and its minors come from _maximal_minors."""
+    matrix on the block's rows.  A block of all n rows, which holds every
+    member, is held as the packed rows of its ``isotypic`` blocks, and its
+    one minor is their determinant (``isotypic.IsotypicBlocks.det``); a
+    smaller block is held entry by entry, and its minors come from
+    _maximal_minors."""
     rows, members = block
     if len(rows) == n:
-        width, moves = _packed_moves(nonzeros, n, members, bound)
+        widths, moves = isotypic.packed(bound)
         part = [0] * n
 
         def minors() -> list[int]:
-            return [packed_det(part, width)]
+            return [isotypic.det(part, widths)]
 
     else:
         at = {r: p for p, r in enumerate(rows)}
@@ -753,6 +742,7 @@ def _block_minimum(
     n: int,
     blocks: list[tuple[tuple[int, ...], tuple[int, ...]]],
     bound: int,
+    isotypic: Optional[IsotypicBlocks] = None,
 ) -> Optional[tuple]:
     """The least key over [-bound, bound]^k minus 0, by Laplace expansion
     along ``blocks``, which hold every member on disjoint rows.
@@ -763,9 +753,10 @@ def _block_minimum(
     minors of the blocks fixed so far, on every column subset, are shared
     by every (stored) setting of the later blocks, and the last block's
     minors meet them in one dot product.  A single block's one minor is
-    the determinant, and its settings are consumed as they are walked.
+    the determinant, read off ``isotypic``, and its settings are consumed
+    as they are walked.
     """
-    settings = [_block_settings(nonzeros, n, b, bound, i == 0) for i, b in enumerate(blocks)]
+    settings = [_block_settings(nonzeros, n, b, bound, i == 0, isotypic) for i, b in enumerate(blocks)]
     if len(blocks) > 1:
         settings = [list(s) for s in settings]
     order = [j for _, members in blocks for j in members]
@@ -826,16 +817,23 @@ def equivariant_finite_index_embedding(
     along those blocks (_block_minimum), each block's box walked in
     reflected Gray-code order.  When an operation count says splitting does
     not pay, one merged block holds every row and member, and the whole box
-    is walked once as packed rows, with one packed elimination
-    (``intlinalg.packed_det``) per pair +-E.  If even the smallest box
-    exceeds the budget, or no candidate is invertible, a fixed-seed
-    pseudorandom phase takes over (disabled by ``allow_random=False``, in
-    which case exhaustion raises NoInvertibleIntertwiner).  It sums
-    pre-packed basis rows, takes the determinant first, and builds a
-    candidate's entries only when its |det| does not exceed the best so
-    far.  Each search fixes its digit width once, from Hadamard's bound on
-    the coefficient bound times sum_j |B_j| entrywise, which bounds every
-    minor of every candidate.
+    is walked once.  If even the smallest box exceeds the budget, or no
+    candidate is invertible, a fixed-seed pseudorandom phase takes over
+    (disabled by ``allow_random=False``, in which case exhaustion raises
+    NoInvertibleIntertwiner).  It takes a draw's determinant first and
+    builds its entries only when its |det| does not exceed the best so far.
+
+    The merged walk and the draws take each determinant in small blocks
+    (``isotypic.IsotypicBlocks``).  Every intertwiner commutes with the
+    rational class sums of the group, so it maps the saturated Z-basis P1
+    of each Q-isotypic component of m1 to integer combinations of the basis
+    P2 of the same component of m2: E P1 = P2 diag(X_W), with X_W = sum_j
+    c_j X_{j,W} for E = sum_j c_j B_j.  So det E = det P2 * prod_W det X_W
+    / det P1, the division exact, with the blocks eliminated smallest
+    first, packed, so a singular candidate stops at its first zero block.
+    Each distinct summand of m1 and m2 is decomposed once, and only when
+    the walk or the draws run.  The determinant is the exact one of the
+    whole candidate, so every candidate, key and answer is unchanged.
     """
     global RANDOM_FALLBACK_COUNT
     if not same_group(m1.group, m2.group):
@@ -854,13 +852,16 @@ def equivariant_finite_index_embedding(
         for b in basis
     ]
 
-    best = None
+    best = isotypic = None
     bound = max((b for b in _SHELL_BOUNDS if (2 * b + 1) ** k <= _SHELL_BUDGET), default=0)
     if bound:
         blocks = _row_blocks(nonzeros, n)
         if not _expansion_pays(blocks, n, bound):
+            from .isotypic import IsotypicBlocks
+
             blocks = [(tuple(range(n)), tuple(range(k)))]
-        best = _block_minimum(nonzeros, n, blocks, bound)
+            isotypic = IsotypicBlocks(m1, m2, nonzeros)
+        best = _block_minimum(nonzeros, n, blocks, bound, isotypic)
     if best is None:
         if bound and not allow_random:
             raise NoInvertibleIntertwiner("deterministic search exhausted without an invertible map")
@@ -871,7 +872,11 @@ def equivariant_finite_index_embedding(
             )
         RANDOM_FALLBACK_COUNT += 1
         rng = random.Random(0)
-        width, moves = _packed_moves(nonzeros, n, range(k), _RANDOM_COEFF_BOUND)
+        if isotypic is None:
+            from .isotypic import IsotypicBlocks
+
+            isotypic = IsotypicBlocks(m1, m2, nonzeros)
+        widths, moves = isotypic.packed(_RANDOM_COEFF_BOUND)
         for _ in range(_RANDOM_ATTEMPTS):
             coeffs = [rng.randint(-_RANDOM_COEFF_BOUND, _RANDOM_COEFF_BOUND) for _ in range(k)]
             rows = [0] * n
@@ -879,7 +884,7 @@ def equivariant_finite_index_embedding(
                 if c:
                     for r, x in packed:
                         rows[r] += c * x
-            det = packed_det(rows, width)
+            det = isotypic.det(rows, widths)
             if det and (best is None or abs(det) <= best[0]):
                 flat = [0] * (n * n)
                 for c, nz in zip(coeffs, nonzeros):

@@ -32,6 +32,8 @@ from gammalat.groups import (
     group_from_generators,
     is_subgroup,
     left_cosets,
+    rational_class_products,
+    rational_classes,
     semidirect_product,
     subgroup_conjugacy_reps,
     trivial_group,
@@ -578,6 +580,92 @@ def test_action_check_names_the_full_scan_witness():
             assert str(info.value) == expected[1]
             outcomes.add(next(w for w in ("bijection", "automorphism", "homomorphism", "conflicts") if w in expected[1]))
     assert outcomes == {None, "bijection", "automorphism", "homomorphism", "conflicts"}
+
+
+def test_rational_classes_collect_conjugate_cyclic_subgroups():
+    """Two elements share a rational class exactly when their cyclic
+    subgroups are conjugate, and the classes follow the cyclic subgroup
+    class representatives: on the builtin groups, S4 and S5.  The product
+    of two class sums is the combination of class sums that
+    ``rational_class_products`` gives.  In S4 and S5 every rational class
+    is a conjugacy class; in C6 it is an order."""
+    s4 = group_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]])
+    s5 = group_from_generators([[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+    for group in [*(g for _, g in builtin_groups()), s4, s5]:
+        mt, inv, n = left_table(group), group.inv_table, group.order
+
+        def cyclic(x):
+            powers, y = {0}, x
+            while y:
+                powers.add(y)
+                y = mt[y][x]
+            return frozenset(powers)
+
+        classes = rational_classes(group)
+        assert classes[0] == (0,)
+        for rep, members in zip(cyclic_subgroup_class_reps(group), classes, strict=True):
+            conjugates = {frozenset(mt[mt[g][y]][inv[g]] for y in rep) for g in range(n)}
+            assert members == tuple(x for x in range(n) if cyclic(x) in conjugates)
+        a = rational_class_products(group)
+        for i, j in product(range(len(classes)), repeat=2):
+            counts = [0] * n
+            for x in classes[i]:
+                for y in classes[j]:
+                    counts[mt[x][y]] += 1
+            for t, members in enumerate(classes):
+                assert {counts[g] for g in members} == {a[i][t][j]}
+    for group in (s4, s5):
+        assert sorted(rational_classes(group)) == sorted(conjugacy_classes(group))
+    c6 = builtin_group("c6")
+    assert sorted(map(len, rational_classes(c6))) == [1, 1, 2, 2]
+
+
+def test_law_witnesses_on_s4_through_shared_factor_rows():
+    """The homomorphism, automorphism and cocycle checks multiply through
+    ``times``, which builds a factor's row once its walks have spent |G|
+    lookups, as they do on S4.  Every failure still names the witness of
+    a scan of all pairs: maps S4 -> S4 (an inner automorphism, and random
+    tables), C2 acting on S4 (by that automorphism, and by random
+    permutations fixing e), and cocycles of S4 acting trivially on S4 and
+    of C2 acting by the automorphism."""
+    rng = random.Random(33)
+    s4, c2 = group_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]]), builtin_group("c2")
+    mt, n = left_table(s4), s4.order
+    conj = tuple(s4.conjugate(f, s4.generator_ids[0]) for f in range(n))
+    tables = [conj, tuple(range(n))]
+    tables += [(0,) + tuple(rng.sample(range(1, n), n - 1)) for _ in range(60)]
+    tables += [(0,) + tuple(rng.randrange(n) for _ in range(n - 1)) for _ in range(60)]
+    # The automorphism with the images of x and y swapped: its first
+    # failure lies deeper in the scan.
+    for x, y in (rng.sample(range(1, n), 2) for _ in range(60)):
+        swapped = list(conj)
+        swapped[x], swapped[y] = conj[y], conj[x]
+        tables.append(tuple(swapped))
+    failures = set()
+    for images in tables:
+        bad = full_scan_failure(n, lambda a, b: images[mt[a][b]] == mt[images[a]][images[b]])
+        if bad is None:
+            GroupHom(s4, s4, images)
+        else:
+            with pytest.raises(NotAHomomorphism) as info:
+                GroupHom(s4, s4, images)
+            assert str(info.value) == "multiplicativity fails at ({}, {})".format(*bad)
+            failures.add(bad)
+        if len(set(images)) == n:
+            expected = _full_scan_action_error(c2, s4, [images])
+            if expected is None:
+                GroupAction(c2, s4, [images])
+            else:
+                with pytest.raises(expected[0]) as info:
+                    GroupAction(c2, s4, [images])
+                assert str(info.value) == expected[1]
+    assert len(failures) > 8
+    for action in (GroupAction.trivial(s4, s4), GroupAction(c2, s4, [conj])):
+        gmt = left_table(action.actor)
+        for _ in range(60):
+            values = (0,) + tuple(rng.randrange(n) for _ in range(action.actor.order - 1))
+            law = lambda g, h: values[gmt[g][h]] == mt[values[g]][action.table[g][values[h]]]
+            assert validate_cocycle(Cocycle(action, values)) == full_scan_failure(action.actor.order, law)
 
 
 def test_semidirect_inverses_follow_the_pair_formula():

@@ -31,6 +31,7 @@ from gammalat.groups import (
 )
 from gammalat.induction import artin_decompose, build_multiplicity_lattice
 from gammalat.intlinalg import IntMatrix, bareiss_det
+from gammalat.isotypic import IsotypicBlocks
 from gammalat.lattices import (
     GammaLattice,
     RationalCharacter,
@@ -390,6 +391,13 @@ def _row_block_basis(rng, shape, lead="random"):
     return [m for _, m in lead_block[:1] + rest + lead_block[1:]], n
 
 
+def _plain_blocks(nonzeros, n):
+    """The isotypic blocks of any basis read over the trivial group: one
+    block, the candidate itself."""
+    plain = trivial_lattice(trivial_group(), n)
+    return IsotypicBlocks(plain, plain, nonzeros)
+
+
 def test_block_search_matches_reference():
     """The row-block expansion finds exactly the matrix the product-order
     reference search finds, with 2 to 4 blocks over ranks 2 to 6, and so
@@ -424,7 +432,7 @@ def test_block_search_matches_reference():
         # and members, which is how the search walks a box that does not
         # pay to split.
         for split in (blocks, [(tuple(range(n)), tuple(range(k)))]):
-            best = _block_minimum(nonzeros, n, split, bound)
+            best = _block_minimum(nonzeros, n, split, bound, _plain_blocks(nonzeros, n))
             if best is None:
                 assert expected is None, (shape, lead, len(split))
             else:
@@ -460,9 +468,66 @@ def test_full_block_settings_carry_their_determinants():
                     ]
                     if bareiss_det(rows):
                         expected[coeffs] = [bareiss_det(rows)]
-            found = dict(_block_settings(nonzeros, n, block, bound, first))
+            found = dict(_block_settings(nonzeros, n, block, bound, first, _plain_blocks(nonzeros, n)))
             assert found == expected
             assert expected
+
+
+def _s4_sign():
+    """S4 on Z by the sign; both generators of ``_s4_standard`` are odd."""
+    return lattice_from_action(_s4_standard().group, 1, [IntMatrix.from_rows([[-1]])] * 2, "s4_sign")
+
+
+def test_isotypic_blocks_give_the_candidates_determinant():
+    """Split along the isotypic components, a candidate's determinant is
+    det P2 * prod det X_W / det P1.  On the Ono pairs of every corpus
+    lattice (the Q-irreducibles of C3, C4 and C6 include some that are not
+    absolutely irreducible) and of the S4 sign and standard lattices, it
+    equals the Bareiss determinant of the assembled candidate, on single
+    basis matrices and seeded combinations, singular ones included."""
+    rng = random.Random(33)
+    singular = invertible = 0
+    for lat in [*builtin_lattices(), _s4_sign(), _s4_standard()]:
+        m1, m2 = _ono_pair(lat)
+        nonzeros, n, _ = _search_box(m1, m2)
+        k = len(nonzeros)
+        isotypic = IsotypicBlocks(m1, m2, nonzeros)
+        assert sum(isotypic.sizes) == n and isotypic.sizes == sorted(isotypic.sizes)
+        widths, moves = isotypic.packed(3)
+        draws = [[int(i == j) for j in range(k)] for i in range(k)]
+        draws += [[rng.randint(-3, 3) for _ in range(k)] for _ in range(20)]
+        for coeffs in draws:
+            rows, flat = [0] * n, [0] * (n * n)
+            for c, packed, nz in zip(coeffs, moves, nonzeros):
+                for cell, x in packed:
+                    rows[cell] += c * x
+                for idx, val in nz:
+                    flat[idx] += c * val
+            det = bareiss_det([flat[i * n : (i + 1) * n] for i in range(n)])
+            assert isotypic.det(rows, widths) == det, (lat.name, coeffs)
+            singular += not det
+            invertible += bool(det)
+        if lat.name == "s4_sign":
+            assert isotypic.sizes == [2, 2, 4, 6, 6]
+        if lat.name == "s4_standard":
+            assert isotypic.sizes == [1, 2, 3, 6]
+    assert singular > 100 and invertible > 100
+
+
+def test_s4_searches_match_the_reference_search():
+    """S4 sign has k = 20 basis matrices, past every box, so its answer
+    comes from the seeded draws; S4 standard's (k = 7) from the walk of the
+    bound-1 box as one merged block.  Both equal the reference search."""
+    for lat, draws in ((_s4_sign(), 1), (_s4_standard(), 0)):
+        m1, m2 = _ono_pair(lat)
+        nonzeros, n, bound = _search_box(m1, m2)
+        assert (bound == 0) == bool(draws)
+        if bound:
+            assert not lattices_mod._expansion_pays(_row_blocks(nonzeros, n), n, bound)
+        before = lattices_mod.RANDOM_FALLBACK_COUNT
+        chosen = [list(row) for row in equivariant_finite_index_embedding(m1, m2).matrix.entries]
+        assert lattices_mod.RANDOM_FALLBACK_COUNT - before == draws
+        assert chosen == reference_embedding_matrix(intertwiner_basis(m1, m2), n)
 
 
 def test_intertwiners_and_embedding_match_reference():
@@ -557,7 +622,8 @@ def test_box_walk_reaches_the_identity_floor():
         identity = tuple(int(i == j) for i in range(n) for j in range(n))
         merged = [(tuple(range(n)), tuple(range(len(nonzeros))))]
         for blocks in (_row_blocks(nonzeros, n), merged):
-            assert _block_minimum(nonzeros, n, blocks, bound) == (1, n, -n, identity)
+            isotypic = IsotypicBlocks(m1, m2, nonzeros)
+            assert _block_minimum(nonzeros, n, blocks, bound, isotypic) == (1, n, -n, identity)
 
 
 def test_identity_floor_needs_no_box():
