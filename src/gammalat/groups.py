@@ -216,27 +216,20 @@ class FiniteGroup(Value):
 
     def validate(self) -> None:
         """Associativity, (ab)c = a(bc), on top of the constructor checks,
-        with a's products read off its row ``left(a)``, built once per a.
-        Every other product walks a word: the graph under test need not be
-        a group's, and the rows of ``times`` assume one."""
-        row, mul = lru_cache(maxsize=1)(self.left), self.mul
-        bad = first_failure(self, lambda a, b, c, bc: mul(row(a)[b], c) == row(a)[bc], arity=3, mul=mul)
+        with a's products read off its row ``left(a)``, built once per a."""
+        row = lru_cache(maxsize=1)(self.left)
+        bad = first_failure(self, lambda a, b, c, bc: self.mul(row(a)[b], c) == row(a)[bc], arity=3)
         if bad is not None:
             raise ValueError(f"associativity fails at {bad}")
 
 
-def first_failure(
-    group: FiniteGroup,
-    law: Callable[..., bool],
-    arity: int = 2,
-    mul: Optional[Callable[[int, int], int]] = None,
-) -> Optional[tuple]:
+def first_failure(group: FiniteGroup, law: Callable[..., bool], arity: int = 2) -> Optional[tuple]:
     """The first ``arity``-tuple t of element ids, in ascending order, at
     which ``law(*t, p)`` fails, where p is the product of t's last two
     entries; None if there is none.  Only the edges of the Cayley graph,
     the tuples whose last entry is a generator s_k, are checked, with p
     read off the graph as ``right[k][t[-2]]``, unless one fails: then all
-    tuples are scanned, with p from ``mul``, by default ``_multiplier``.
+    tuples are scanned, with p from ``group.mul``.
 
     The edges suffice, on an associative product.  If f(gs) = f(g)f(s) for every
     g and generator s, then f(g(h's)) = f((gh')s) = f(gh')f(s) =
@@ -251,8 +244,7 @@ def first_failure(
     ids, edges = range(group.order), list(zip(group.generator_ids, group.right))
     if all(law(*t, s, r[t[-1]]) for t in product(ids, repeat=arity - 1) for s, r in edges):
         return None
-    mul = mul or _multiplier(group)
-    return next(t for t in product(ids, repeat=arity) if not law(*t, mul(t[-2], t[-1])))
+    return next(t for t in product(ids, repeat=arity) if not law(*t, group.mul(t[-2], t[-1])))
 
 
 def _multiplier(group: FiniteGroup) -> Callable[[int, int], int]:

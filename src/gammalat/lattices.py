@@ -26,18 +26,10 @@ column subset, are shared by all settings of the later blocks, and the
 last block costs one dot product per candidate.  Each block's settings are
 walked in reflected Gray-code order, so each differs from the last by one
 basis matrix.  Where an operation count says splitting does not pay, one
-merged block holds every row and basis member, and a candidate's
-determinant is taken block by block along the Q-isotypic components
-instead (Schur's lemma): every intertwiner commutes with the rational
-class sums, so it maps each joint eigenlattice of them in the source into
-the matching one in the target, and its determinant is a fixed ratio times
-the product of those small blocks' determinants.  Each block's rows are
-packed, each into one integer whose digits are its entries, so a Gray step
-adds or subtracts one pre-packed basis matrix row by row, and a block costs
-one fraction-free (Bareiss) elimination on its packed rows.  The seeded
-draws take their determinants the same way.  Either way the same
-candidates meet the same total order with the same exact determinants, so
-the answer is the same.
+merged block holds every row and basis member; that walk and the seeded
+draws take each candidate's determinant from ``isotypic.IsotypicBlocks``,
+exactly, so the same candidates meet the same total order with the same
+determinants, and the answer is the same.
 
 All searches are deterministic: fixed candidate sets, a total order on
 candidates, and a fixed-seed pseudorandom fallback for the one search whose
@@ -687,7 +679,7 @@ def _block_settings(
     block: tuple[tuple[int, ...], tuple[int, ...]],
     bound: int,
     first: bool,
-    isotypic: Optional[IsotypicBlocks] = None,
+    isotypic: Optional[IsotypicBlocks],
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """The block's coefficient vectors c in [-bound, bound]^members whose
     part (its rows of sum c_j * basis_j) has full row rank, each with the
@@ -742,7 +734,7 @@ def _block_minimum(
     n: int,
     blocks: list[tuple[tuple[int, ...], tuple[int, ...]]],
     bound: int,
-    isotypic: Optional[IsotypicBlocks] = None,
+    isotypic: Optional[IsotypicBlocks],
 ) -> Optional[tuple]:
     """The least key over [-bound, bound]^k minus 0, by Laplace expansion
     along ``blocks``, which hold every member on disjoint rows.
@@ -753,8 +745,8 @@ def _block_minimum(
     minors of the blocks fixed so far, on every column subset, are shared
     by every (stored) setting of the later blocks, and the last block's
     minors meet them in one dot product.  A single block's one minor is
-    the determinant, read off ``isotypic``, and its settings are consumed
-    as they are walked.
+    the determinant, read off ``isotypic`` (None when ``blocks`` split the
+    rows), and its settings are consumed as they are walked.
     """
     settings = [_block_settings(nonzeros, n, b, bound, i == 0, isotypic) for i, b in enumerate(blocks)]
     if len(blocks) > 1:
@@ -823,17 +815,9 @@ def equivariant_finite_index_embedding(
     NoInvertibleIntertwiner).  It takes a draw's determinant first and
     builds its entries only when its |det| does not exceed the best so far.
 
-    The merged walk and the draws take each determinant in small blocks
-    (``isotypic.IsotypicBlocks``).  Every intertwiner commutes with the
-    rational class sums of the group, so it maps the saturated Z-basis P1
-    of each Q-isotypic component of m1 to integer combinations of the basis
-    P2 of the same component of m2: E P1 = P2 diag(X_W), with X_W = sum_j
-    c_j X_{j,W} for E = sum_j c_j B_j.  So det E = det P2 * prod_W det X_W
-    / det P1, the division exact, with the blocks eliminated smallest
-    first, packed, so a singular candidate stops at its first zero block.
-    Each distinct summand of m1 and m2 is decomposed once, and only when
-    the walk or the draws run.  The determinant is the exact one of the
-    whole candidate, so every candidate, key and answer is unchanged.
+    The merged walk and the draws take each determinant from
+    ``isotypic.IsotypicBlocks``, one small block per Q-isotypic component;
+    the value is exact, so every candidate, key and answer is unchanged.
     """
     global RANDOM_FALLBACK_COUNT
     if not same_group(m1.group, m2.group):
