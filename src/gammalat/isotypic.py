@@ -13,17 +13,21 @@ Representation Theory I, 1981, section 10).  With P1 and P2 the saturated
 Z-bases of those components, E P1 = P2 diag(X_W), each X_W an integer
 matrix linear in E, and det E = det P2 * prod det X_W / det P1.
 
-``lattices.equivariant_finite_index_embedding`` imports this module only
-when a search walks its box as one block or draws, so no other command
-compiles it.
+X_W depends only on the basis members that touch it, so the members split
+into the connected components of "touch a common block", and |det E| =
+|det P2 / det P1| * prod_C f_C(c_C), f_C the product of the |det X_W| of
+component C's blocks.  ``IsotypicBlocks.minimum`` searches a box that way.
+
+``lattices.equivariant_finite_index_embedding`` imports this module once a
+search has a basis to search, so no other command compiles it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain
-from operator import add, mul
-from typing import Sequence
+from itertools import accumulate, chain, product
+from operator import add, itemgetter, mul
+from typing import Optional, Sequence
 
 from .groups import FiniteGroup, rational_class_products, rational_classes
 from .intlinalg import (
@@ -36,7 +40,7 @@ from .intlinalg import (
     packed_det,
     smith_normal_form,
 )
-from .lattices import GammaLattice, _order_sign
+from .lattices import GammaLattice, _smaller_key
 
 __all__ = ["IsotypicBlocks"]
 
@@ -76,6 +80,12 @@ def _central_idempotents(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], int
         s = sum(vi * sum(map(mul, a[i][t], v)) // v[t] for i, vi in enumerate(v))
         out.append((v, s))
     return tuple(out)
+
+
+def _order_sign(seq: Sequence[int]) -> int:
+    """The sign of the permutation listed by ``seq``."""
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
+    return -1 if inversions & 1 else 1
 
 
 def _support_components(m: GammaLattice) -> list[list[int]]:
@@ -181,13 +191,13 @@ class IsotypicBlocks:
 
     ``cells`` lists, per basis member, its nonzero block rows as (block,
     row index, row) triples; ``det`` reads a candidate's determinant off
-    the packed rows of its blocks, the rows of all blocks in turn.  The
-    basis need not be an intertwiner basis when m1 and m2 are over the
-    trivial group: then P1 = P2 = I and the one block is B itself.
+    the packed rows of its blocks, the rows of all blocks in turn, and
+    ``minimum`` searches a box of candidates.
     """
 
     def __init__(self, m1: GammaLattice, m2: GammaLattice, nonzeros: list[list[tuple[int, int]]]) -> None:
         n = m1.rank
+        self.n, self.nonzeros = n, nonzeros
         sizes, source, _, det1 = _isotypic_frame(m1, inverse=False)
         _, target, divisors, det2 = _isotypic_frame(m2, inverse=True)
         order = sorted((w for w, size in enumerate(sizes) if size), key=lambda w: (sizes[w], w))
@@ -240,3 +250,112 @@ class IsotypicBlocks:
             num *= block
             start += size
         return num // den
+
+    def components(self) -> list[tuple[list[int], list[int]]]:
+        """The basis members split into the connected components of "touch
+        a common block", as (members, blocks) pairs, both ascending,
+        ordered by their least member."""
+        found: list[tuple[set[int], list[int]]] = []
+        for j, cells in enumerate(self.cells):
+            blocks, members = {b for b, _, _ in cells}, [j]
+            for comp in [c for c in found if c[0] & blocks]:
+                found.remove(comp)
+                blocks |= comp[0]
+                members += comp[1]
+            found.append((blocks, members))
+        return sorted((sorted(members), sorted(blocks)) for blocks, members in found)
+
+    def minimum(self, bound: int) -> Optional[tuple]:
+        """The least key (``lattices._smaller_key``, E standing for +-E)
+        over the candidates with coefficients in [-bound, bound]^k, not all
+        zero; None if every one is singular.
+
+        A component set to zero has a zero block, so an invertible
+        candidate sets every component to a nonzero setting with f_C >= 1
+        (see the module docstring).  So the least |det| is |det P2 / det P1|
+        times each component's least f_C, reached exactly on the product of
+        the components' least settings, and only there are the other terms
+        of the key compared.  E and -E share their key, so the first
+        component keeps one of each pair +-c of its settings, the others
+        both.
+        """
+        comps = self.components()
+        if sum(len(blocks) for _, blocks in comps) < len(self.sizes):
+            return None
+        widths, moves = self.packed(bound)
+        num, den = self.ratio
+        det, parts = abs(num), []
+        for i, (members, blocks) in enumerate(comps):
+            f, settings = self._least_settings(members, blocks, bound, widths, moves)
+            if not settings:
+                return None
+            if i:
+                settings += [tuple(-c for c in s) for s in settings]
+            det *= f
+            part = []
+            for coeffs in settings:
+                flat = [0] * (self.n * self.n)
+                for c, j in zip(coeffs, members):
+                    for idx, val in self.nonzeros[j]:
+                        flat[idx] += c * val
+                part.append(flat)
+            parts.append(part)
+        det //= abs(den)
+        best = None
+        for chosen in product(*parts):
+            best = _smaller_key(list(map(sum, zip(*chosen))), self.n, best, paired=True, det=det)
+        return best
+
+    def _least_settings(
+        self,
+        members: list[int],
+        blocks: list[int],
+        bound: int,
+        widths: list[int],
+        moves: list[list[tuple[int, int]]],
+    ) -> tuple[int, list[tuple[int, ...]]]:
+        """The least nonzero product of |det X_W| over ``blocks`` on the box
+        [-bound, bound]^members, and every setting with a positive leading
+        coefficient that reaches it (none if all are singular).
+
+        The box is walked in reflected Gray-code order, each step adding or
+        subtracting one member's packed block rows (``packed``).  Each
+        block's |det| is kept by the coefficients of the members that touch
+        it, and a setting is dropped once the product over its blocks so
+        far, smallest first, is zero or exceeds the least so far.
+        """
+        starts = list(accumulate(self.sizes, initial=0))
+        plan = []
+        for b in blocks:
+            support = [i for i, j in enumerate(members) if any(c[0] == b for c in self.cells[j])]
+            plan.append((starts[b], starts[b + 1], widths[b], itemgetter(*support), {}))
+        rows = [0] * starts[-1]
+        for j in members:
+            for r, x in moves[j]:
+                rows[r] -= bound * x
+        coeffs, steps = [-bound] * len(members), [1] * len(members)
+        least, found = 0, []
+        while True:
+            if next(filter(None, coeffs), 0) > 0:
+                f = 1
+                for lo, hi, width, support, dets in plan:
+                    key = support(coeffs)
+                    d = dets.get(key)
+                    if d is None:
+                        d = dets[key] = abs(packed_det(rows[lo:hi], width))
+                    f *= d
+                    if not f or least and f > least:
+                        break
+                else:
+                    if f != least:
+                        least, found = f, []
+                    found.append(tuple(coeffs))
+            for i, c in enumerate(coeffs):
+                if -bound <= c + steps[i] <= bound:
+                    break
+                steps[i] = -steps[i]
+            else:
+                return least, found
+            coeffs[i] += steps[i]
+            for r, x in moves[members[i]]:
+                rows[r] += steps[i] * x

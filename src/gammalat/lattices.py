@@ -18,18 +18,13 @@ orbit from small fixed-vector kernels of the same kind.
 The finite-index embedding then picks, among small integer combinations of
 that basis, the invertible one minimizing a fixed total order.  The
 identity is the least of any invertible matrix, so where source and
-target act by the same matrices, it is the answer unsearched.  The target
-is a direct sum, so the basis splits into blocks supported on disjoint
-rows, and the determinant of a combination is a Laplace expansion along
-those row blocks: the signed minors of the blocks fixed so far, on every
-column subset, are shared by all settings of the later blocks, and the
-last block costs one dot product per candidate.  Each block's settings are
-walked in reflected Gray-code order, so each differs from the last by one
-basis matrix.  Where an operation count says splitting does not pay, one
-merged block holds every row and basis member; that walk and the seeded
-draws take each candidate's determinant from ``isotypic.IsotypicBlocks``,
-exactly, so the same candidates meet the same total order with the same
-determinants, and the answer is the same.
+target act by the same matrices, it is the answer unsearched.  Every
+intertwiner maps each Q-isotypic component of the source into that of the
+target, so a candidate's determinant is a product of small blocks, one
+per isotypic component (``isotypic.IsotypicBlocks``), and the box
+factors: basis matrices that touch no common block are searched in boxes
+of their own, and only the settings that reach each box's least
+determinant are combined and compared by the whole order.
 
 All searches are deterministic: fixed candidate sets, a total order on
 candidates, and a fixed-seed pseudorandom fallback for the one search whose
@@ -42,10 +37,8 @@ from __future__ import annotations
 
 import random
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
-from math import comb
-from operator import add, index, mul, sub
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from operator import add, index, sub
+from typing import Iterable, Optional, Sequence
 
 from ._value import Value
 from .errors import (
@@ -82,9 +75,6 @@ from .intlinalg import (
     smith_normal_form,
 )
 
-if TYPE_CHECKING:
-    from .isotypic import IsotypicBlocks
-
 __all__ = [
     "GammaLattice",
     "RationalCharacter",
@@ -112,6 +102,9 @@ __all__ = [
 # the deterministic box search sufficed.
 RANDOM_FALLBACK_COUNT = 0
 
+# The budget counts the whole box, (2b+1)^k points, which fixes the bound
+# and so the answer; the search itself visits sum_C (2b+1)^|C| points, one
+# box per component C of the basis (``isotypic.IsotypicBlocks.minimum``).
 _SHELL_BOUNDS = (1, 2, 3, 12, 24)
 _SHELL_BUDGET = 20000
 _RANDOM_ATTEMPTS = 512
@@ -549,239 +542,6 @@ def _smaller_key(flat: list[int], n: int, best: Optional[tuple], paired: bool, d
     return key if best is None or key < best else best
 
 
-# -- Row-block Laplace expansion ----------------------------------------------
-#
-# A column subset is a bitmask; the subsets of one size are listed in
-# itertools.combinations order (for size 1 that is column order), so a row
-# of a matrix is already the list of its 1 x 1 minors.
-
-
-@lru_cache(maxsize=None)
-def _subsets(n: int, size: int) -> tuple[int, ...]:
-    return tuple(sum(1 << c for c in cols) for cols in combinations(range(n), size))
-
-
-@lru_cache(maxsize=None)
-def _laplace_moves(n: int, size: int, width: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """For each T in _subsets(n, size), the moves (s, u, sign) that append a
-    disjoint S = _subsets(n, width)[s], giving T | S = _subsets(n, size +
-    width)[u]; sign is -1 to the number of pairs a in T, b in S with a > b."""
-    grown = {mask: u for u, mask in enumerate(_subsets(n, size + width))}
-    out = []
-    for t in _subsets(n, size):
-        moves = []
-        for s, mask in enumerate(_subsets(n, width)):
-            if not t & mask:
-                inversions = sum((t >> (b + 1)).bit_count() for b in range(n) if mask >> b & 1)
-                moves.append((s, grown[t | mask], -1 if inversions & 1 else 1))
-        out.append(tuple(moves))
-    return tuple(out)
-
-
-def _laplace_step(
-    prefix: list[int],
-    moves: tuple[tuple[tuple[int, int, int], ...], ...],
-    minors: Sequence[int],
-    size: int,
-) -> list[int]:
-    """The signed minors of the stacked rows on every column subset of
-    ``size``, from those of the rows so far (``prefix``) and the ``minors``
-    of the rows appended below them."""
-    out = [0] * size
-    for v, row in zip(prefix, moves):
-        if v:
-            for s, u, sign in row:
-                x = minors[s]
-                if x:
-                    out[u] += sign * v * x
-    return out
-
-
-def _maximal_minors(rows: Sequence[Sequence[int]], n: int) -> list[int]:
-    """The r x r minors of an r x n matrix, aligned with _subsets(n, r)."""
-    minors = [1]
-    for p, row in enumerate(rows):
-        minors = _laplace_step(minors, _laplace_moves(n, p, 1), row, comb(n, p + 1))
-    return minors
-
-
-def _order_sign(seq: Sequence[int]) -> int:
-    """The sign of the permutation listed by ``seq``."""
-    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
-    return -1 if inversions & 1 else 1
-
-
-def _row_blocks(
-    nonzeros: list[list[tuple[int, int]]], n: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The basis as (rows, members) blocks: basis matrices whose row supports
-    meet share a block, so the blocks' rows are disjoint.  Rows and members
-    ascend; blocks are ordered by their first member."""
-    blocks: list[tuple[set[int], list[int]]] = []
-    for j, nz in enumerate(nonzeros):
-        rows = {idx // n for idx, _ in nz}
-        members = [j]
-        for block in [b for b in blocks if b[0] & rows]:
-            blocks.remove(block)
-            rows |= block[0]
-            members += block[1]
-        blocks.append((rows, members))
-    return sorted(((tuple(sorted(r)), tuple(sorted(m))) for r, m in blocks), key=lambda b: b[1])
-
-
-# Operation counts in units of one Laplace move: a term of the last block's
-# dot product, and the fixed cost per candidate of either method.  The walk
-# counts n^3/3 units per candidate, one per multiply-subtract of an entrywise
-# Bareiss elimination of the whole candidate, though it eliminates only the
-# candidate's isotypic blocks, packed, and stops at the first singular one;
-# so the count leans to the walk.  Timed (medians of 7, Python 3.11 on a
-# 2-vCPU VM, the walk with the set-up of its blocks from cold caches): S4
-# standard (n = 12, k = 7, row blocks of 3, 3 and 6 rows, isotypic blocks of
-# 1, 2, 3 and 6, bound 1) counts 1.15M expansion units against the walk's
-# 0.64M; the walk, which the count picks, takes 20 ms (5 ms of it set-up)
-# against 66 ms.  Every corpus search the count gives to the expansion (n <=
-# 6) runs 6 to 8 times faster there than the walk would: 0.6 to 7.6 ms
-# against 4.1 to 61 ms.  So no choice would change for the better, and the
-# terms stay.
-_DOT_TERM_COST = 0.25
-_CANDIDATE_COST = 8
-
-
-def _expansion_pays(blocks: list[tuple[tuple[int, ...], tuple[int, ...]]], n: int, bound: int) -> bool:
-    """Whether the row-block expansion over [-bound, bound]^k should take
-    fewer operations than the Gray-code walk.  Never for a single block or
-    for blocks leaving a row uncovered (every candidate is singular)."""
-    if len(blocks) < 2 or sum(len(rows) for rows, _ in blocks) != n:
-        return False
-    side = 2 * bound + 1
-    k = sum(len(members) for _, members in blocks)
-    walk = (side**k // 2) * (n**3 / 3 + _CANDIDATE_COST)
-    cost = 0.0
-    prefixes = 1
-    size = 0
-    for i, (rows, members) in enumerate(blocks):
-        r = len(rows)
-        settings = (side ** len(members) - 1) // (2 if i == 0 else 1)
-        cost += settings * sum(comb(n, p) * (n - p) for p in range(r))
-        if i == len(blocks) - 1:
-            per_candidate = comb(n, r) * _DOT_TERM_COST + _CANDIDATE_COST
-            cost += prefixes * (comb(n, size) + settings * per_candidate)
-        else:
-            prefixes *= settings
-            cost += prefixes * comb(n, size) * comb(n - size, r)
-        size += r
-    return cost < walk
-
-
-def _block_settings(
-    nonzeros: list[list[tuple[int, int]]],
-    n: int,
-    block: tuple[tuple[int, ...], tuple[int, ...]],
-    bound: int,
-    first: bool,
-    isotypic: Optional[IsotypicBlocks],
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """The block's coefficient vectors c in [-bound, bound]^members whose
-    part (its rows of sum c_j * basis_j) has full row rank, each with the
-    part's maximal minors; with ``first`` only one of each pair +-c, the
-    one whose first nonzero coefficient is positive.  The box is walked in
-    reflected Gray-code order, each step adding or subtracting one basis
-    matrix on the block's rows.  A block of all n rows, which holds every
-    member, is held as the packed rows of its ``isotypic`` blocks, and its
-    one minor is their determinant (``isotypic.IsotypicBlocks.det``); a
-    smaller block is held entry by entry, and its minors come from
-    _maximal_minors."""
-    rows, members = block
-    if len(rows) == n:
-        widths, moves = isotypic.packed(bound)
-        part = [0] * n
-
-        def minors() -> list[int]:
-            return [isotypic.det(part, widths)]
-
-    else:
-        at = {r: p for p, r in enumerate(rows)}
-        moves = [[(at[idx // n] * n + idx % n, val) for idx, val in nonzeros[j]] for j in members]
-        part = [0] * (len(rows) * n)
-
-        def minors() -> list[int]:
-            return _maximal_minors([part[p * n : (p + 1) * n] for p in range(len(rows))], n)
-
-    coeffs = [-bound] * len(members)
-    steps = [1] * len(members)
-    for cell, val in chain.from_iterable(moves):
-        part[cell] -= bound * val
-    while True:
-        lead = next(filter(None, coeffs), 0)
-        if lead > 0 or (lead and not first):
-            found = minors()
-            if any(found):
-                yield tuple(coeffs), found
-        for j, c in enumerate(coeffs):
-            if -bound <= c + steps[j] <= bound:
-                break
-            steps[j] = -steps[j]
-        else:
-            return
-        step = steps[j]
-        coeffs[j] += step
-        for cell, val in moves[j]:
-            part[cell] += step * val
-
-
-def _block_minimum(
-    nonzeros: list[list[tuple[int, int]]],
-    n: int,
-    blocks: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    bound: int,
-    isotypic: Optional[IsotypicBlocks],
-) -> Optional[tuple]:
-    """The least key over [-bound, bound]^k minus 0, by Laplace expansion
-    along ``blocks``, which hold every member on disjoint rows.
-
-    A candidate is invertible only if each block's part is, so only the
-    settings of full row rank are combined, the first block's standing for
-    both of each pair +-E.  Blocks are fixed one at a time: the signed
-    minors of the blocks fixed so far, on every column subset, are shared
-    by every (stored) setting of the later blocks, and the last block's
-    minors meet them in one dot product.  A single block's one minor is
-    the determinant, read off ``isotypic`` (None when ``blocks`` split the
-    rows), and its settings are consumed as they are walked.
-    """
-    settings = [_block_settings(nonzeros, n, b, bound, i == 0, isotypic) for i, b in enumerate(blocks)]
-    if len(blocks) > 1:
-        settings = [list(s) for s in settings]
-    order = [j for _, members in blocks for j in members]
-    best = None
-    last = len(blocks) - 1
-    width = len(blocks[last][0])
-
-    def descend(i: int, prefix: list[int], size: int, coeffs: tuple[int, ...]) -> None:
-        nonlocal best
-        if i == last:
-            fold = [0] * comb(n, width)
-            for v, ((s, _, sign),) in zip(prefix, _laplace_moves(n, size, width)):
-                fold[s] = sign * v
-            for tail, minors in settings[i]:
-                det = sum(map(mul, fold, minors))
-                if det and (best is None or abs(det) <= best[0]):
-                    flat = [0] * (n * n)
-                    for c, j in zip(coeffs + tail, order):
-                        for idx, val in nonzeros[j]:
-                            flat[idx] += c * val
-                    best = _smaller_key(flat, n, best, paired=True, det=det)
-            return
-        r = len(blocks[i][0])
-        moves = _laplace_moves(n, size, r)
-        for head, minors in settings[i]:
-            grown = _laplace_step(prefix, moves, minors, comb(n, size + r))
-            if any(grown):
-                descend(i + 1, grown, size + r, coeffs + head)
-
-    descend(0, [_order_sign([r for rows, _ in blocks for r in rows])], 0, ())
-    return best
-
-
 def equivariant_finite_index_embedding(
     m1: GammaLattice, m2: GammaLattice, *, allow_random: bool = True
 ) -> LatticeEmbedding:
@@ -803,21 +563,19 @@ def equivariant_finite_index_embedding(
     the identity intertwines them and is the answer, before any basis is
     built, whatever the box.
 
-    m2 is a direct sum, and Hom(m1, N1 + N2) = Hom(m1, N1) + Hom(m1, N2),
-    so the Hermite-form basis splits into blocks supported on disjoint rows
-    (read off the basis itself).  The box is searched by Laplace expansion
-    along those blocks (_block_minimum), each block's box walked in
-    reflected Gray-code order.  When an operation count says splitting does
-    not pay, one merged block holds every row and member, and the whole box
-    is walked once.  If even the smallest box exceeds the budget, or no
-    candidate is invertible, a fixed-seed pseudorandom phase takes over
-    (disabled by ``allow_random=False``, in which case exhaustion raises
-    NoInvertibleIntertwiner).  It takes a draw's determinant first and
-    builds its entries only when its |det| does not exceed the best so far.
-
-    The merged walk and the draws take each determinant from
-    ``isotypic.IsotypicBlocks``, one small block per Q-isotypic component;
-    the value is exact, so every candidate, key and answer is unchanged.
+    Every intertwiner maps each Q-isotypic component of m1 into that of
+    m2, so a candidate's determinant is det P2 * prod det X_W / det P1,
+    one small block X_W per W (``isotypic.IsotypicBlocks``).  The basis
+    matrices split into the connected components of "touch a common
+    block", each component's box is walked on its own, and the whole key
+    is compared only over the product of the settings that reach each
+    box's least |det X_W| product; the candidates, and so the answer, are
+    those of the whole box.  If even the smallest box exceeds the budget,
+    or no candidate is invertible, a fixed-seed pseudorandom phase takes
+    over (disabled by ``allow_random=False``, in which case exhaustion
+    raises NoInvertibleIntertwiner).  It takes a draw's determinant from
+    the same blocks first and builds its entries only when its |det| does
+    not exceed the best so far.
     """
     global RANDOM_FALLBACK_COUNT
     if not same_group(m1.group, m2.group):
@@ -836,16 +594,11 @@ def equivariant_finite_index_embedding(
         for b in basis
     ]
 
-    best = isotypic = None
-    bound = max((b for b in _SHELL_BOUNDS if (2 * b + 1) ** k <= _SHELL_BUDGET), default=0)
-    if bound:
-        blocks = _row_blocks(nonzeros, n)
-        if not _expansion_pays(blocks, n, bound):
-            from .isotypic import IsotypicBlocks
+    from .isotypic import IsotypicBlocks
 
-            blocks = [(tuple(range(n)), tuple(range(k)))]
-            isotypic = IsotypicBlocks(m1, m2, nonzeros)
-        best = _block_minimum(nonzeros, n, blocks, bound, isotypic)
+    isotypic = IsotypicBlocks(m1, m2, nonzeros)
+    bound = max((b for b in _SHELL_BOUNDS if (2 * b + 1) ** k <= _SHELL_BUDGET), default=0)
+    best = isotypic.minimum(bound) if bound else None
     if best is None:
         if bound and not allow_random:
             raise NoInvertibleIntertwiner("deterministic search exhausted without an invertible map")
@@ -856,10 +609,6 @@ def equivariant_finite_index_embedding(
             )
         RANDOM_FALLBACK_COUNT += 1
         rng = random.Random(0)
-        if isotypic is None:
-            from .isotypic import IsotypicBlocks
-
-            isotypic = IsotypicBlocks(m1, m2, nonzeros)
         widths, moves = isotypic.packed(_RANDOM_COEFF_BOUND)
         for _ in range(_RANDOM_ATTEMPTS):
             coeffs = [rng.randint(-_RANDOM_COEFF_BOUND, _RANDOM_COEFF_BOUND) for _ in range(k)]

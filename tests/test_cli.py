@@ -699,6 +699,35 @@ def test_load_builds_nothing_and_imports_no_lattice_layer(tmp_path):
     assert out.splitlines() == ["0 []", "1 ['gammalat.intlinalg', 'gammalat.lattices']"]
 
 
+def test_start_up_loads_only_the_workspace_layers():
+    """In a fresh interpreter, ``import gammalat`` and loading the demo
+    workspace load six gammalat modules and no more; ``artin``, ``twist``
+    and ``group-info`` on it never load the embedding search's
+    ``isotypic`` or the ``checks`` suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gammalat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "import gammalat\n"
+        "gammalat.load_workspace(sys.argv[1])\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'gammalat'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, DEMO], env=env, capture_output=True, text=True, check=True)
+    loaded = ["gammalat", "gammalat._value", "gammalat.corpus", "gammalat.errors", "gammalat.groups", "gammalat.workspace"]
+    assert out.stdout.splitlines() == [str(loaded)]
+    code = (
+        "import contextlib, io, sys\n"
+        "from gammalat.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(sys.argv[1:])\n"
+        "print(rc, [m for m in ('gammalat.isotypic', 'gammalat.checks') if m in sys.modules])\n"
+    )
+    for command in (["artin", "aug_twisted"], ["twist", "aug_twisted", "twist_inv3"], ["group-info", "gamma1"]):
+        argv = [sys.executable, "-c", code, "--workspace", DEMO, *command]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == ["0 []"], command
+
+
 def test_twist_builds_only_its_lattice_its_cocycle_and_their_references(monkeypatch, capsys):
     import gammalat.cli as cli
 

@@ -2,8 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 from itertools import product as iter_product
-from math import comb
 
 import pytest
 
@@ -50,16 +50,7 @@ from gammalat.lattices import (
     twist,
     zero_lattice,
 )
-from gammalat.lattices import (
-    _block_minimum,
-    _block_settings,
-    _generating_subset,
-    _laplace_moves,
-    _laplace_step,
-    _maximal_minors,
-    _order_sign,
-    _row_blocks,
-)
+from gammalat.lattices import _generating_subset
 from oracle import (
     det_fraction,
     left_table,
@@ -333,75 +324,108 @@ def test_finite_module_validates_modulo_its_factors():
     assert (module.structure.invariant_factors, module.order) == ((4,), 4)
 
 
-def test_row_block_det_matches_bareiss():
-    """Laplace expansion along any split of the rows gives the determinant:
-    a sum over ordered partitions of the columns of the products of the
-    blocks' maximal minors, signed, the identity _block_minimum evaluates
-    one candidate at a time."""
+def _sign_lattice(owner):
+    """Z^n over C2^3, coordinate i acted on by the owner[i]-th of its eight
+    sign characters: the isotypic blocks are the coordinates of each owner,
+    and the intertwiners are the matrices supported on those blocks."""
+    group = group_from_generators([(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)])
+    n = len(owner)
+    signs = [[(-1) ** (w >> t & 1) for w in owner] for t in range(3)]
+    gens = [IntMatrix.from_rows([[x * (i == j) for j in range(n)] for i, x in enumerate(row)]) for row in signs]
+    return lattice_from_action(group, n, gens)
+
+
+def _nonzeros(basis, n):
+    return [
+        [(i * n + j, x) for i, row in enumerate(b.entries) for j, x in enumerate(row) if x]
+        for b in basis
+    ]
+
+
+def test_isotypic_block_det_matches_bareiss():
+    """A matrix supported on the isotypic blocks of a sign lattice, with its
+    coordinates owned at random, has the determinant of the block product
+    (``IsotypicBlocks.det``): the identity the box search factors along."""
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randint(1, 7)
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        owner = [rng.randrange(4) for _ in range(n)]
-        blocks = [[i for i in range(n) if owner[i] == b] for b in range(4)]
-        blocks = [b for b in blocks if b]
-        rng.shuffle(blocks)
-        value = [_order_sign([i for block in blocks for i in block])]
-        size = 0
-        for block in blocks:
-            minors = _maximal_minors([rows[i] for i in block], n)
-            width = len(block)
-            value = _laplace_step(value, _laplace_moves(n, size, width), minors, comb(n, size + width))
-            size += width
-        assert value == [bareiss_det(rows)]
+        owner = [rng.randrange(8) for _ in range(n)]
+        rows = [[rng.randint(-3, 3) if owner[i] == owner[j] else 0 for j in range(n)] for i in range(n)]
+        lat = _sign_lattice(owner)
+        isotypic = IsotypicBlocks(lat, lat, _nonzeros([IntMatrix.from_rows(rows, cols=n)], n))
+        assert sorted(isotypic.sizes) == sorted(owner.count(w) for w in set(owner))
+        widths, (moves,) = isotypic.packed(1)
+        packed = [0] * n
+        for cell, x in moves:
+            packed[cell] += x
+        assert isotypic.det(packed, widths) == bareiss_det(rows)
 
 
-def _row_block_basis(rng, shape, lead="random"):
-    """Basis matrices in row blocks: ``shape`` lists (rows, members) per
-    block; rows and basis order are shuffled.  The leading block (the one
-    holding basis index 0) has rank-1 members with lead="rank1" and rows
-    proportional to its first with lead="singular"."""
-    n = sum(r for r, _ in shape)
+def _isotypic_basis(rng, shape, lead="random"):
+    """Intertwiners of a sign lattice (``_sign_lattice``) in components:
+    ``shape`` lists (block sizes, members) per component, an int for one
+    block; coordinates and basis order are shuffled.  A component's first
+    member touches all its blocks, each triangular with a unit diagonal,
+    and the others a random nonempty subset of them, at random.
+    On the leading component's first block (that of basis index 0) the
+    members have rank 1 with lead="rank1", and rows proportional to their
+    first with lead="singular"."""
+    sizes = [(s,) if isinstance(s, int) else s for s, _ in shape]
+    n = sum(map(sum, sizes))
     order = list(range(n))
     rng.shuffle(order)
+    owner, blocks, start = [0] * n, [], 0
+    for w, size in enumerate(chain(*sizes)):
+        blocks.append(order[start : start + size])
+        for i in blocks[-1]:
+            owner[i] = w
+        start += size
     mats = []
-    start = 0
-    for b, (r, members) in enumerate(shape):
-        rows = order[start : start + r]
-        start += r
-        for _ in range(members):
+    for c, ((_, members), own) in enumerate(zip(shape, sizes)):
+        mine, blocks = blocks[: len(own)], blocks[len(own) :]
+        for t in range(members):
+            touched = mine if t == 0 else [rows for rows in mine if rng.random() < 0.5] or [rng.choice(mine)]
             entries = [[0] * n for _ in range(n)]
-            if b == 0 and lead == "rank1":
-                u = [rng.choice([-1, 1, 2]) for _ in rows]
-                v = [rng.randint(-2, 2) for _ in range(n)]
-                v[rng.randrange(n)] = 1
-                for ui, i in zip(u, rows):
-                    entries[i] = [ui * x for x in v]
-            else:
-                for i in rows:
-                    entries[i] = [rng.choice([-2, -1, 0, 0, 1, 1, 2]) for _ in range(n)]
-                    entries[i][rng.randrange(n)] = rng.choice([-1, 1])
-                if b == 0 and lead == "singular":
+            for rows in touched:
+                first = c == 0 and rows is mine[0]
+                if first and lead == "rank1":
+                    u = [rng.choice([-1, 1, 2]) for _ in rows]
+                    v = [rng.randint(-2, 2) for _ in rows]
+                    v[rng.randrange(len(rows))] = 1
+                    for ui, i in zip(u, rows):
+                        for vj, j in zip(v, rows):
+                            entries[i][j] = ui * vj
+                    continue
+                for a, i in enumerate(rows):
+                    for b, j in enumerate(rows):
+                        entries[i][j] = rng.choice([-2, -1, 0, 0, 1, 1, 2]) if t or b > a else 0
+                    entries[i][rng.choice(rows) if t else i] = rng.choice([-1, 1])
+                if first and lead == "singular":
                     for k, i in enumerate(rows[1:], start=2):
                         entries[i] = [k * x for x in entries[rows[0]]]
-            mats.append((b, IntMatrix.from_rows(entries, cols=n)))
-    lead_block = mats[: shape[0][1]]
-    rest = mats[shape[0][1] :]
+            mats.append((c, IntMatrix.from_rows(entries, cols=n)))
+    lead_members = [m for c, m in mats if c == 0]
+    rest = [m for c, m in mats if c]
     rng.shuffle(rest)
-    return [m for _, m in lead_block[:1] + rest + lead_block[1:]], n
+    return lead_members[:1] + rest + lead_members[1:], _sign_lattice(owner)
 
 
-def _plain_blocks(nonzeros, n):
-    """The isotypic blocks of any basis read over the trivial group: one
-    block, the candidate itself."""
-    plain = trivial_lattice(trivial_group(), n)
-    return IsotypicBlocks(plain, plain, nonzeros)
+def _box_bound(k):
+    bounds, budget = lattices_mod._SHELL_BOUNDS, lattices_mod._SHELL_BUDGET
+    return max((b for b in bounds if (2 * b + 1) ** k <= budget), default=0)
+
+
+def _component_shapes(isotypic):
+    """(basis matrices, block sizes) of each component of the search."""
+    comps = isotypic.components()
+    return sorted((len(members), sorted(isotypic.sizes[b] for b in blocks)) for members, blocks in comps)
 
 
 def test_block_search_matches_reference():
-    """The row-block expansion finds exactly the matrix the product-order
-    reference search finds, with 2 to 4 blocks over ranks 2 to 6, and so
-    does the walk of the same box as one merged block."""
+    """The component search finds exactly the matrix the product-order
+    reference search finds, with 2 to 4 components of one or more isotypic
+    blocks over ranks 2 to 7; where a component is structurally singular,
+    both find nothing."""
     rng = random.Random(5)
     cases = [
         ([(1, 1), (1, 1)], "random"),
@@ -414,63 +438,88 @@ def test_block_search_matches_reference():
         ([(2, 2), (1, 1)], "rank1"),
         ([(3, 2), (2, 2)], "rank1"),
         ([(2, 2), (2, 1)], "singular"),
+        ([((1, 2), 3), ((1, 1), 2)], "random"),
+        ([((2, 1), 2), (1, 1), ((1, 1), 2)], "random"),
     ]
     found = 0
     for shape, lead in cases:
-        basis, n = _row_block_basis(rng, shape, lead)
-        nonzeros = [
-            [(i * n + j, x) for i, row in enumerate(b.entries) for j, x in enumerate(row) if x]
-            for b in basis
-        ]
-        blocks = _row_blocks(nonzeros, n)
-        assert sorted((len(rows), len(members)) for rows, members in blocks) == sorted(shape)
-        k = len(basis)
-        bound = max(b for b in (1, 2, 3, 6, 12, 24) if (2 * b + 1) ** k <= 20000)
+        basis, lat = _isotypic_basis(rng, shape, lead)
+        n = lat.rank
+        isotypic = IsotypicBlocks(lat, lat, _nonzeros(basis, n))
+        sizes = [(s,) if isinstance(s, int) else s for s, _ in shape]
+        assert _component_shapes(isotypic) == sorted((m, sorted(own)) for (_, m), own in zip(shape, sizes))
         expected = reference_embedding_matrix(basis, n)
         found += expected is not None
-        # Split along the row blocks, and merged into one block of all rows
-        # and members, which is how the search walks a box that does not
-        # pay to split.
-        for split in (blocks, [(tuple(range(n)), tuple(range(k)))]):
-            best = _block_minimum(nonzeros, n, split, bound, _plain_blocks(nonzeros, n))
-            if best is None:
-                assert expected is None, (shape, lead, len(split))
-            else:
-                matrix = [list(best[3][i * n : (i + 1) * n]) for i in range(n)]
-                assert matrix == expected, (shape, lead, len(split))
+        best = isotypic.minimum(_box_bound(len(basis)))
+        if best is None:
+            assert expected is None, (shape, lead)
+        else:
+            assert [list(best[3][i * n : (i + 1) * n]) for i in range(n)] == expected, (shape, lead)
     # The two structurally singular leading blocks find nothing; the
     # comparison is not vacuous for the others.
     assert found >= len(cases) - 3
 
 
-def test_full_block_settings_carry_their_determinants():
-    """A block of all rows is walked as packed rows: every setting it yields
-    has the determinant of its candidate, and it yields exactly the
-    invertible candidates (one of each pair +-c for the first block)."""
+def test_component_settings_reach_the_least_block_product():
+    """Each component's walk returns the least nonzero |det| of its part of
+    the candidate (its rows and columns) over its own box, and exactly the
+    settings with a positive leading coefficient that reach it."""
     rng = random.Random(16)
-    for shape, bound in (([(2, 1), (1, 2)], 3), ([(2, 2), (2, 2)], 2), ([(1, 1), (3, 2)], 2)):
-        basis, n = _row_block_basis(rng, shape)
+    shapes = (
+        ([(2, 1), (1, 2)], 3),
+        ([(2, 2), (2, 2)], 2),
+        ([(1, 1), (3, 2)], 2),
+        ([((1, 2), 3), ((1, 1), 2)], 3),
+    )
+    checked = 0
+    for shape, bound in shapes:
+        basis, lat = _isotypic_basis(rng, shape)
         assert any(x < 0 for b in basis for row in b.entries for x in row)
-        k = len(basis)
-        nonzeros = [
-            [(i * n + j, x) for i, row in enumerate(b.entries) for j, x in enumerate(row) if x]
-            for b in basis
-        ]
-        block = (tuple(range(n)), tuple(range(k)))
-        for first in (True, False):
-            expected = {}
-            for coeffs in iter_product(range(-bound, bound + 1), repeat=k):
-                lead = next(filter(None, coeffs), 0)
-                if lead > 0 or (lead and not first):
-                    rows = [
-                        [sum(c * b.entries[i][j] for c, b in zip(coeffs, basis)) for j in range(n)]
-                        for i in range(n)
-                    ]
-                    if bareiss_det(rows):
-                        expected[coeffs] = [bareiss_det(rows)]
-            found = dict(_block_settings(nonzeros, n, block, bound, first, _plain_blocks(nonzeros, n)))
-            assert found == expected
-            assert expected
+        n = lat.rank
+        isotypic = IsotypicBlocks(lat, lat, _nonzeros(basis, n))
+        widths, moves = isotypic.packed(bound)
+        for members, blocks in isotypic.components():
+            coords = sorted({i for j in members for i in range(n) if any(basis[j].entries[i])})
+            least, settings = None, []
+            for coeffs in iter_product(range(-bound, bound + 1), repeat=len(members)):
+                if next(filter(None, coeffs), 0) <= 0:
+                    continue
+                rows = [basis[j].entries for j in members]
+                part = [[sum(c * b[i][t] for c, b in zip(coeffs, rows)) for t in coords] for i in coords]
+                det = abs(bareiss_det(part))
+                if det and (least is None or det <= least):
+                    settings = settings if det == least else []
+                    least = det
+                    settings.append(coeffs)
+            assert settings
+            walked, reached = isotypic._least_settings(members, blocks, bound, widths, moves)
+            assert (walked, sorted(reached)) == (least, settings)
+            checked += 1
+    assert checked == 8
+
+
+def test_a_singular_component_leaves_the_box_empty():
+    """A basis whose leading component is singular at every setting, beside
+    one with invertible settings, has no invertible candidate, and neither
+    has a basis that leaves an isotypic block untouched; the reference
+    search, draws included, finds none either."""
+    rng = random.Random(7)
+    basis, lat = _isotypic_basis(rng, [(2, 2), ((1, 2), 2)], "singular")
+    n = lat.rank
+    isotypic = IsotypicBlocks(lat, lat, _nonzeros(basis, n))
+    bound = _box_bound(len(basis))
+    widths, moves = isotypic.packed(bound)
+    comps = isotypic.components()
+    found = [isotypic._least_settings(m, blocks, bound, widths, moves)[1] for m, blocks in comps]
+    assert list(map(bool, found)) == [False, True]
+    assert isotypic.minimum(bound) is None
+    assert reference_embedding_matrix(basis, n) is None
+    # Two blocks, one touched by no basis matrix.
+    lat = _sign_lattice([0, 1, 0])
+    basis = [IntMatrix.from_rows([[1, 0, 2], [0, 0, 0], [1, 0, 1]])]
+    isotypic = IsotypicBlocks(lat, lat, _nonzeros(basis, 3))
+    assert len(isotypic.sizes) == 2 and isotypic.minimum(24) is None
+    assert reference_embedding_matrix(basis, 3) is None
 
 
 def _s4_sign():
@@ -516,18 +565,36 @@ def test_isotypic_blocks_give_the_candidates_determinant():
 
 def test_s4_searches_match_the_reference_search():
     """S4 sign has k = 20 basis matrices, past every box, so its answer
-    comes from the seeded draws; S4 standard's (k = 7) from the walk of the
-    bound-1 box as one merged block.  Both equal the reference search."""
+    comes from the seeded draws; S4 standard's (k = 7) from the bound-1
+    box, searched in components of 4 and 3 basis matrices.  Both equal the
+    reference search."""
     for lat, draws in ((_s4_sign(), 1), (_s4_standard(), 0)):
         m1, m2 = _ono_pair(lat)
         nonzeros, n, bound = _search_box(m1, m2)
         assert (bound == 0) == bool(draws)
         if bound:
-            assert not lattices_mod._expansion_pays(_row_blocks(nonzeros, n), n, bound)
+            assert _component_shapes(IsotypicBlocks(m1, m2, nonzeros)) == [(3, [1, 2, 3]), (4, [6])]
         before = lattices_mod.RANDOM_FALLBACK_COUNT
         chosen = [list(row) for row in equivariant_finite_index_embedding(m1, m2).matrix.entries]
         assert lattices_mod.RANDOM_FALLBACK_COUNT - before == draws
         assert chosen == reference_embedding_matrix(intertwiner_basis(m1, m2), n)
+
+
+def test_s3_standard_ties_are_decided_by_the_whole_key():
+    """s3_standard's box splits into components of 4 and 2 basis matrices,
+    52 and 2 of whose settings, one of each +-pair, reach their least block
+    product.  So 52 * 2 * 2 pairs +-E tie at the least |det|, and the rest
+    of the key tells them apart as the reference search does over the
+    whole box."""
+    m1, m2 = _ono_pair(builtin_lattice("s3_standard"))
+    nonzeros, n, bound = _search_box(m1, m2)
+    isotypic = IsotypicBlocks(m1, m2, nonzeros)
+    widths, moves = isotypic.packed(bound)
+    ties = [len(isotypic._least_settings(m, blocks, bound, widths, moves)[1]) for m, blocks in isotypic.components()]
+    assert [len(m) for m, _ in isotypic.components()] == [4, 2] and ties == [52, 2]
+    best = isotypic.minimum(bound)
+    expected = reference_embedding_matrix(intertwiner_basis(m1, m2), n)
+    assert [list(best[3][i * n : (i + 1) * n]) for i in range(n)] == expected
 
 
 def test_intertwiners_and_embedding_match_reference():
@@ -606,7 +673,7 @@ def test_identity_floor_answers_without_the_walk(monkeypatch):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(lattices_mod, "intertwiner_basis", walk)
-    monkeypatch.setattr(lattices_mod, "_block_minimum", walk)
+    monkeypatch.setattr(IsotypicBlocks, "minimum", walk)
     for m1, m2 in _identity_pairs():
         emb = equivariant_finite_index_embedding(m1, m2)
         assert emb.matrix == IntMatrix.identity(m1.rank)
@@ -614,16 +681,13 @@ def test_identity_floor_answers_without_the_walk(monkeypatch):
 
 
 def test_box_walk_reaches_the_identity_floor():
-    """The walk over the same box, split along the row blocks and merged
-    into one block, finds the identity's key on these bases too."""
+    """The component search over the same box finds the identity's key on
+    these bases too."""
     for m1, m2 in _identity_pairs():
         nonzeros, n, bound = _search_box(m1, m2)
         assert bound > 0
         identity = tuple(int(i == j) for i in range(n) for j in range(n))
-        merged = [(tuple(range(n)), tuple(range(len(nonzeros))))]
-        for blocks in (_row_blocks(nonzeros, n), merged):
-            isotypic = IsotypicBlocks(m1, m2, nonzeros)
-            assert _block_minimum(nonzeros, n, blocks, bound, isotypic) == (1, n, -n, identity)
+        assert IsotypicBlocks(m1, m2, nonzeros).minimum(bound) == (1, n, -n, identity)
 
 
 def test_identity_floor_needs_no_box():
