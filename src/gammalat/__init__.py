@@ -1,7 +1,7 @@
 """Exact integer computations with finite group actions on lattices.
 
 The package works entirely over the integers: finite groups held by their
-Cayley graphs, with the multiplication table derived on first use,
+Cayley graphs, keeping no multiplication table (a product walks a word),
 lattices as unimodular integer matrix actions, Hermite and Smith normal
 forms, induced-lattice decompositions, finite-index equivariant
 embeddings, cocycle twisting over semidirect products, and the

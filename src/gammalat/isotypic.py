@@ -9,13 +9,18 @@ Q-irreducibles, whose idempotents e_W project onto the isotypic
 components.  Every intertwiner E commutes with them, so it maps the
 W-component of M1 into that of M2 (Schur's lemma; Serre, Linear
 Representations of Finite Groups, 2.6; Curtis and Reiner, Methods of
-Representation Theory I, 1981, section 10).  With P1 and P2 the saturated
-Z-bases of those components, E P1 = P2 diag(X_W), each X_W an integer
-matrix linear in E, and det E = det P2 * prod det X_W / det P1.
+Representation Theory I, 1981, section 10).  With P1_W and P2_W saturated
+Z-bases of the W-components, E P1_W = P2_W X_W, X_W an integer matrix
+linear in E.  At the rows R_W of a nonsingular square minor of P2_W (the
+pivots of its Hermite form), the block (E P1_W)[R_W] = P2_W[R_W] X_W is
+read straight off E, so |det E| = C * prod_W |det (E P1_W)[R_W]|, with
+C = |det P2| / (|det P1| * prod_W |det P2_W[R_W]|) > 0 fixed by the pair.
+So one search compares block products in place of |det E|, and a block
+is zero exactly when X_W is.
 
-X_W depends only on the basis members that touch it, so the members split
-into the connected components of "touch a common block", and |det E| =
-|det P2 / det P1| * prod_C f_C(c_C), f_C the product of the |det X_W| of
+A block depends only on the basis members that touch it, so the members
+split into the connected components of "touch a common block", and the
+block product is prod_C f_C(c_C), f_C the product of the |det| of
 component C's blocks.  ``IsotypicBlocks.minimum`` searches a box that way.
 
 ``lattices.equivariant_finite_index_embedding`` imports this module once a
@@ -27,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, chain, product
 from operator import add, itemgetter, mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .groups import FiniteGroup, rational_class_products, rational_classes
 from .intlinalg import (
@@ -35,10 +40,10 @@ from .intlinalg import (
     bareiss_det,
     column_matrix,
     det_width,
+    hermite_normal_form,
     kernel_basis,
     pack_row,
     packed_det,
-    smith_normal_form,
 )
 from .lattices import GammaLattice, _smaller_key
 
@@ -82,20 +87,16 @@ def _central_idempotents(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], int
     return tuple(out)
 
 
-def _order_sign(seq: Sequence[int]) -> int:
-    """The sign of the permutation listed by ``seq``."""
-    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
-    return -1 if inversions & 1 else 1
-
-
-def _support_components(m: GammaLattice) -> list[list[int]]:
-    """The coordinates of ``m`` split into the connected components of the
-    generators' supports, so that every element acts block-diagonally;
-    each ascending, ordered by their least coordinate."""
+def _summands(m: GammaLattice) -> Iterator[tuple[list[int], GammaLattice]]:
+    """``m`` split along the connected components of its generators'
+    supports, on each of which every element acts: (coordinates, ``m``
+    restricted there) pairs, the coordinates ascending, ordered by their
+    least."""
     owner = list(range(m.rank))
     members = {i: [i] for i in range(m.rank)}
-    for a in m.generators:
-        for i, row in enumerate(a.entries):
+    gens = [a.entries for a in m.generators]
+    for a in gens:
+        for i, row in enumerate(a):
             for j, x in enumerate(row):
                 keep, drop = owner[i], owner[j]
                 if x and keep != drop:
@@ -104,7 +105,10 @@ def _support_components(m: GammaLattice) -> list[list[int]]:
                     for y in members.pop(drop):
                         owner[y] = keep
                         members[keep].append(y)
-    return sorted(sorted(block) for block in members.values())
+    for coords in sorted(sorted(block) for block in members.values()):
+        d = len(coords)
+        sub = tuple(IntMatrix(d, d, tuple(tuple(a[i][j] for j in coords) for i in coords)) for a in gens)
+        yield coords, GammaLattice(m.group, d, sub)
 
 
 @lru_cache(maxsize=None)
@@ -133,102 +137,90 @@ def _isotypic_bases(c: GammaLattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _scaled_frame_inverse(frame: tuple[tuple[int, ...], ...]) -> tuple[int, IntMatrix]:
-    """(e, e * P^-1) for P the square matrix with columns ``frame``, e its
-    largest elementary divisor, so the inverse is integral."""
-    snf = smith_normal_form(column_matrix(frame, len(frame)))
-    e = snf.elementary_divisors[-1]
-    return e, snf.scaled_inverse(e)
+def _pivot_rows(c: GammaLattice) -> tuple[tuple[int, ...], ...]:
+    """For each Q-irreducible W, the coordinates at which c's W-basis
+    (``_isotypic_bases``) has a nonsingular square minor: the pivots of
+    the Hermite form of its members as rows."""
+    out = []
+    for basis in _isotypic_bases(c):
+        h, _ = hermite_normal_form(IntMatrix(len(basis), c.rank, basis))
+        out.append(tuple(next(j for j, x in enumerate(row) if x) for row in h.entries))
+    return tuple(out)
 
 
-def _isotypic_frame(
-    m: GammaLattice, inverse: bool
-) -> tuple[list[int], list[list[list[tuple[int, int]]]], list[list[int]], int]:
-    """The Z-bases of m's isotypic components, component by component.
-
-    Returns the size of each W's block, and for each W and coordinate
-    the (block position, value) pairs of P_W's row there, or with
-    ``inverse`` of e * P^-1's column there, with the divisor e of each
-    block row; and det P, P's columns grouped by W, then by component.
-    """
-    n, group = m.rank, m.group
-    count = len(_central_idempotents(group))
-    sizes = [0] * count
-    entries: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(count)]
-    divisors: list[list[int]] = [[] for _ in range(count)]
-    det, placed = 1, []
-    gens = [a.entries for a in m.generators]
-    components = _support_components(m)
-    for coords in components:
-        d = len(coords)
-        sub = tuple(IntMatrix(d, d, tuple(tuple(a[i][j] for j in coords) for i in coords)) for a in gens)
-        bases = _isotypic_bases(GammaLattice(group, d, sub))
-        frame = tuple(col for basis in bases for col in basis)
-        det *= bareiss_det(frame)
-        if inverse:
-            e, inv = _scaled_frame_inverse(frame)
-            cols = iter(inv.entries)
-        for w, basis in enumerate(bases):
+def _isotypic_frame(m: GammaLattice) -> tuple[list[int], list[list[list[tuple[int, int]]]]]:
+    """The Z-bases P_W of m's isotypic components, summand by summand:
+    the rank of each W-component, and for each W and coordinate the
+    (basis position, value) pairs of P_W's row there."""
+    sizes = [0] * len(_central_idempotents(m.group))
+    entries: list[list[list[tuple[int, int]]]] = [[[] for _ in range(m.rank)] for _ in sizes]
+    for coords, c in _summands(m):
+        for w, basis in enumerate(_isotypic_bases(c)):
             for col in basis:
-                q = sizes[w]
-                sizes[w] += 1
-                placed.append((w, q))
-                if inverse:
-                    col = next(cols)
-                    divisors[w].append(e)
                 for local, x in enumerate(col):
                     if x:
-                        entries[w][coords[local]].append((q, x))
-    starts = list(accumulate(sizes, initial=0))
-    det *= _order_sign([i for coords in components for i in coords])
-    det *= _order_sign([starts[w] + q for w, q in placed])
-    return sizes, entries, divisors, det
+                        entries[w][coords[local]].append((sizes[w], x))
+                sizes[w] += 1
+    return sizes, entries
+
+
+def _block_rows(m: GammaLattice) -> list[dict[int, int]]:
+    """For each W, the rows R_W at which m's W-basis has a nonsingular
+    square minor, each mapped to its position in the block: P_W's minor
+    there is block-diagonal over the summands, each block nonsingular."""
+    rows: list[dict[int, int]] = [{} for _ in _central_idempotents(m.group)]
+    for coords, c in _summands(m):
+        for w, pivots in enumerate(_pivot_rows(c)):
+            for i in pivots:
+                rows[w][coords[i]] = len(rows[w])
+    return rows
 
 
 class IsotypicBlocks:
     """The candidates sum_j c_j B_j of one search, each held as its blocks
-    X_W(c) = sum_j c_j X_{j,W} (see the module docstring), smallest first.
+    (E P1_W)[R_W] = sum_j c_j (B_j P1_W)[R_W] (see the module docstring),
+    smallest first.
 
-    ``cells`` lists, per basis member, its nonzero block rows as (block,
-    row index, row) triples; ``det`` reads a candidate's determinant off
-    the packed rows of its blocks, the rows of all blocks in turn, and
-    ``minimum`` searches a box of candidates.
+    ``nonzeros`` lists, per basis member, its nonzero entries as
+    (flattened index, value) pairs; ``cells`` its nonzero block rows as
+    (block, row index, row) triples; ``det`` reads a candidate's block
+    product off the packed rows of its blocks, the rows of all blocks in
+    turn, and ``minimum`` searches a box of candidates.
     """
 
-    def __init__(self, m1: GammaLattice, m2: GammaLattice, nonzeros: list[list[tuple[int, int]]]) -> None:
+    def __init__(self, m1: GammaLattice, m2: GammaLattice, basis: Sequence[IntMatrix]) -> None:
         n = m1.rank
-        self.n, self.nonzeros = n, nonzeros
-        sizes, source, _, det1 = _isotypic_frame(m1, inverse=False)
-        _, target, divisors, det2 = _isotypic_frame(m2, inverse=True)
+        self.n = n
+        self.nonzeros = [
+            [(i * n + j, x) for i, row in enumerate(b.entries) for j, x in enumerate(row) if x] for b in basis
+        ]
+        sizes, source = _isotypic_frame(m1)
+        target = _block_rows(m2)
         order = sorted((w for w, size in enumerate(sizes) if size), key=lambda w: (sizes[w], w))
         self.sizes = [sizes[w] for w in order]
-        self.ratio = (det2, det1)
+        reads: list[list[tuple[int, int, list[list[tuple[int, int]]]]]] = [[] for _ in range(n)]
+        for b, w in enumerate(order):
+            for i, p in target[w].items():
+                reads[i].append((b, p, source[w]))
         self.cells = []
-        for nz in nonzeros:
-            blocks = [[[0] * sizes[w] for _ in range(sizes[w])] for w in order]
+        for nz in self.nonzeros:
+            blocks = [[[0] * size for _ in range(size)] for size in self.sizes]
             for idx, val in nz:
                 i, j = divmod(idx, n)
-                for w, block in zip(order, blocks):
-                    right = source[w][j]
-                    for p, x in target[w][i]:
-                        row, f = block[p], val * x
-                        for q, y in right:
-                            row[q] += f * y
+                for b, p, right in reads[i]:
+                    row = blocks[b][p]
+                    for q, y in right[j]:
+                        row[q] += val * y
             self.cells.append(
-                [
-                    (b, p, [x // divisors[w][p] for x in row])
-                    for b, (w, block) in enumerate(zip(order, blocks))
-                    for p, row in enumerate(block)
-                    if any(row)
-                ]
+                [(b, p, row) for b, block in enumerate(blocks) for p, row in enumerate(block) if any(row)]
             )
 
     def packed(self, bound: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
         """The digit width of each block of every candidate with
         coefficients in [-bound, bound], fixed from the entrywise bound
-        bound * sum_j |X_{j,W}|, and each member's block rows packed at it
-        (``pack_row``) as (row, packed row) pairs, the rows of all blocks
-        numbered in turn."""
+        bound * sum_j |(B_j P1_W)[R_W]|, and each member's block rows
+        packed at it (``pack_row``) as (row, packed row) pairs, the rows of
+        all blocks numbered in turn."""
         totals = [[[0] * size for _ in range(size)] for size in self.sizes]
         for cells in self.cells:
             for b, p, row in cells:
@@ -239,17 +231,16 @@ class IsotypicBlocks:
         return widths, moves
 
     def det(self, rows: list[int], widths: Sequence[int]) -> int:
-        """The determinant of the candidate whose block rows, packed at
-        ``widths``, are ``rows``; a zero block ends the product early."""
-        num, den = self.ratio
-        start = 0
+        """|det E| / C (see the module docstring) for the candidate E whose
+        block rows, packed at ``widths``, are ``rows``; a zero block ends
+        the product early."""
+        det, start = 1, 0
         for size, width in zip(self.sizes, widths):
-            block = packed_det(rows[start : start + size], width)
-            if not block:
+            det *= packed_det(rows[start : start + size], width)
+            if not det:
                 return 0
-            num *= block
             start += size
-        return num // den
+        return abs(det)
 
     def components(self) -> list[tuple[list[int], list[int]]]:
         """The basis members split into the connected components of "touch
@@ -266,16 +257,17 @@ class IsotypicBlocks:
         return sorted((sorted(members), sorted(blocks)) for blocks, members in found)
 
     def minimum(self, bound: int) -> Optional[tuple]:
-        """The least key (``lattices._smaller_key``, E standing for +-E)
-        over the candidates with coefficients in [-bound, bound]^k, not all
-        zero; None if every one is singular.
+        """The least key (``lattices._smaller_key``, E standing for +-E,
+        its first entry the block product |det E| / C) over the candidates
+        with coefficients in [-bound, bound]^k, not all zero; None if every
+        one is singular.
 
         A component set to zero has a zero block, so an invertible
         candidate sets every component to a nonzero setting with f_C >= 1
-        (see the module docstring).  So the least |det| is |det P2 / det P1|
-        times each component's least f_C, reached exactly on the product of
-        the components' least settings, and only there are the other terms
-        of the key compared.  E and -E share their key, so the first
+        (see the module docstring).  So the least block product is the
+        product of each component's least f_C, reached exactly on the
+        product of the components' least settings, and only there are the
+        other terms of the key compared.  E and -E share their key, so the first
         component keeps one of each pair +-c of its settings, the others
         both.
         """
@@ -283,8 +275,7 @@ class IsotypicBlocks:
         if sum(len(blocks) for _, blocks in comps) < len(self.sizes):
             return None
         widths, moves = self.packed(bound)
-        num, den = self.ratio
-        det, parts = abs(num), []
+        det, parts = 1, []
         for i, (members, blocks) in enumerate(comps):
             f, settings = self._least_settings(members, blocks, bound, widths, moves)
             if not settings:
@@ -300,7 +291,6 @@ class IsotypicBlocks:
                         flat[idx] += c * val
                 part.append(flat)
             parts.append(part)
-        det //= abs(den)
         best = None
         for chosen in product(*parts):
             best = _smaller_key(list(map(sum, zip(*chosen))), self.n, best, paired=True, det=det)
@@ -314,7 +304,7 @@ class IsotypicBlocks:
         widths: list[int],
         moves: list[list[tuple[int, int]]],
     ) -> tuple[int, list[tuple[int, ...]]]:
-        """The least nonzero product of |det X_W| over ``blocks`` on the box
+        """The least nonzero product of the blocks' |det| over ``blocks`` on the box
         [-bound, bound]^members, and every setting with a positive leading
         coefficient that reaches it (none if all are singular).
 

@@ -20,11 +20,12 @@ that basis, the invertible one minimizing a fixed total order.  The
 identity is the least of any invertible matrix, so where source and
 target act by the same matrices, it is the answer unsearched.  Every
 intertwiner maps each Q-isotypic component of the source into that of the
-target, so a candidate's determinant is a product of small blocks, one
-per isotypic component (``isotypic.IsotypicBlocks``), and the box
-factors: basis matrices that touch no common block are searched in boxes
-of their own, and only the settings that reach each box's least
-determinant are combined and compared by the whole order.
+target, so a candidate's |det| is a constant of the search times a
+product of small blocks, one per isotypic component, read off rows of the
+target (``isotypic.IsotypicBlocks``), and the box factors: basis matrices
+that touch no common block are searched in boxes of their own, and only
+the settings that reach each box's least block product are combined and
+compared by the whole order.
 
 All searches are deterministic: fixed candidate sets, a total order on
 candidates, and a fixed-seed pseudorandom fallback for the one search whose
@@ -525,10 +526,12 @@ def _fixed_sublattice(rank: int, matrices: Sequence[IntMatrix]) -> tuple[tuple[i
 
 def _smaller_key(flat: list[int], n: int, best: Optional[tuple], paired: bool, det: int) -> Optional[tuple]:
     """The smaller of ``best`` and the key of the n x n candidate ``flat``,
-    whose determinant ``det`` is nonzero.
+    whose |det| is ``det`` times the search's positive constant C
+    (``isotypic``), and nonzero.
 
-    The key is (|det|, sum of absolute entries, -trace, flattened entries);
-    callers build ``flat`` only when |det| does not exceed the best |det| so
+    The key is (|det| / C, sum of absolute entries, -trace, flattened
+    entries), so within one search it orders candidates as |det| would;
+    callers build ``flat`` only when ``det`` does not exceed the best so
     far.  With ``paired`` the candidate stands for both E and -E, which
     share |det| and the entry sum, and the key is that of whichever is
     smaller: the positive trace, or on a zero trace the negative first
@@ -540,6 +543,12 @@ def _smaller_key(flat: list[int], n: int, best: Optional[tuple], paired: bool, d
         sign = -1
     key = (abs(det), sum(map(abs, flat)), -sign * trace, tuple(sign * x for x in flat))
     return key if best is None or key < best else best
+
+
+def _box_bound(k: int) -> int:
+    """The largest b of _SHELL_BOUNDS whose box [-b, b]^k has at most
+    _SHELL_BUDGET points, or 0 if none has."""
+    return max((b for b in _SHELL_BOUNDS if (2 * b + 1) ** k <= _SHELL_BUDGET), default=0)
 
 
 def equivariant_finite_index_embedding(
@@ -564,18 +573,19 @@ def equivariant_finite_index_embedding(
     built, whatever the box.
 
     Every intertwiner maps each Q-isotypic component of m1 into that of
-    m2, so a candidate's determinant is det P2 * prod det X_W / det P1,
-    one small block X_W per W (``isotypic.IsotypicBlocks``).  The basis
-    matrices split into the connected components of "touch a common
-    block", each component's box is walked on its own, and the whole key
-    is compared only over the product of the settings that reach each
-    box's least |det X_W| product; the candidates, and so the answer, are
-    those of the whole box.  If even the smallest box exceeds the budget,
-    or no candidate is invertible, a fixed-seed pseudorandom phase takes
-    over (disabled by ``allow_random=False``, in which case exhaustion
-    raises NoInvertibleIntertwiner).  It takes a draw's determinant from
-    the same blocks first and builds its entries only when its |det| does
-    not exceed the best so far.
+    m2, so a candidate's |det| is a constant of the pair times a product
+    of small blocks read off rows of the target, one per component
+    (``isotypic.IsotypicBlocks``), which the key compares in its place.
+    The basis matrices split into the connected components of "touch a
+    common block", each component's box is walked on its own, and the
+    whole key is compared only over the product of the settings that
+    reach each box's least block product; the candidates, and so the
+    answer, are those of the whole box.  If even the smallest box exceeds
+    the budget, or no candidate is invertible, a fixed-seed pseudorandom
+    phase takes over (disabled by ``allow_random=False``, in which case
+    exhaustion raises NoInvertibleIntertwiner).  It takes a draw's block
+    product first and builds its entries only when that does not exceed
+    the best so far.
     """
     global RANDOM_FALLBACK_COUNT
     if not same_group(m1.group, m2.group):
@@ -589,15 +599,11 @@ def equivariant_finite_index_embedding(
     if k == 0:
         raise NoInvertibleIntertwiner("intertwiner space is zero")
     n = m1.rank
-    nonzeros = [
-        [(i * n + j, x) for i, row in enumerate(b.entries) for j, x in enumerate(row) if x]
-        for b in basis
-    ]
 
     from .isotypic import IsotypicBlocks
 
-    isotypic = IsotypicBlocks(m1, m2, nonzeros)
-    bound = max((b for b in _SHELL_BOUNDS if (2 * b + 1) ** k <= _SHELL_BUDGET), default=0)
+    isotypic = IsotypicBlocks(m1, m2, basis)
+    bound = _box_bound(k)
     best = isotypic.minimum(bound) if bound else None
     if best is None:
         if bound and not allow_random:
@@ -618,9 +624,9 @@ def equivariant_finite_index_embedding(
                     for r, x in packed:
                         rows[r] += c * x
             det = isotypic.det(rows, widths)
-            if det and (best is None or abs(det) <= best[0]):
+            if det and (best is None or det <= best[0]):
                 flat = [0] * (n * n)
-                for c, nz in zip(coeffs, nonzeros):
+                for c, nz in zip(coeffs, isotypic.nonzeros):
                     if c:
                         for idx, val in nz:
                             flat[idx] += c * val

@@ -7,6 +7,7 @@ from itertools import product as iter_product
 
 import pytest
 
+import gammalat.isotypic as isotypic_mod
 import gammalat.lattices as lattices_mod
 from gammalat.corpus import builtin_group, builtin_lattice, builtin_lattices
 from gammalat.errors import (
@@ -30,7 +31,7 @@ from gammalat.groups import (
     twisted_section,
 )
 from gammalat.induction import artin_decompose, build_multiplicity_lattice
-from gammalat.intlinalg import IntMatrix, bareiss_det
+from gammalat.intlinalg import IntMatrix, SnfDecomposition, bareiss_det
 from gammalat.isotypic import IsotypicBlocks
 from gammalat.lattices import (
     GammaLattice,
@@ -335,30 +336,32 @@ def _sign_lattice(owner):
     return lattice_from_action(group, n, gens)
 
 
-def _nonzeros(basis, n):
-    return [
-        [(i * n + j, x) for i, row in enumerate(b.entries) for j, x in enumerate(row) if x]
-        for b in basis
-    ]
-
-
 def test_isotypic_block_det_matches_bareiss():
     """A matrix supported on the isotypic blocks of a sign lattice, with its
-    coordinates owned at random, has the determinant of the block product
-    (``IsotypicBlocks.det``): the identity the box search factors along."""
+    coordinates owned at random, has a zero block product
+    (``IsotypicBlocks.det``) exactly when it is singular, and otherwise
+    |det E| over the block product is one constant C: the identity the box
+    search factors along.  A sign lattice's frames are unimodular, so C is
+    1 on every one of them."""
     rng = random.Random(11)
+    ratios, singular = set(), 0
     for _ in range(200):
         n = rng.randint(1, 7)
         owner = [rng.randrange(8) for _ in range(n)]
         rows = [[rng.randint(-3, 3) if owner[i] == owner[j] else 0 for j in range(n)] for i in range(n)]
         lat = _sign_lattice(owner)
-        isotypic = IsotypicBlocks(lat, lat, _nonzeros([IntMatrix.from_rows(rows, cols=n)], n))
+        isotypic = IsotypicBlocks(lat, lat, [IntMatrix.from_rows(rows, cols=n)])
         assert sorted(isotypic.sizes) == sorted(owner.count(w) for w in set(owner))
         widths, (moves,) = isotypic.packed(1)
         packed = [0] * n
         for cell, x in moves:
             packed[cell] += x
-        assert isotypic.det(packed, widths) == bareiss_det(rows)
+        product, det = isotypic.det(packed, widths), bareiss_det(rows)
+        assert (product == 0) == (det == 0)
+        if det:
+            ratios.add(Fraction(abs(det), product))
+        singular += not det
+    assert ratios == {1} and 0 < singular < 200
 
 
 def _isotypic_basis(rng, shape, lead="random"):
@@ -410,11 +413,6 @@ def _isotypic_basis(rng, shape, lead="random"):
     return lead_members[:1] + rest + lead_members[1:], _sign_lattice(owner)
 
 
-def _box_bound(k):
-    bounds, budget = lattices_mod._SHELL_BOUNDS, lattices_mod._SHELL_BUDGET
-    return max((b for b in bounds if (2 * b + 1) ** k <= budget), default=0)
-
-
 def _component_shapes(isotypic):
     """(basis matrices, block sizes) of each component of the search."""
     comps = isotypic.components()
@@ -445,12 +443,12 @@ def test_block_search_matches_reference():
     for shape, lead in cases:
         basis, lat = _isotypic_basis(rng, shape, lead)
         n = lat.rank
-        isotypic = IsotypicBlocks(lat, lat, _nonzeros(basis, n))
+        isotypic = IsotypicBlocks(lat, lat, basis)
         sizes = [(s,) if isinstance(s, int) else s for s, _ in shape]
         assert _component_shapes(isotypic) == sorted((m, sorted(own)) for (_, m), own in zip(shape, sizes))
         expected = reference_embedding_matrix(basis, n)
         found += expected is not None
-        best = isotypic.minimum(_box_bound(len(basis)))
+        best = isotypic.minimum(lattices_mod._box_bound(len(basis)))
         if best is None:
             assert expected is None, (shape, lead)
         else:
@@ -476,7 +474,7 @@ def test_component_settings_reach_the_least_block_product():
         basis, lat = _isotypic_basis(rng, shape)
         assert any(x < 0 for b in basis for row in b.entries for x in row)
         n = lat.rank
-        isotypic = IsotypicBlocks(lat, lat, _nonzeros(basis, n))
+        isotypic = IsotypicBlocks(lat, lat, basis)
         widths, moves = isotypic.packed(bound)
         for members, blocks in isotypic.components():
             coords = sorted({i for j in members for i in range(n) if any(basis[j].entries[i])})
@@ -506,8 +504,8 @@ def test_a_singular_component_leaves_the_box_empty():
     rng = random.Random(7)
     basis, lat = _isotypic_basis(rng, [(2, 2), ((1, 2), 2)], "singular")
     n = lat.rank
-    isotypic = IsotypicBlocks(lat, lat, _nonzeros(basis, n))
-    bound = _box_bound(len(basis))
+    isotypic = IsotypicBlocks(lat, lat, basis)
+    bound = lattices_mod._box_bound(len(basis))
     widths, moves = isotypic.packed(bound)
     comps = isotypic.components()
     found = [isotypic._least_settings(m, blocks, bound, widths, moves)[1] for m, blocks in comps]
@@ -517,7 +515,7 @@ def test_a_singular_component_leaves_the_box_empty():
     # Two blocks, one touched by no basis matrix.
     lat = _sign_lattice([0, 1, 0])
     basis = [IntMatrix.from_rows([[1, 0, 2], [0, 0, 0], [1, 0, 1]])]
-    isotypic = IsotypicBlocks(lat, lat, _nonzeros(basis, 3))
+    isotypic = IsotypicBlocks(lat, lat, basis)
     assert len(isotypic.sizes) == 2 and isotypic.minimum(24) is None
     assert reference_embedding_matrix(basis, 3) is None
 
@@ -528,39 +526,72 @@ def _s4_sign():
 
 
 def test_isotypic_blocks_give_the_candidates_determinant():
-    """Split along the isotypic components, a candidate's determinant is
-    det P2 * prod det X_W / det P1.  On the Ono pairs of every corpus
-    lattice (the Q-irreducibles of C3, C4 and C6 include some that are not
-    absolutely irreducible) and of the S4 sign and standard lattices, it
-    equals the Bareiss determinant of the assembled candidate, on single
-    basis matrices and seeded combinations, singular ones included."""
+    """Split along the isotypic components, a candidate's |det| is a
+    constant C of the pair times its block product.  On the Ono pairs of
+    every corpus lattice (the Q-irreducibles of C3, C4 and C6 include some
+    that are not absolutely irreducible) and of the S4 sign and standard
+    lattices, the block product is zero exactly when the Bareiss
+    determinant of the assembled candidate is, and the Bareiss |det| over
+    it takes one value per pair, on single basis matrices and seeded
+    combinations, singular ones included."""
     rng = random.Random(33)
     singular = invertible = 0
     for lat in [*builtin_lattices(), _s4_sign(), _s4_standard()]:
         m1, m2 = _ono_pair(lat)
-        nonzeros, n, _ = _search_box(m1, m2)
-        k = len(nonzeros)
-        isotypic = IsotypicBlocks(m1, m2, nonzeros)
+        basis = intertwiner_basis(m1, m2)
+        n, k = m1.rank, len(basis)
+        isotypic = IsotypicBlocks(m1, m2, basis)
         assert sum(isotypic.sizes) == n and isotypic.sizes == sorted(isotypic.sizes)
         widths, moves = isotypic.packed(3)
         draws = [[int(i == j) for j in range(k)] for i in range(k)]
         draws += [[rng.randint(-3, 3) for _ in range(k)] for _ in range(20)]
+        ratios = set()
         for coeffs in draws:
             rows, flat = [0] * n, [0] * (n * n)
-            for c, packed, nz in zip(coeffs, moves, nonzeros):
+            for c, packed, nz in zip(coeffs, moves, isotypic.nonzeros):
                 for cell, x in packed:
                     rows[cell] += c * x
                 for idx, val in nz:
                     flat[idx] += c * val
             det = bareiss_det([flat[i * n : (i + 1) * n] for i in range(n)])
-            assert isotypic.det(rows, widths) == det, (lat.name, coeffs)
+            product = isotypic.det(rows, widths)
+            assert (product == 0) == (det == 0), (lat.name, coeffs)
+            if det:
+                ratios.add(Fraction(abs(det), product))
             singular += not det
             invertible += bool(det)
+        assert len(ratios) == 1, lat.name
         if lat.name == "s4_sign":
             assert isotypic.sizes == [2, 2, 4, 6, 6]
         if lat.name == "s4_standard":
             assert isotypic.sizes == [1, 2, 3, 6]
     assert singular > 100 and invertible > 100
+
+
+def test_isotypic_blocks_invert_no_frame(monkeypatch):
+    """Set up from cold caches on the Ono pairs of every corpus lattice and
+    of the S4 sign and standard lattices, the blocks invert no frame (no
+    ``SnfDecomposition.scaled_inverse``), and the rows R_W each block is
+    read off give a nonsingular minor of the target's W-basis."""
+
+    def invert(*args):
+        raise AssertionError("a frame was inverted")
+
+    monkeypatch.setattr(SnfDecomposition, "scaled_inverse", invert)
+    for f in vars(isotypic_mod).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    for lat in [*builtin_lattices(), _s4_sign(), _s4_standard()]:
+        m1, m2 = _ono_pair(lat)
+        IsotypicBlocks(m1, m2, intertwiner_basis(m1, m2))
+        sizes, entries = isotypic_mod._isotypic_frame(m2)
+        assert sum(sizes) == m2.rank
+        for w, rows in enumerate(isotypic_mod._block_rows(m2)):
+            minor = [[0] * sizes[w] for _ in range(len(rows))]
+            for i, p in rows.items():
+                for q, x in entries[w][i]:
+                    minor[p][q] = x
+            assert len(rows) == sizes[w] and bareiss_det(minor), (lat.name, w)
 
 
 def test_s4_searches_match_the_reference_search():
@@ -570,10 +601,11 @@ def test_s4_searches_match_the_reference_search():
     reference search."""
     for lat, draws in ((_s4_sign(), 1), (_s4_standard(), 0)):
         m1, m2 = _ono_pair(lat)
-        nonzeros, n, bound = _search_box(m1, m2)
+        basis, bound = _search_box(m1, m2)
+        n = m1.rank
         assert (bound == 0) == bool(draws)
         if bound:
-            assert _component_shapes(IsotypicBlocks(m1, m2, nonzeros)) == [(3, [1, 2, 3]), (4, [6])]
+            assert _component_shapes(IsotypicBlocks(m1, m2, basis)) == [(3, [1, 2, 3]), (4, [6])]
         before = lattices_mod.RANDOM_FALLBACK_COUNT
         chosen = [list(row) for row in equivariant_finite_index_embedding(m1, m2).matrix.entries]
         assert lattices_mod.RANDOM_FALLBACK_COUNT - before == draws
@@ -587,13 +619,14 @@ def test_s3_standard_ties_are_decided_by_the_whole_key():
     of the key tells them apart as the reference search does over the
     whole box."""
     m1, m2 = _ono_pair(builtin_lattice("s3_standard"))
-    nonzeros, n, bound = _search_box(m1, m2)
-    isotypic = IsotypicBlocks(m1, m2, nonzeros)
+    basis, bound = _search_box(m1, m2)
+    n = m1.rank
+    isotypic = IsotypicBlocks(m1, m2, basis)
     widths, moves = isotypic.packed(bound)
     ties = [len(isotypic._least_settings(m, blocks, bound, widths, moves)[1]) for m, blocks in isotypic.components()]
     assert [len(m) for m, _ in isotypic.components()] == [4, 2] and ties == [52, 2]
     best = isotypic.minimum(bound)
-    expected = reference_embedding_matrix(intertwiner_basis(m1, m2), n)
+    expected = reference_embedding_matrix(basis, n)
     assert [list(best[3][i * n : (i + 1) * n]) for i in range(n)] == expected
 
 
@@ -634,10 +667,9 @@ def test_every_shell_bound_is_chosen_for_some_basis_size():
     """Each listed bound is the largest whose box fits the budget for some
     basis size k: 24 for k <= 2, 12 for k = 3, 3 for k = 4 and 5, 2 for
     k = 6, 1 for k = 7 to 9 and none beyond."""
-    bounds, budget = lattices_mod._SHELL_BOUNDS, lattices_mod._SHELL_BUDGET
-    chosen = [max((b for b in bounds if (2 * b + 1) ** k <= budget), default=0) for k in range(1, 12)]
+    chosen = [lattices_mod._box_bound(k) for k in range(1, 12)]
     assert chosen == [24, 24, 12, 3, 3, 2, 1, 1, 1, 0, 0]
-    assert set(bounds) <= set(chosen)
+    assert set(lattices_mod._SHELL_BOUNDS) <= set(chosen)
 
 
 def _identity_pairs():
@@ -652,16 +684,9 @@ def _identity_pairs():
 
 
 def _search_box(m1, m2):
-    """The nonzeros of the intertwiner basis and the box the search walks."""
+    """The intertwiner basis and the bound of the box the search walks."""
     basis = intertwiner_basis(m1, m2)
-    n = m1.rank
-    nonzeros = [
-        [(i * n + j, x) for i, row in enumerate(b.entries) for j, x in enumerate(row) if x]
-        for b in basis
-    ]
-    bounds = lattices_mod._SHELL_BOUNDS
-    bound = max((b for b in bounds if (2 * b + 1) ** len(basis) <= lattices_mod._SHELL_BUDGET), default=0)
-    return nonzeros, n, bound
+    return basis, lattices_mod._box_bound(len(basis))
 
 
 def test_identity_floor_answers_without_the_walk(monkeypatch):
@@ -681,13 +706,15 @@ def test_identity_floor_answers_without_the_walk(monkeypatch):
 
 
 def test_box_walk_reaches_the_identity_floor():
-    """The component search over the same box finds the identity's key on
-    these bases too."""
+    """The component search over the same box finds the identity, with
+    the identity's entry sum n and trace n, on these bases too (the key's
+    first entry is a block product, not |det|)."""
     for m1, m2 in _identity_pairs():
-        nonzeros, n, bound = _search_box(m1, m2)
+        basis, bound = _search_box(m1, m2)
+        n = m1.rank
         assert bound > 0
         identity = tuple(int(i == j) for i in range(n) for j in range(n))
-        assert IsotypicBlocks(m1, m2, nonzeros).minimum(bound) == (1, n, -n, identity)
+        assert IsotypicBlocks(m1, m2, basis).minimum(bound)[1:] == (n, -n, identity)
 
 
 def test_identity_floor_needs_no_box():
@@ -695,8 +722,8 @@ def test_identity_floor_needs_no_box():
     source equal to the target still gets the identity, with or without the
     seeded pseudorandom phase, which does not run."""
     m = trivial_lattice(builtin_group("c2"), 4)
-    nonzeros, _, bound = _search_box(m, m)
-    assert (len(nonzeros), bound) == (16, 0)
+    basis, bound = _search_box(m, m)
+    assert (len(basis), bound) == (16, 0)
     before = lattices_mod.RANDOM_FALLBACK_COUNT
     for allow_random in (True, False):
         emb = equivariant_finite_index_embedding(m, m, allow_random=allow_random)
